@@ -187,12 +187,13 @@ def run_iso(cfg: RunConfig) -> list[Report]:
                 count += 1
                 if not rep.passed:
                     failures.append(rep.witness)
-        ok = not failures
+        # a generator that compared nothing has not been checked
+        ok = count > 0 and not failures
         out.append(Report(
             check_id=f"intertwine[{name}]",
             anchor="twisted-operator-intertwining",
             status="pass" if ok else "fail",
-            witness=f"{count} modes checked" if ok else failures[0]))
+            witness=failures[0] if failures else f"{count} modes checked"))
     return out
 
 
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mode-bound", type=Fraction, default=Fraction(2))
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     args = parser.parse_args(argv)
+    if args.k < 1:
+        print(f"error: --k must be a positive integer, got {args.k}", file=sys.stderr)
+        return 2
     cfg = RunConfig(lattice_path=args.lattice, k=args.k, q_order=args.q_order,
                     weight_cutoff=args.weight_cutoff, mode_bound=args.mode_bound,
                     fmt=args.format)

@@ -17,7 +17,7 @@ from .cocycle import TwistSystem
 from .exact import Cyc
 from .fock import FockMono, StateVector, apply_vector_mode, zero_state
 from .report import Report
-from .vertexops import spacetime_twisted_mode, worldsheet_twisted_mode
+from .vertexops import spacetime_twisted_modes, worldsheet_twisted_modes
 
 
 def f_apply(system: TwistSystem, v: StateVector) -> StateVector:
@@ -103,13 +103,17 @@ def general_mode_image(system: TwistSystem, alphas, n) -> ConjugatedMode:
 
 def intertwine_check(system: TwistSystem, u: StateVector, v: StateVector,
                      modes, label: str = "") -> list[Report]:
-    """Compare both twisted actions of u through the isomorphism, mode by mode."""
+    """Compare both twisted actions of u through the isomorphism, mode by mode.
+
+    Each side is extracted for the whole mode window at once.
+    """
     reports = []
-    fv = f_apply(system, v)
+    modes = [Fraction(n) for n in modes]
+    worldsheet = worldsheet_twisted_modes(system, u, modes, f_apply(system, v))
+    spacetime = spacetime_twisted_modes(system, u, modes, v)
     for n in modes:
-        n = Fraction(n)
-        lhs = worldsheet_twisted_mode(system, u, n, fv)
-        rhs = f_apply(system, spacetime_twisted_mode(system, u, n, v))
+        lhs = worldsheet[n]
+        rhs = f_apply(system, spacetime[n])
         ok = lhs == rhs
         witness = ""
         if not ok:

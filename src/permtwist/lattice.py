@@ -48,6 +48,8 @@ class Lattice:
     def __init__(self, gram, name: str = ""):
         gram = tuple(tuple(int(x) for x in row) for row in gram)
         n = len(gram)
+        if n == 0:
+            raise LatticeError("lattice must have positive rank")
         if any(len(row) != n for row in gram):
             raise LatticeError("gram matrix must be square")
         for i in range(n):
@@ -207,17 +209,26 @@ class Lattice:
 
 
 def _floor_sqrt_shift(r: Fraction, c: Fraction) -> int:
-    """Largest integer x with (x + c)^2 <= r (r >= 0)."""
+    """Largest integer x with (x + c)^2 <= r (r >= 0).
+
+    When no integer qualifies, the result lies below -c - sqrt(r), so the
+    range up to it from _ceil_neg_sqrt_shift is empty.
+    """
     if r < 0:
         return -1 if c >= 0 else int(math.floor(-c)) - 1
-    # start near floor(sqrt(r) - c) and correct with exact checks
+    # start near floor(sqrt(r) - c) and correct with exact checks, in
+    # integers: with y = (x + c) * cd, (x + c)^2 <= r iff y^2 * den <= num * cd^2
     num, den = r.numerator, r.denominator
+    cn, cd = c.numerator, c.denominator
     approx = math.isqrt(num * den) // den
     x = approx - math.ceil(c) + 1
-    while (x + c) ** 2 <= r:
-        x += 1
-    while x > -(10**18) and (x + c) ** 2 > r:
-        x -= 1
+    y, top = x * cd + cn, num * cd * cd
+    while y * y * den <= top:
+        x, y = x + 1, y + cd
+    while y * y * den > top:
+        if y < 0:
+            return x
+        x, y = x - 1, y - cd
     return x
 
 

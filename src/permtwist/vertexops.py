@@ -1,9 +1,12 @@
-"""Mode-level extraction for the three vertex-operator families.
+"""Series-at-once extraction for the three vertex-operator families.
 
-All operators are exposed as single-mode extraction: the coefficient of a
-requested power of the formal variable, applied to a finite state.  The
-computation enumerates the finitely many normal-ordered contributions that
-can land on the requested power, so every result is exact.
+One engine builds, for a pair (u, v), every coefficient of x^e in the
+operator series of u applied to v, for all exponents e up to the largest one
+requested, as a finite exponent-keyed table of states.  Callers read off the
+modes they need: the window entry points ask for many at once, and the
+single-mode entry points are one-target calls into the same engine.  The
+computation enumerates the finitely many normal-ordered contributions, so
+every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -12,7 +15,6 @@ and zero modes and the formal x-power of the ground label act first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .cocycle import SECTION_PLAIN, SECTION_TWISTED, TwistSystem
 from .coeffs import (ef_apply, ef_inverse_apply, exp_delta_apply,
@@ -77,165 +79,172 @@ class _Dialect:
         return s.field.one()
 
 
-def _apply_exp_annihilators(dialect: _Dialect, xp: dict, beta) -> dict:
-    """exp(-sum_{m>0} beta(m) x^{-m} / m) on an exponent-keyed state table."""
-    levels = set()
-    for sv in xp.values():
-        levels.update(_positive_levels(sv))
-    out = dict(xp)
-    for m in sorted(levels):
-        nxt = dict(out)
-        for e, sv in out.items():
-            cur = sv
-            t = 1
-            while True:
-                cur = dialect.vec_mode(m, beta, cur)
-                if cur.is_zero():
-                    break
-                coeff = (Fraction(-1) / m) ** t / factorial(t)
-                key = e - m * t
-                piece = cur.scaled(coeff)
-                prev = nxt.get(key)
-                nxt[key] = piece if prev is None else prev + piece
-                t += 1
-        out = {e: s for e, s in nxt.items() if not s.is_zero()}
-    return out
+# -- exponent-keyed state tables ------------------------------------------------
 
 
-def _creation_partitions(total: Fraction, step: Fraction, max_part=None):
-    """Multisets of positive grid levels summing exactly to `total`."""
-    if total == 0:
-        yield ()
-        return
-    if total < 0:
-        return
-    top = total if max_part is None else min(total, max_part)
-    m = (int(top / step)) * step
-    while m >= step:
-        for rest in _creation_partitions(total - m, step, m):
-            yield (m,) + rest
-        m -= step
-    return
+def _add_into(table: dict, e, sv: StateVector) -> None:
+    prev = table.get(e)
+    table[e] = sv if prev is None else prev + sv
 
 
-def _partition_coeff(parts) -> Fraction:
-    out = Fraction(1)
-    mult: dict[Fraction, int] = {}
-    for m in parts:
-        mult[m] = mult.get(m, 0) + 1
-    for m, c in mult.items():
-        out /= (m ** c) * factorial(c)
-    return out
+def _table_apply(dialect: _Dialect, table: dict, moves) -> dict:
+    """Apply mode moves to an exponent-keyed table {e: state}.
+
+    For every entry (e, sv) and every (n, h, c, shift) in moves(e, sv), the
+    state c * h(n) sv is added at exponent e + shift.
+    """
+    out: dict = {}
+    for e, sv in table.items():
+        for n, coords, c, shift in moves(e, sv):
+            if c == 0:
+                continue
+            piece = dialect.vec_mode(n, coords, sv)
+            if not piece.is_zero():
+                _add_into(out, e + shift, piece.scaled(c))
+    return {e: sv for e, sv in out.items() if not sv.is_zero()}
 
 
-def _extract_for_vmono(system, dialect: _Dialect, dfactors, beta, coeff,
-                       vmono: FockMono, e_target: Fraction) -> StateVector:
-    """All normal-ordered contributions landing on x^{e_target}."""
-    sector = dialect.sector
-    has_group = any(beta)
-    gamma = vmono.ground
-    base_exp = dialect.x_exponent(beta, gamma) if has_group else Fraction(0)
-    base = StateVector(system, sector, {vmono: coeff})
-    r = len(dfactors)
-    result = zero_state(system, sector)
-    step = dialect.step
+def _exp_table(dialect: _Dialect, table: dict, beta, sign: int, top=None) -> dict:
+    """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table.
 
-    for mask in range(1 << r):
-        deferred = [t for t in range(r) if mask & (1 << t)]
-        annih = [t for t in range(r) if not (mask & (1 << t))]
-        # annihilation / zero-mode choices for the non-deferred factors
-        table = {base_exp: base}
-        for t in annih:
-            nt, coords = dfactors[t]
-            nxt: dict = {}
-            for e, sv in table.items():
-                for m in [Fraction(0)] + _positive_levels(sv):
-                    c = _dcoeff(m, nt)
-                    if c == 0:
-                        continue
-                    piece = dialect.vec_mode(m, coords, sv)
-                    if piece.is_zero():
-                        continue
-                    key = e - m - nt
-                    piece = piece.scaled(c)
-                    prev = nxt.get(key)
-                    nxt[key] = piece if prev is None else prev + piece
-            table = {e: sv for e, sv in nxt.items() if not sv.is_zero()}
-            if not table:
-                break
-        if not table:
-            continue
-        if has_group:
-            table = _apply_exp_annihilators(dialect, table, beta)
-        # the group element and then the creation side
-        for e, sv in table.items():
-            if has_group:
-                shifted = zero_state(system, sector)
-                for mono, c in sv.terms.items():
-                    scalar, newg = dialect.ground_action(beta, mono.ground)
-                    shifted = shifted + StateVector(
-                        system, sector, {FockMono(mono.modes, newg): c * scalar})
-                sv = shifted
-                if sv.is_zero():
-                    continue
-            budget = e_target - e
-            result = result + _fill_creation(system, dialect, dfactors, deferred,
-                                             beta if has_group else None,
-                                             sv, budget)
-    return result
+    sign = -1 is the annihilation exponential, over the levels present in
+    the table; sign = +1 the creation exponential, kept up to x^top.
+    """
+    if sign < 0:
+        levels = sorted({m for sv in table.values() for m in _positive_levels(sv)})
+    else:
+        step = dialect.step
+        levels = [step * t for t in range(1, int((top - min(table)) / step) + 1)]
+    for m in levels:
+        out = dict(table)
+        current, t = table, 1
+        while current:
+            move = ((-sign * m, beta, Fraction(sign, t) / m, sign * m),)
+            current = _table_apply(dialect, current,
+                                   lambda e, sv: move if top is None or e + sign * m <= top else ())
+            for e, sv in current.items():
+                _add_into(out, e, sv)
+            t += 1
+        table = {e: sv for e, sv in out.items() if not sv.is_zero()}
+    return table
 
 
-def _fill_creation(system, dialect: _Dialect, dfactors, deferred, beta,
-                   sv: StateVector, budget: Fraction) -> StateVector:
-    """Distribute the remaining exponent over deferred derivative factors and
-    the creation exponential."""
-    step = dialect.step
-    out = zero_state(system, dialect.sector)
+def _annihilation_moves(nt: int, coords):
+    """The zero and annihilation modes of a derivative factor."""
+    def moves(e, sv):
+        for m in [Fraction(0)] + _positive_levels(sv):
+            yield m, coords, _dcoeff(m, nt), -m - nt
+    return moves
 
-    def rec(idx, sv_cur, budget_cur):
-        nonlocal out
-        if idx == len(deferred):
-            if beta is None:
-                if budget_cur == 0:
-                    out = out + sv_cur
-                return
-            if budget_cur < 0 or (budget_cur / step).denominator != 1:
-                return
-            for parts in _creation_partitions(budget_cur, step):
-                piece = sv_cur.scaled(_partition_coeff(parts))
-                for m in parts:
-                    piece = dialect.vec_mode(-m, beta, piece)
-                out = out + piece
-            return
-        t = deferred[idx]
-        nt, coords = dfactors[t]
-        # minimal exponent the remaining deferred factors must consume
-        rest_min = sum(step - dfactors[t2][0] for t2 in deferred[idx + 1:])
-        cap = budget_cur - rest_min
-        # s runs over creation degrees; exponent contribution is s - nt
+
+def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, land=None):
+    """The creation modes of a derivative factor landing at exponents <= room,
+    and in `land` when it is given."""
+    def moves(e, sv):
         s = step
-        while s - nt <= cap:
-            c = _dcoeff(-s, nt)
-            if c != 0:
-                piece = dialect.vec_mode(-s, coords, sv_cur)
-                if not piece.is_zero():
-                    rec(idx + 1, piece.scaled(c), budget_cur - (s - nt))
+        while e + s - nt <= room:
+            if land is None or e + s - nt in land:
+                yield -s, coords, _dcoeff(-s, nt), s - nt
             s += step
-        return
+    return moves
 
-    rec(0, sv, budget)
+
+def _ground_shift(dialect: _Dialect, table: dict, beta) -> dict:
+    """The group element over beta on every state of a table."""
+    system, sector = dialect.system, dialect.sector
+    out = {}
+    for e, sv in table.items():
+        shifted = zero_state(system, sector)
+        for mono, c in sv.terms.items():
+            scalar, newg = dialect.ground_action(beta, mono.ground)
+            shifted = shifted + StateVector(
+                system, sector, {FockMono(mono.modes, newg): c * scalar})
+        if not shifted.is_zero():
+            out[e] = shifted
     return out
 
 
-def _umono_factors(system, umono: FockMono, dialect_sector: str):
+# -- the series engine --------------------------------------------------------------
+
+
+def _umono_factors(umono: FockMono):
     """Derivative factors (order, coordinate hook) for a u-monomial."""
     rank = len(umono.ground)
-    factors = []
-    for n, idx in umono.modes:
-        nt = int(-n)
-        coords = tuple(int(j == idx) for j in range(rank))
-        factors.append((nt, coords))
-    return factors
+    return [(int(-n), tuple(int(j == idx) for j in range(rank)))
+            for n, idx in umono.modes]
+
+
+def _terms(pieces):
+    """(offset, u-monomial, coefficient) for every monomial of every
+    (offset, state) piece of an x-polynomial of operators."""
+    return [(Fraction(offset), umono, c)
+            for offset, u in pieces for umono, c in u.terms.items()]
+
+
+def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
+    """Coefficients of x^e, e in targets, of sum c x^offset Y(umono, x) v over
+    the (offset, umono, c) in terms, as {e: state}.
+
+    Per (u-monomial, v-monomial) pair and per choice of which derivative
+    factors create (the mask), the annihilation side runs once and the
+    deferred creation factors fill the table up to the largest target.
+    Tables sharing a ground label of u are summed before its creation
+    exponential is applied, once, up to the largest target.
+    """
+    system, sector, step = dialect.system, dialect.sector, dialect.step
+    targets = frozenset(targets)
+    top = max(targets)
+    pending: dict = {}      # ground label of u -> table before its creation exponential
+    for offset, umono, cu in terms:
+        beta = umono.ground
+        has_group = any(beta)
+        factors = _umono_factors(umono)
+        r = len(factors)
+        scalar = cu * dialect.prefactor(beta)
+        acc = pending.setdefault(beta, {})
+        for vmono, cv in v.terms.items():
+            base_exp = offset
+            if has_group:
+                base_exp += dialect.x_exponent(beta, vmono.ground)
+            base = StateVector(system, sector, {vmono: scalar * cv})
+            for mask in range(1 << r):
+                table = {base_exp: base}
+                for t in range(r):
+                    if not mask >> t & 1 and table:
+                        table = _table_apply(dialect, table, _annihilation_moves(*factors[t]))
+                if has_group and table:
+                    table = _ground_shift(dialect, _exp_table(dialect, table, beta, -1), beta)
+                deferred = [factors[t] for t in range(r) if mask >> t & 1]
+                for idx, (nt, coords) in enumerate(deferred):
+                    # leave room for the least the later factors must add;
+                    # with no creation exponential to follow, the last
+                    # factor must land on a target
+                    later = deferred[idx + 1:]
+                    room = top - sum(step - nt2 for nt2, _ in later)
+                    land = None if later or has_group else targets
+                    table = _table_apply(dialect, table,
+                                         _creation_moves(step, nt, coords, room, land))
+                for e, sv in table.items():
+                    if e <= top:
+                        _add_into(acc, e, sv)
+    out: dict = {}
+    for beta, table in pending.items():
+        if any(beta) and table:
+            table = _exp_table(dialect, table, beta, +1, top)
+        for e, sv in table.items():
+            if e in targets:
+                _add_into(out, e, sv)
+    return {e: out[e] if e in out else zero_state(system, sector) for e in targets}
+
+
+def _twisted_modes(system: TwistSystem, modes) -> list[Fraction]:
+    modes = [Fraction(n) for n in modes]
+    if any((n * system.k).denominator != 1 for n in modes):
+        raise ValueError("twisted modes lie in (1/k)Z")
+    return modes
+
+
+# -- the three operator families --------------------------------------------------
 
 
 def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> StateVector:
@@ -245,47 +254,43 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
     n = Fraction(n)
     if n.denominator != 1:
         raise ValueError("untwisted modes are integral")
-    dialect = _Dialect(system, v.sector)
-    e_target = -n - 1
-    result = zero_state(system, v.sector)
-    for umono, cu in u.terms.items():
-        factors = _umono_factors(system, umono, u.sector)
-        beta = umono.ground
-        scalar = cu * dialect.prefactor(beta)
-        for vmono, cv in v.terms.items():
-            result = result + _extract_for_vmono(
-                system, dialect, factors, beta, scalar * cv, vmono, e_target)
-    return result
+    e = -n - 1
+    return _series(_Dialect(system, v.sector), _terms([(0, u)]), v, [e])[e]
+
+
+def _spacetime_series(system: TwistSystem, pieces, v: StateVector, targets) -> dict:
+    """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
+    over the (offset, u) in pieces, each u corrected by exp(Delta_x)."""
+    terms = []
+    for offset, u in pieces:
+        if u.sector != "L" or v.sector != "T":
+            raise ValueError("space-time operator maps V_L states into the twisted sector")
+        terms += _terms((offset + e, u_e) for e, u_e in exp_delta_apply(system, u).terms.items())
+    return _series(_Dialect(system, "T"), terms, v, targets)
 
 
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
-    if u.sector != "L" or v.sector != "T":
-        raise ValueError("space-time operator maps V_L states into the twisted sector")
     exponent = Fraction(exponent)
-    dialect = _Dialect(system, "T")
-    corrected = exp_delta_apply(system, u)
-    result = zero_state(system, "T")
-    for e_delta, u_e in corrected.terms.items():
-        e_target = exponent - e_delta
-        for umono, cu in u_e.terms.items():
-            factors = _umono_factors(system, umono, "L")
-            beta = umono.ground
-            scalar = cu * dialect.prefactor(beta)
-            for vmono, cv in v.terms.items():
-                result = result + _extract_for_vmono(
-                    system, dialect, factors, beta, scalar * cv, vmono, e_target)
-    return result
+    return _spacetime_series(system, [(0, u)], v, [exponent])[exponent]
+
+
+def spacetime_twisted_modes(system: TwistSystem, u: StateVector, modes,
+                            v: StateVector) -> dict[Fraction, StateVector]:
+    """{n: u^{nu-hat}_n v} for every n in modes, from one series of u on v."""
+    modes = _twisted_modes(system, modes)
+    if not modes:
+        return {}
+    series = _spacetime_series(system, [(0, u)], v, [-n - 1 for n in modes])
+    return {n: series[-n - 1] for n in modes}
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
                            v: StateVector) -> StateVector:
     """The mode u^{nu-hat}_n of the space-time twisted operator, applied to v."""
     n = Fraction(n)
-    if (n * system.k).denominator != 1:
-        raise ValueError("twisted modes lie in (1/k)Z")
-    return spacetime_series_coefficient(system, u, -n - 1, v)
+    return spacetime_twisted_modes(system, u, [n], v)[n]
 
 
 def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> StateVector:
@@ -297,17 +302,12 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     n = Fraction(n)
     if n.denominator != 1:
         raise ValueError("the transported module has integral modes")
-    k = system.k
-    # E_f(x)^{-1} u is the x^{1/k}-variable operator with exponents scaled by k
-    corrected = ef_inverse_apply(system, u).scale_exponents(k)
-    result = zero_state(system, "T")
-    for e, w_e in corrected.terms.items():
-        exponent = Fraction(-n - 1 - e, k)
-        piece = spacetime_series_coefficient(system, slot_state(system, w_e, 0),
-                                             exponent, v)
-        if not piece.is_zero():
-            result = result + piece
-    return result
+    # u_n is the coefficient of x^{(-n-1)/k} in sum_e x^e Y^{st}(w_e, x),
+    # where E_f(x^{1/k})^{-1} u = sum_e x^e w_e
+    exponent = Fraction(-n - 1, system.k)
+    pieces = [(e, slot_state(system, w_e, 0))
+              for e, w_e in ef_inverse_apply(system, u).terms.items()]
+    return _spacetime_series(system, pieces, v, [exponent])[exponent]
 
 
 def _split_slot(system, umono: FockMono):
@@ -328,30 +328,41 @@ def _split_slot(system, umono: FockMono):
     return p, FockMono(modes, ground)
 
 
-def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,
-                            v: StateVector) -> StateVector:
-    """The mode of the change-of-variables twisted operator, applied to v in V_K.
+def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,
+                             v: StateVector) -> dict[Fraction, StateVector]:
+    """{n: u_n v} for the change-of-variables twisted operator and every n in
+    modes, from one series per tensor slot of u.
 
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
     """
     if u.sector != "L" or v.sector != "K":
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    n = Fraction(n)
+    modes = _twisted_modes(system, modes)
     k = system.k
-    if (n * k).denominator != 1:
-        raise ValueError("twisted modes lie in (1/k)Z")
-    result = zero_state(system, "K")
+    out = {n: zero_state(system, "K") for n in modes}
+    if not modes:
+        return out
+    by_slot: dict[int, dict] = {}
     for umono, cu in u.terms.items():
         p, kmono = _split_slot(system, umono)
-        base = StateVector(system, "K", {kmono: cu})
-        rotated_phase = system.eta_pow(-p * int(n * k))
-        corrected = ef_apply(system, base)
-        for e, w_e in corrected.terms.items():
-            m = k * (n + 1 + e) - 1
-            if Fraction(m).denominator != 1:
-                raise AssertionError("non-integral base mode in worldsheet extraction")
-            piece = untwisted_mode(system, w_e, m, v)
-            if not piece.is_zero():
-                result = result + piece.scaled(rotated_phase)
-    return result
+        by_slot.setdefault(p, {})[kmono] = cu
+    dialect = _Dialect(system, "K")
+    # u_n is the coefficient of x^{-k(n+1)} in sum_e x^{ke} Y(w_e, x),
+    # where E_f(x^{1/k}) u = sum_e x^e w_e, rotated by the slot's phase
+    targets = [-k * (n + 1) for n in modes]
+    for p, kterms in by_slot.items():
+        corrected = ef_apply(system, StateVector(system, "K", kterms))
+        series = _series(dialect, _terms((k * e, w_e) for e, w_e in corrected.terms.items()),
+                         v, targets)
+        for n in out:
+            out[n] = out[n] + series[-k * (n + 1)].scaled(system.eta_pow(-p * int(n * k)))
+    return out
+
+
+def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,
+                            v: StateVector) -> StateVector:
+    """The mode of the change-of-variables twisted operator, applied to v in V_K;
+    u as in worldsheet_twisted_modes."""
+    n = Fraction(n)
+    return worldsheet_twisted_modes(system, u, [n], v)[n]

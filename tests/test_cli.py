@@ -2,12 +2,15 @@
 
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
 from permtwist.lattice import LatticeError
+
+LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 
 
 def write(tmp_path, text, name="lat.lat"):
@@ -100,3 +103,36 @@ def test_main_entrypoint(tmp_path):
     assert main(["thm41"]) == 2  # missing lattice
     bad = write(tmp_path, "rank = 1\ngram = [[1]]\n", name="bad.lat")
     assert main(["thm41", "--lattice", bad]) == 2
+
+
+def test_chars_on_a_bound_with_empty_shells():
+    # q-order 3/8 asks the enumeration for bounds whose intervals hold no integer
+    assert main(["chars", "--lattice", str(LATTICES / "a2.lat"), "--k", "2",
+                 "--q-order", "3/8", "--format", "machine"]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--mode-bound", "-1"), ("--weight-cutoff", "0")])
+def test_iso_that_compares_nothing_fails(tmp_path, capsys, flag, value):
+    path = write(tmp_path, "name = A1\nrank = 1\ngram = [[2]]\n")
+    rc = main(["iso", "--lattice", path, "--k", "2", flag, value, "--format", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 4
+    assert all("status=fail" in line and "'0 modes checked'" in line for line in lines)
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_non_positive_k_is_a_usage_error(tmp_path, capsys, k):
+    path = write(tmp_path, "name = A1\nrank = 1\ngram = [[2]]\n")
+    assert main(["iso", "--lattice", path, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --k must be a positive integer, got {k}"]
+
+
+def test_rank_zero_lattice_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "name = Z0\nrank = 0\ngram = []\n")
+    assert main(["thm41", "--lattice", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: lattice must have positive rank"]

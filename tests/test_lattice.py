@@ -1,5 +1,7 @@
 """Lattices, the block shift, eigenprojections, enumeration, dual cosets."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from permtwist.lattice import (CyclicShift, Lattice, LatticeError,
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
+D4 = Lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], "D4")
 
 E8_GRAM = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -151,6 +154,29 @@ def test_enumeration_brute_force_oracle():
             if A2.inner((x, y), (x, y)) <= 2 * bound:
                 brute.add((x, y))
     assert got == brute
+
+
+def _box_vectors(lat, top_norm):
+    """(norm, vector) for every vector of norm <= top_norm, searched in the
+    coordinate box x_i^2 <= top_norm * (G^-1)_ii that must contain them."""
+    ginv = lat.gram_inverse()
+    radii = [math.isqrt(math.floor(top_norm * ginv[i][i])) for i in range(lat.rank)]
+    out = []
+    for vec in itertools.product(*(range(-r, r + 1) for r in radii)):
+        norm = lat.inner(vec, vec)
+        if norm <= top_norm:
+            out.append((norm, vec))
+    return out
+
+
+@pytest.mark.parametrize("lat", [A2, D4], ids=["A2", "D4"])
+def test_enumeration_box_oracle_on_fine_bounds(lat):
+    # every bound 0..12 on the 1/24 grid; many leave a coordinate's interval
+    # without an integer point on some branch of the search
+    box = _box_vectors(lat, 24)
+    for t in range(12 * 24 + 1):
+        want = sorted(vec for norm, vec in box if 12 * norm <= t)
+        assert lat.enumerate_up_to_norm(Fraction(t, 24)) == want, Fraction(t, 24)
 
 
 def test_enumeration_closed_under_negation():

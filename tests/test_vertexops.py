@@ -5,15 +5,18 @@ from math import factorial
 
 import pytest
 
+import extraction_reference as reference
 from permtwist.cocycle import SECTION_PLAIN, TwistSystem
 from permtwist.fock import (apply_mode, apply_twisted_vector_mode,
                             apply_vector_mode, ground_state, nu_hat_state,
                             omega_state, slot_state, twisted_L0, vacuum,
                             virasoro_L, weight_basis, zero_state)
+from permtwist.isomap import default_mode_set, f_apply, generator_family
 from permtwist.lattice import Lattice
 from permtwist.vertexops import (base_module_mode, spacetime_series_coefficient,
-                                 spacetime_twisted_mode, untwisted_mode,
-                                 worldsheet_twisted_mode)
+                                 spacetime_twisted_mode, spacetime_twisted_modes,
+                                 untwisted_mode, worldsheet_twisted_mode,
+                                 worldsheet_twisted_modes)
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -140,7 +143,6 @@ def test_twisted_conformal_mode_is_l0(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_twisted_lattice_operator_closed_form(k):
-    from permtwist.vertexops import _creation_partitions, _partition_coeff
     system = TwistSystem(A1, k)
     alpha = (1,)
     norm = 2
@@ -154,8 +156,8 @@ def test_twisted_lattice_operator_closed_form(k):
         e = base_exp + Fraction(num, k)
         got = spacetime_series_coefficient(system, u, e, vac)
         want = zero_state(system, "T")
-        for parts in _creation_partitions(Fraction(num, k), step):
-            piece = ground_state(system, "T", alpha).scaled(_partition_coeff(parts) * pref)
+        for parts in reference.creation_partitions(Fraction(num, k), step):
+            piece = ground_state(system, "T", alpha).scaled(reference.partition_coeff(parts) * pref)
             for m in parts:
                 piece = apply_twisted_vector_mode(system, -m, hvec, piece)
             want = want + piece
@@ -245,3 +247,41 @@ def test_transported_l0_relation(k):
         lhs = base_module_mode(system, omega_state(system, "K"), 1, v)
         rhs = twisted_L0(system, v).scaled(k) - v.scaled(shift)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_engine_matches_per_mode_reference(k):
+    # the window entry points against the per-mode extractor, every generator
+    system = TwistSystem(A1, k)
+    basis = weight_basis(system, "T", 1)
+    assert any(any(next(iter(v.terms)).ground) for v in basis)
+    states = basis + [sum(basis[1:], basis[0])]
+    modes = default_mode_set(system, 1)
+    compared, nonzero = 0, 0
+    for _, u in generator_family(system):
+        for v in states:
+            fv = f_apply(system, v)
+            # a window may name a mode twice
+            spacetime = spacetime_twisted_modes(system, u, modes + modes[:1], v)
+            worldsheet = worldsheet_twisted_modes(system, u, modes + modes[:1], fv)
+            for n in modes:
+                assert spacetime[n] == reference.spacetime_twisted_mode(system, u, n, v), n
+                assert worldsheet[n] == reference.worldsheet_twisted_mode(system, u, n, fv), n
+                compared += 1
+                nonzero += not spacetime[n].is_zero()
+    assert compared == (k + 2) * len(states) * (2 * k + 1)
+    assert nonzero > 0
+
+
+def test_untwisted_series_matches_per_mode_reference(sys2):
+    # lattice states on both sides exercise the K-sector group element
+    states = weight_basis(sys2, "K", 2)
+    assert any(any(next(iter(v.terms)).ground) for v in states)
+    nonzero = 0
+    for u in states:
+        for v in states[:8]:
+            for n in range(-3, 3):
+                got = untwisted_mode(sys2, u, n, v)
+                assert got == reference.untwisted_mode(sys2, u, n, v), (u, v, n)
+                nonzero += not got.is_zero()
+    assert nonzero > 0
