@@ -141,17 +141,7 @@ def run_coeffs(cfg: RunConfig) -> list[Report]:
 def run_chars(cfg: RunConfig) -> list[Report]:
     out = []
     K, k, order = cfg.lattice, cfg.k, cfg.q_order
-    base = characters.char_voa(K, order)
     twisted = characters.char_twisted(K, k, order)
-    theta = characters.theta_series(K, order)
-    etad = characters.eta_power(K.rank, order + Fraction(K.rank, 24) + 1)
-    for name, series in (("theta", theta), ("eta-power", etad),
-                         ("char-base", base), ("char-twisted", twisted)):
-        out.append(Report(
-            check_id=f"series[{name}]",
-            anchor="graded-dimension-series",
-            status="pass",
-            witness=repr(series)))
     shift = characters.twisted_lead_exponent(K, k)
     ok_counts = all(
         c == int(c) and c >= 0
@@ -178,23 +168,7 @@ def run_iso(cfg: RunConfig) -> list[Report]:
     system = TwistSystem(cfg.lattice, cfg.k)
     basis = weight_basis(system, "T", cfg.weight_cutoff)
     modes = isomap.default_mode_set(system, cfg.mode_bound)
-    out = []
-    for name, u in isomap.generator_family(system):
-        failures = []
-        count = 0
-        for v in basis:
-            for rep in isomap.intertwine_check(system, u, v, modes, label=name):
-                count += 1
-                if not rep.passed:
-                    failures.append(rep.witness)
-        # a generator that compared nothing has not been checked
-        ok = count > 0 and not failures
-        out.append(Report(
-            check_id=f"intertwine[{name}]",
-            anchor="twisted-operator-intertwining",
-            status="pass" if ok else "fail",
-            witness=failures[0] if failures else f"{count} modes checked"))
-    return out
+    return isomap.intertwine_generators(system, basis, modes)
 
 
 _RUNNERS = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Cyc, CycField
-from .lattice import CyclicShift, Lattice, eigenprojection
+from .lattice import CyclicShift, Lattice
 
 SECTION_PLAIN = "plain"      # commutator map C0
 SECTION_TWISTED = "twisted"  # commutator map C
@@ -323,6 +323,3 @@ class TwistSystem:
                 vec[(k - 1) * d + i] = -1
                 out.append(tuple(vec))
         return out
-
-    def eigenproject(self, coords, n: int):
-        return eigenprojection(self.shift, self.field, coords, n)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import (StateVector, apply_mode, virasoro_L, weight_split,
-                   zero_state)
+from .fock import (StateVector, _max_level, _merge_into, _mode_into,
+                   _virasoro_into, weight_split, zero_state)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -201,16 +201,6 @@ class XPolyOp:
         else:
             self.terms[e] = combined
 
-    def __add__(self, other):
-        out = XPolyOp(self.system, self.sector, dict(self.terms))
-        for e, sv in other.terms.items():
-            out.add_term(e, sv)
-        return out
-
-    def scaled(self, c):
-        return XPolyOp(self.system, self.sector,
-                       {e: sv.scaled(c) for e, sv in self.terms.items()})
-
     def scale_exponents(self, factor) -> "XPolyOp":
         return XPolyOp(self.system, self.sector,
                        {e * factor: sv for e, sv in self.terms.items()})
@@ -243,55 +233,78 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    lev = int(v.max_level())
+    acc: dict = {}
+    _delta_into(system, v.terms, 1, Fraction(0), acc, order)
+    return _xpoly(system, "L", acc)
+
+
+def _delta_into(system: TwistSystem, terms: dict, scale, shift: Fraction, acc: dict,
+                order: int | None = None) -> None:
+    """Add scale * Delta_x applied to the V_L state `terms` into acc, an
+    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift."""
+    lev = int(_max_level(terms))
     if order is None:
         order = 2 * lev + 2
     k, d = system.k, system.d
     ginv = system.K.gram_inverse()
-    out = XPolyOp(system, "L")
+    # b_j^p(n) v does not depend on r, m or i: each is applied once
+    firsts: dict = {}
     for r in range(k):
         series = c_coeffs(system, r, order)
         for (m, n), c in series.coeffs.items():
             if m > lev or n > lev or (m == 0 and n == 0):
                 continue
+            target = acc.setdefault(shift - m - n, {})
+            mm = Fraction(m)
             # sum_j sum_p c_mnr (nu^{-r} dual-pair) (m) pair (n)
             for i in range(d):
                 for j in range(d):
                     f = ginv[i][j]
                     if not f:
                         continue
+                    w = None
                     for p in range(k):
                         # (nu^{-r} b_i^p)(m) b_j^p(n): nu^{-r} moves block p to p+r
                         src = p * d + j
-                        dst = ((p + r) % k) * d + i
-                        piece = apply_mode(system, Fraction(n), src, v)
-                        if piece.is_zero():
-                            continue
-                        piece = apply_mode(system, Fraction(m), dst, piece)
-                        if piece.is_zero():
-                            continue
-                        out.add_term(Fraction(-m - n), piece.scaled(c * f))
-    return out
+                        first = firsts.get((n, src))
+                        if first is None:
+                            first = firsts[(n, src)] = {}
+                            _mode_into(system, "L", Fraction(n), src, terms, 1, first)
+                        if first:
+                            if w is None:
+                                w = c * f * scale
+                            dst = ((p + r) % k) * d + i
+                            _mode_into(system, "L", mm, dst, first, w, target)
+
+
+def _xpoly(system, sector, acc: dict) -> XPolyOp:
+    """The x-polynomial of an accumulator {exponent: {FockMono: Cyc}}."""
+    return XPolyOp(system, sector,
+                   {e: StateVector._of(system, sector, t) for e, t in acc.items()})
+
+
+def _exp_series(system, sector, start: dict, step_into) -> XPolyOp:
+    """exp(D) applied to an x-polynomial given as {exponent: terms}, exact by
+    nilpotence; step_into(terms, scale, e, acc) adds scale * D x^e terms into acc."""
+    out = {e: dict(t) for e, t in start.items()}
+    current, t = start, 1
+    while current:
+        nxt: dict = {}
+        for e, terms in current.items():
+            step_into(terms, Fraction(1, t), e, nxt)
+        current = {e: ts for e, ts in nxt.items() if ts}
+        for e, ts in current.items():
+            _merge_into(out.setdefault(e, {}), ts)
+        t += 1
+    return _xpoly(system, sector, out)
 
 
 def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
-    out = state_xpoly(system, v)
-    current = state_xpoly(system, v)
-    t = 1
-    while current.terms:
-        nxt = XPolyOp(system, "L")
-        for e, sv in current.terms.items():
-            piece = delta_apply(system, sv)
-            for e2, sv2 in piece.terms.items():
-                nxt.add_term(e + e2, sv2)
-        if not nxt.terms:
-            break
-        current = nxt.scaled(Fraction(1, t))
-        for e, sv in current.terms.items():
-            out.add_term(e, sv)
-        t += 1
-    return out
+    if v.sector != "L":
+        raise ValueError("Delta_x acts on V_L")
+    return _exp_series(system, "L", {Fraction(0): v.terms},
+                       lambda terms, scale, e, acc: _delta_into(system, terms, scale, e, acc))
 
 
 # -- E_f -----------------------------------------------------------------------
@@ -311,27 +324,15 @@ def _scaling_part(system, v: StateVector, log_k_power: int, x_exp_factor: Fracti
 def _exp_virasoro_sum(system, xp: XPolyOp, avals: list[Fraction], sign: int,
                       exp_step: Fraction) -> XPolyOp:
     """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to an x-polynomial."""
-    out = XPolyOp(system, "K", dict(xp.terms))
-    current = xp
-    t = 1
-    while current.terms:
-        nxt = XPolyOp(system, "K")
-        for e, sv in current.terms.items():
-            lev = int(sv.max_level())
-            for j, aj in enumerate(avals, start=1):
-                if aj == 0 or j > lev + 2:
-                    continue
-                piece = virasoro_L(system, j, sv)
-                if piece.is_zero():
-                    continue
-                nxt.add_term(e + j * exp_step, piece.scaled(aj * sign))
-        if not nxt.terms:
-            break
-        current = nxt.scaled(Fraction(1, t))
-        for e, sv in current.terms.items():
-            out.add_term(e, sv)
-        t += 1
-    return out
+    def step_into(terms, scale, e, acc):
+        lev = int(_max_level(terms))
+        for j, aj in enumerate(avals, start=1):
+            if aj == 0 or j > lev + 2:
+                continue
+            _virasoro_into(system, j, terms, lev, aj * sign * scale,
+                           acc.setdefault(e + j * exp_step, {}))
+
+    return _exp_series(system, "K", {e: sv.terms for e, sv in xp.terms.items()}, step_into)
 
 
 def _max_virasoro_level(system, v: StateVector) -> int:

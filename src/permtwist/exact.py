@@ -172,22 +172,30 @@ class Cyc:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.field.zero()
-            return Cyc(self.field, tuple(a * other for a in self.c))
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            if other.field is not self.field:
+                raise ValueError("mixed cyclotomic orders")
+            a, b = self.c, other.c
+            # a rational factor only scales the other's coefficients
+            if not any(b[1:]):
+                s = b[0]
+            elif not any(a[1:]):
+                a, s = b, a[0]
+            else:
+                prod = [Fraction(0)] * (2 * self.field.degree - 1)
+                for i, ai in enumerate(a):
+                    if ai:
+                        for j, bj in enumerate(b):
+                            if bj:
+                                prod[i + j] += ai * bj
+                return Cyc(self.field, self.field._reduce(prod))
+        elif isinstance(other, (int, Fraction)):
+            a, s = self.c, other
+        else:
             return NotImplemented
-        a, b = self.c, o.c
-        deg = self.field.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Cyc(self.field, self.field._reduce(prod))
+        if not s:
+            return self.field.zero()
+        return Cyc(self.field, tuple(x * s if x else x for x in a))
 
     __rmul__ = __mul__
 

@@ -15,9 +15,11 @@ from the i-th basis vector of K; its residue is determined by the mode.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .cocycle import SECTION_PLAIN, TwistSystem
+from .exact import Cyc
 
 SECTORS = ("K", "L", "T")
 
@@ -31,6 +33,15 @@ class FockMono:
         self.modes = tuple(sorted(modes))
         self.ground = tuple(ground)
         self._hash = hash((self.modes, self.ground))
+
+    @classmethod
+    def _sorted(cls, modes: tuple, ground: tuple) -> "FockMono":
+        """A monomial from modes already in sorted order and a ground tuple."""
+        self = object.__new__(cls)
+        self.modes = modes
+        self.ground = ground
+        self._hash = hash((modes, ground))
+        return self
 
     def __eq__(self, other):
         return self.modes == other.modes and self.ground == other.ground
@@ -70,6 +81,15 @@ class StateVector:
         c = system.field.one() if coeff is None else coeff
         return cls(system, sector, {FockMono(modes, ground): c})
 
+    @classmethod
+    def _of(cls, system, sector, terms: dict) -> "StateVector":
+        """A state owning `terms`, which must hold no zero coefficient."""
+        self = object.__new__(cls)
+        self.system = system
+        self.sector = sector
+        self.terms = terms
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -82,14 +102,8 @@ class StateVector:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return StateVector(self.system, self.sector, out)
+        _merge_into(out, other.terms)
+        return StateVector._of(self.system, self.sector, out)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -119,7 +133,11 @@ class StateVector:
         return " + ".join(bits)
 
     def max_level(self) -> Fraction:
-        return max((m.level() for m in self.terms), default=Fraction(0))
+        return _max_level(self.terms)
+
+
+def _max_level(terms) -> Fraction:
+    return max((m.level() for m in terms), default=Fraction(0))
 
 
 def zero_state(system, sector) -> StateVector:
@@ -160,58 +178,101 @@ def _validate_mode(system, sector, n: Fraction):
             raise ValueError(f"fractional mode {n} in untwisted sector")
 
 
+def _accumulate(out: dict, mono: FockMono, c) -> None:
+    """Add c * mono into an accumulator {FockMono: Cyc}, dropping a sum that
+    cancels; c itself is nonzero."""
+    s = out.get(mono)
+    if s is None:
+        out[mono] = c
+    else:
+        s = s + c
+        if s.is_zero():
+            del out[mono]
+        else:
+            out[mono] = s
+
+
+def _merge_into(out: dict, terms: dict) -> None:
+    """Add the terms of one state into an accumulator."""
+    for mono, c in terms.items():
+        _accumulate(out, mono, c)
+
+
+def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) -> None:
+    """Add scale * b_i(n) applied to `terms` into the accumulator `out`.
+
+    `n` is a Fraction on the sector's grid and `scale` a nonzero rational or
+    Cyc.  `terms` holds no zero coefficient, so every contribution is
+    nonzero and only cancellation inside `out` can produce a zero, which is
+    dropped on the spot.
+    """
+    if isinstance(scale, Cyc) and scale.is_rational():
+        scale = scale.c[0]
+    sign = n.numerator
+    if sign < 0:
+        key = (n, i)
+        unit = scale == 1
+        for mono, c in terms.items():
+            modes = mono.modes
+            pos = bisect_right(modes, key)
+            new = FockMono._sorted(modes[:pos] + (key,) + modes[pos:], mono.ground)
+            _accumulate(out, new, c if unit else c * scale)
+        return
+    if sign > 0:
+        weights = {}    # colour j -> scale * n * <b_i, b_j>, None when zero
+        m = -n
+        head = (m,)
+        for mono, c in terms.items():
+            modes = mono.modes
+            end = len(modes)
+            pos = bisect_left(modes, head)
+            # the modes at -n are contiguous, one run per colour
+            while pos < end and modes[pos][0] == m:
+                j = modes[pos][1]
+                nxt = pos + 1
+                while nxt < end and modes[nxt] == modes[pos]:
+                    nxt += 1
+                if j in weights:
+                    w = weights[j]
+                else:
+                    pair = _pairing(system, sector, i, j)
+                    w = weights[j] = scale * (n * pair) if pair else None
+                if w is not None:
+                    count = nxt - pos
+                    new = FockMono._sorted(modes[:pos] + modes[pos + 1:], mono.ground)
+                    _accumulate(out, new, c * (w if count == 1 else w * count))
+                pos = nxt
+        return
+    eigen = {}          # ground label -> scale * eigenvalue, None when zero
+    for mono, c in terms.items():
+        g = mono.ground
+        if g in eigen:
+            w = eigen[g]
+        else:
+            ev = zero_mode_eigenvalue(system, sector, i, g)
+            w = eigen[g] = (scale * ev) if ev != 0 else None
+        if w is not None:
+            _accumulate(out, mono, c * w)
+
+
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
     n = Fraction(n)
     _validate_mode(system, sv.sector, n)
-    field = system.field
     out = {}
-
-    def add(mono, c):
-        if c.is_zero():
-            return
-        s = out.get(mono)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-
-    if n < 0:
-        for mono, c in sv.terms.items():
-            add(FockMono(mono.modes + ((n, i),), mono.ground), c)
-    elif n > 0:
-        for mono, c in sv.terms.items():
-            seen = set()
-            for pos, (m, j) in enumerate(mono.modes):
-                if m != -n or (m, j) in seen:
-                    continue
-                seen.add((m, j))
-                count = mono.modes.count((m, j))
-                pair = _pairing(system, sv.sector, i, j)
-                if pair == 0:
-                    continue
-                rest = list(mono.modes)
-                rest.pop(pos)
-                add(FockMono(rest, mono.ground), c * (n * pair * count))
-    else:
-        for mono, c in sv.terms.items():
-            ev = zero_mode_eigenvalue(system, sv.sector, i, mono.ground)
-            if ev != 0:
-                add(mono, c * ev)
-    return StateVector(system, sv.sector, out)
+    _mode_into(system, sv.sector, n, i, sv.terms, 1, out)
+    return StateVector._of(system, sv.sector, out)
 
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
-    out = zero_state(system, sv.sector)
+    n = Fraction(n)
+    _validate_mode(system, sv.sector, n)
+    out = {}
     for i, c in enumerate(coords):
-        if c == 0:
-            continue
-        piece = apply_mode(system, n, i, sv)
-        if not piece.is_zero():
-            out = out + piece.scaled(c)
-    return out
+        if c != 0:
+            _mode_into(system, sv.sector, n, i, sv.terms, c, out)
+    return StateVector._of(system, sv.sector, out)
 
 
 def twisted_coords(system, h_coords, n: Fraction):
@@ -357,33 +418,32 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
     """L(j) on V_K via the normal-ordered dual-basis quadratic."""
     if sv.sector != "K":
         raise ValueError("virasoro_L acts on the base sector")
+    out = {}
+    _virasoro_into(system, j, sv.terms, int(sv.max_level()), 1, out)
+    return StateVector._of(system, "K", out)
+
+
+def _virasoro_into(system, j: int, terms: dict, lev: int, scale, out: dict) -> None:
+    """Add scale * L(j) applied to the V_K state `terms` of level <= lev into out."""
     ginv = system.K.gram_inverse()
     d = system.d
-    lev = int(sv.max_level())
-    out = zero_state(system, "K")
-    half = Fraction(1, 2)
+    half = scale * Fraction(1, 2)
     for m in range(min(j, 0) - lev - 1, max(j, 0) + lev + 2):
-        mm = Fraction(m)
-        other = Fraction(j - m)
-        if mm > 0 and mm > lev:
+        other = j - m
+        if m > lev or other > lev + max(0, -m):
             continue
-        if other > 0 and other > lev + max(0, -m):
-            continue
-        # normal order: larger mode acts first
+        # normal order: the larger mode acts first; ginv is symmetric, so
+        # the term of colours (a, b) has coefficient ginv[a][b] either way
+        first, second = Fraction(max(m, other)), Fraction(min(m, other))
         for a in range(d):
+            inner = {}
+            _mode_into(system, "K", first, a, terms, 1, inner)
+            if not inner:
+                continue
             for b in range(d):
                 f = ginv[a][b]
-                if not f:
-                    continue
-                if other >= mm:
-                    piece = apply_mode(system, other, b, sv)
-                    piece = apply_mode(system, mm, a, piece)
-                else:
-                    piece = apply_mode(system, mm, a, sv)
-                    piece = apply_mode(system, other, b, piece)
-                if not piece.is_zero():
-                    out = out + piece.scaled(f * half)
-    return out
+                if f:
+                    _mode_into(system, "K", second, b, inner, f * half, out)
 
 
 def twisted_L0(system, sv: StateVector) -> StateVector:
@@ -392,33 +452,27 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
         raise ValueError("twisted_L0 acts on the twisted sector")
     k, d = system.k, system.d
     ginv = system.K.gram_inverse()
-    out = sv.scaled(twisted_vacuum_weight(system))
+    vac = twisted_vacuum_weight(system)
+    out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
     lev = sv.max_level()
-    # zero-mode square, coefficient k/2
-    for a in range(d):
-        for b in range(d):
-            f = ginv[a][b]
-            if not f:
-                continue
-            piece = apply_mode(system, 0, b, sv)
-            piece = apply_mode(system, 0, a, piece)
-            if not piece.is_zero():
-                out = out + piece.scaled(f * Fraction(k, 2))
-    # paired creation/annihilation, coefficient k per positive mode
+    # zero-mode square with coefficient k/2, then the paired
+    # creation/annihilation modes with coefficient k per positive mode
+    pairs = [(Fraction(0), Fraction(0), Fraction(k, 2))]
     n = Fraction(1, k)
     while n <= lev:
-        for a in range(d):
-            for b in range(d):
-                f = ginv[a][b]
-                if not f:
-                    continue
-                piece = apply_mode(system, n, b, sv)
-                if piece.is_zero():
-                    continue
-                piece = apply_mode(system, -n, a, piece)
-                out = out + piece.scaled(f * Fraction(k))
+        pairs.append((n, -n, Fraction(k)))
         n += Fraction(1, k)
-    return out
+    for first, second, coeff in pairs:
+        for b in range(d):
+            inner = {}
+            _mode_into(system, "T", first, b, sv.terms, 1, inner)
+            if not inner:
+                continue
+            for a in range(d):
+                f = ginv[a][b]
+                if f:
+                    _mode_into(system, "T", second, a, inner, f * coeff, out)
+    return StateVector._of(system, "T", out)
 
 
 # -- weight-graded bases -------------------------------------------------------

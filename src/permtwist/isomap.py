@@ -15,42 +15,35 @@ from fractions import Fraction
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import FockMono, StateVector, apply_vector_mode, zero_state
+from .fock import FockMono, StateVector
 from .report import Report
-from .vertexops import spacetime_twisted_modes, worldsheet_twisted_modes
+from .vertexops import (spacetime_twisted_modes, spacetime_twisted_windows,
+                        worldsheet_twisted_modes, worldsheet_twisted_windows)
 
 
 def f_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The normalized isomorphism from the twisted space to V_K."""
     if v.sector != "T":
         raise ValueError("f_apply takes twisted states")
-    k = system.k
-    inv_k = Fraction(1, k)
-    out = {}
-    for mono, c in v.terms.items():
-        modes = tuple((n * k, i) for n, i in mono.modes)
-        scale = inv_k ** len(mono.modes)
-        newmono = FockMono(modes, mono.ground)
-        coeff = c * scale
-        prev = out.get(newmono)
-        out[newmono] = coeff if prev is None else prev + coeff
-    return StateVector(system, "K", out)
+    return _regrade(system, v, "K", Fraction(system.k))
 
 
 def f_inverse_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The two-sided inverse of f_apply."""
     if v.sector != "K":
         raise ValueError("f_inverse_apply takes base-sector states")
-    k = system.k
+    return _regrade(system, v, "T", Fraction(1, system.k))
+
+
+def _regrade(system: TwistSystem, v: StateVector, sector: str, factor: Fraction) -> StateVector:
+    """Every mode n becomes factor * n, and each monomial is divided by factor
+    once per mode; distinct monomials stay distinct."""
+    inv = 1 / factor
     out = {}
     for mono, c in v.terms.items():
-        modes = tuple((Fraction(n, k), i) for n, i in mono.modes)
-        scale = Fraction(k) ** len(mono.modes)
-        newmono = FockMono(modes, mono.ground)
-        coeff = c * scale
-        prev = out.get(newmono)
-        out[newmono] = coeff if prev is None else prev + coeff
-    return StateVector(system, "T", out)
+        modes = tuple((n * factor, i) for n, i in mono.modes)
+        out[FockMono(modes, mono.ground)] = c * inv ** len(mono.modes)
+    return StateVector(system, sector, out)
 
 
 @dataclass
@@ -58,14 +51,6 @@ class ConjugatedMode:
     """F . (alpha_1,...,alpha_k)^T(n) . F^{-1} as a combination of base modes."""
     mode: Fraction                      # the integer base-mode degree (k*n)
     entries: list = field(default_factory=list)   # (Cyc coefficient, K-vector)
-
-    def apply(self, system, v: StateVector) -> StateVector:
-        out = zero_state(system, "K")
-        for coeff, vec in self.entries:
-            piece = apply_vector_mode(system, self.mode, vec, v)
-            if not piece.is_zero():
-                out = out + piece.scaled(coeff)
-        return out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -107,10 +92,45 @@ def intertwine_check(system: TwistSystem, u: StateVector, v: StateVector,
 
     Each side is extracted for the whole mode window at once.
     """
-    reports = []
     modes = [Fraction(n) for n in modes]
     worldsheet = worldsheet_twisted_modes(system, u, modes, f_apply(system, v))
     spacetime = spacetime_twisted_modes(system, u, modes, v)
+    return _compare(system, worldsheet, spacetime, modes, label)
+
+
+def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
+    """One report per generator of generator_family: intertwine_check of the
+    generator on every state of basis, over every mode.
+
+    Each generator's coefficient series (exp(Delta_x) u, and E_f once per
+    tensor slot of u) is computed once for the whole basis.  A generator
+    that compared no mode fails.
+    """
+    modes = [Fraction(n) for n in modes]
+    images = [f_apply(system, v) for v in basis]
+    out = []
+    for name, u in generator_family(system):
+        worldsheet = worldsheet_twisted_windows(system, u, modes, images)
+        spacetime = spacetime_twisted_windows(system, u, modes, basis)
+        failures = []
+        count = 0
+        for ws, st in zip(worldsheet, spacetime):
+            for rep in _compare(system, ws, st, modes, name):
+                count += 1
+                if not rep.passed:
+                    failures.append(rep.witness)
+        ok = count > 0 and not failures
+        out.append(Report(
+            check_id=f"intertwine[{name}]",
+            anchor="twisted-operator-intertwining",
+            status="pass" if ok else "fail",
+            witness=failures[0] if failures else f"{count} modes checked"))
+    return out
+
+
+def _compare(system, worldsheet: dict, spacetime: dict, modes, label: str) -> list[Report]:
+    """One report per mode: the worldsheet image against F of the space-time one."""
+    reports = []
     for n in modes:
         lhs = worldsheet[n]
         rhs = f_apply(system, spacetime[n])

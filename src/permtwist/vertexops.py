@@ -258,32 +258,44 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
     return _series(_Dialect(system, v.sector), _terms([(0, u)]), v, [e])[e]
 
 
-def _spacetime_series(system: TwistSystem, pieces, v: StateVector, targets) -> dict:
+def _spacetime_series(system: TwistSystem, pieces, states, targets):
     """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
-    over the (offset, u) in pieces, each u corrected by exp(Delta_x)."""
+    over the (offset, u) in pieces, each u corrected by exp(Delta_x) once;
+    yields them for each v in states in turn."""
+    states = list(states)
+    if any(u.sector != "L" for _, u in pieces) or any(v.sector != "T" for v in states):
+        raise ValueError("space-time operator maps V_L states into the twisted sector")
     terms = []
     for offset, u in pieces:
-        if u.sector != "L" or v.sector != "T":
-            raise ValueError("space-time operator maps V_L states into the twisted sector")
         terms += _terms((offset + e, u_e) for e, u_e in exp_delta_apply(system, u).terms.items())
-    return _series(_Dialect(system, "T"), terms, v, targets)
+    dialect = _Dialect(system, "T")
+    for v in states:
+        yield _series(dialect, terms, v, targets)
 
 
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
     exponent = Fraction(exponent)
-    return _spacetime_series(system, [(0, u)], v, [exponent])[exponent]
+    return next(_spacetime_series(system, [(0, u)], [v], [exponent]))[exponent]
+
+
+def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
+    """Yields spacetime_twisted_modes of u on each of the states in turn, with
+    exp(Delta_x) u computed once for all of them."""
+    modes = _twisted_modes(system, modes)
+    if not modes:
+        for _ in states:
+            yield {}
+        return
+    for series in _spacetime_series(system, [(0, u)], states, [-n - 1 for n in modes]):
+        yield {n: series[-n - 1] for n in modes}
 
 
 def spacetime_twisted_modes(system: TwistSystem, u: StateVector, modes,
                             v: StateVector) -> dict[Fraction, StateVector]:
     """{n: u^{nu-hat}_n v} for every n in modes, from one series of u on v."""
-    modes = _twisted_modes(system, modes)
-    if not modes:
-        return {}
-    series = _spacetime_series(system, [(0, u)], v, [-n - 1 for n in modes])
-    return {n: series[-n - 1] for n in modes}
+    return next(spacetime_twisted_windows(system, u, modes, [v]))
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
@@ -307,7 +319,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     exponent = Fraction(-n - 1, system.k)
     pieces = [(e, slot_state(system, w_e, 0))
               for e, w_e in ef_inverse_apply(system, u).terms.items()]
-    return _spacetime_series(system, pieces, v, [exponent])[exponent]
+    return next(_spacetime_series(system, pieces, [v], [exponent]))[exponent]
 
 
 def _split_slot(system, umono: FockMono):
@@ -328,6 +340,36 @@ def _split_slot(system, umono: FockMono):
     return p, FockMono(modes, ground)
 
 
+def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
+    """Yields worldsheet_twisted_modes of u on each of the states in turn,
+    with E_f applied once per tensor slot of u for all of them."""
+    states = list(states)
+    if u.sector != "L" or any(v.sector != "K" for v in states):
+        raise ValueError("worldsheet operator takes V_L states acting on V_K")
+    modes = _twisted_modes(system, modes)
+    k = system.k
+    # u_n is the coefficient of x^{-k(n+1)} in sum_e x^{ke} Y(w_e, x),
+    # where E_f(x^{1/k}) u = sum_e x^e w_e, rotated by the slot's phase
+    slots = []
+    if modes:
+        by_slot: dict[int, dict] = {}
+        for umono, cu in u.terms.items():
+            p, kmono = _split_slot(system, umono)
+            by_slot.setdefault(p, {})[kmono] = cu
+        for p, kterms in by_slot.items():
+            corrected = ef_apply(system, StateVector(system, "K", kterms))
+            slots.append((p, _terms((k * e, w_e) for e, w_e in corrected.terms.items())))
+    dialect = _Dialect(system, "K")
+    targets = [-k * (n + 1) for n in modes]
+    for v in states:
+        out = {n: zero_state(system, "K") for n in modes}
+        for p, terms in slots:
+            series = _series(dialect, terms, v, targets)
+            for n in out:
+                out[n] = out[n] + series[-k * (n + 1)].scaled(system.eta_pow(-p * int(n * k)))
+        yield out
+
+
 def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,
                              v: StateVector) -> dict[Fraction, StateVector]:
     """{n: u_n v} for the change-of-variables twisted operator and every n in
@@ -336,28 +378,7 @@ def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
     """
-    if u.sector != "L" or v.sector != "K":
-        raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    modes = _twisted_modes(system, modes)
-    k = system.k
-    out = {n: zero_state(system, "K") for n in modes}
-    if not modes:
-        return out
-    by_slot: dict[int, dict] = {}
-    for umono, cu in u.terms.items():
-        p, kmono = _split_slot(system, umono)
-        by_slot.setdefault(p, {})[kmono] = cu
-    dialect = _Dialect(system, "K")
-    # u_n is the coefficient of x^{-k(n+1)} in sum_e x^{ke} Y(w_e, x),
-    # where E_f(x^{1/k}) u = sum_e x^e w_e, rotated by the slot's phase
-    targets = [-k * (n + 1) for n in modes]
-    for p, kterms in by_slot.items():
-        corrected = ef_apply(system, StateVector(system, "K", kterms))
-        series = _series(dialect, _terms((k * e, w_e) for e, w_e in corrected.terms.items()),
-                         v, targets)
-        for n in out:
-            out[n] = out[n] + series[-k * (n + 1)].scaled(system.eta_pow(-p * int(n * k)))
-    return out
+    return next(worldsheet_twisted_windows(system, u, modes, [v]))
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,

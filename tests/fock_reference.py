@@ -1,0 +1,200 @@
+"""Mode actions as `permtwist.fock` and `permtwist.coeffs` computed them
+before they accumulated into one dict per operator, kept as oracles.
+
+Each operator here rebuilds the whole state after every piece
+(`out = out + piece.scaled(c)`), applies the first mode of a quadratic
+again for every colour of the second, and `delta_apply` reapplies each
+first mode for every (r, m, i).  It is slow and shares no mode-action
+code with the package, which is what makes it useful in tests: only state
+addition and scaling, the c_{mnr} series and the sector helpers are
+imported.  `exp_delta_apply` divides each power by t with
+`StateVector.scaled` per exponent, as `XPolyOp.scaled` did.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from permtwist.cocycle import TwistSystem
+from permtwist.coeffs import XPolyOp, c_coeffs, state_xpoly
+from permtwist.fock import (FockMono, StateVector, _pairing, _validate_mode,
+                            twisted_vacuum_weight, zero_mode_eigenvalue,
+                            zero_state)
+
+
+def apply_mode(system, n, i, sv: StateVector) -> StateVector:
+    """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
+    n = Fraction(n)
+    _validate_mode(system, sv.sector, n)
+    out = {}
+
+    def add(mono, c):
+        if c.is_zero():
+            return
+        s = out.get(mono)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+
+    if n < 0:
+        for mono, c in sv.terms.items():
+            add(FockMono(mono.modes + ((n, i),), mono.ground), c)
+    elif n > 0:
+        for mono, c in sv.terms.items():
+            seen = set()
+            for pos, (m, j) in enumerate(mono.modes):
+                if m != -n or (m, j) in seen:
+                    continue
+                seen.add((m, j))
+                count = mono.modes.count((m, j))
+                pair = _pairing(system, sv.sector, i, j)
+                if pair == 0:
+                    continue
+                rest = list(mono.modes)
+                rest.pop(pos)
+                add(FockMono(rest, mono.ground), c * (n * pair * count))
+    else:
+        for mono, c in sv.terms.items():
+            ev = zero_mode_eigenvalue(system, sv.sector, i, mono.ground)
+            if ev != 0:
+                add(mono, c * ev)
+    return StateVector(system, sv.sector, out)
+
+
+def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
+    """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
+    out = zero_state(system, sv.sector)
+    for i, c in enumerate(coords):
+        if c == 0:
+            continue
+        piece = apply_mode(system, n, i, sv)
+        if not piece.is_zero():
+            out = out + piece.scaled(c)
+    return out
+
+
+def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
+    """L(j) on V_K via the normal-ordered dual-basis quadratic."""
+    if sv.sector != "K":
+        raise ValueError("virasoro_L acts on the base sector")
+    ginv = system.K.gram_inverse()
+    d = system.d
+    lev = int(sv.max_level())
+    out = zero_state(system, "K")
+    half = Fraction(1, 2)
+    for m in range(min(j, 0) - lev - 1, max(j, 0) + lev + 2):
+        mm = Fraction(m)
+        other = Fraction(j - m)
+        if mm > 0 and mm > lev:
+            continue
+        if other > 0 and other > lev + max(0, -m):
+            continue
+        # normal order: larger mode acts first
+        for a in range(d):
+            for b in range(d):
+                f = ginv[a][b]
+                if not f:
+                    continue
+                if other >= mm:
+                    piece = apply_mode(system, other, b, sv)
+                    piece = apply_mode(system, mm, a, piece)
+                else:
+                    piece = apply_mode(system, mm, a, sv)
+                    piece = apply_mode(system, other, b, piece)
+                if not piece.is_zero():
+                    out = out + piece.scaled(f * half)
+    return out
+
+
+def twisted_L0(system, sv: StateVector) -> StateVector:
+    """The degree operator on the twisted sector, built from the mode sum."""
+    if sv.sector != "T":
+        raise ValueError("twisted_L0 acts on the twisted sector")
+    k, d = system.k, system.d
+    ginv = system.K.gram_inverse()
+    out = sv.scaled(twisted_vacuum_weight(system))
+    lev = sv.max_level()
+    # zero-mode square, coefficient k/2
+    for a in range(d):
+        for b in range(d):
+            f = ginv[a][b]
+            if not f:
+                continue
+            piece = apply_mode(system, 0, b, sv)
+            piece = apply_mode(system, 0, a, piece)
+            if not piece.is_zero():
+                out = out + piece.scaled(f * Fraction(k, 2))
+    # paired creation/annihilation, coefficient k per positive mode
+    n = Fraction(1, k)
+    while n <= lev:
+        for a in range(d):
+            for b in range(d):
+                f = ginv[a][b]
+                if not f:
+                    continue
+                piece = apply_mode(system, n, b, sv)
+                if piece.is_zero():
+                    continue
+                piece = apply_mode(system, -n, a, piece)
+                out = out + piece.scaled(f * Fraction(k))
+        n += Fraction(1, k)
+    return out
+
+
+
+def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> XPolyOp:
+    """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
+    if v.sector != "L":
+        raise ValueError("Delta_x acts on V_L")
+    lev = int(v.max_level())
+    if order is None:
+        order = 2 * lev + 2
+    k, d = system.k, system.d
+    ginv = system.K.gram_inverse()
+    out = XPolyOp(system, "L")
+    for r in range(k):
+        series = c_coeffs(system, r, order)
+        for (m, n), c in series.coeffs.items():
+            if m > lev or n > lev or (m == 0 and n == 0):
+                continue
+            # sum_j sum_p c_mnr (nu^{-r} dual-pair) (m) pair (n)
+            for i in range(d):
+                for j in range(d):
+                    f = ginv[i][j]
+                    if not f:
+                        continue
+                    for p in range(k):
+                        # (nu^{-r} b_i^p)(m) b_j^p(n): nu^{-r} moves block p to p+r
+                        src = p * d + j
+                        dst = ((p + r) % k) * d + i
+                        piece = apply_mode(system, Fraction(n), src, v)
+                        if piece.is_zero():
+                            continue
+                        piece = apply_mode(system, Fraction(m), dst, piece)
+                        if piece.is_zero():
+                            continue
+                        out.add_term(Fraction(-m - n), piece.scaled(c * f))
+    return out
+
+
+def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
+    """e^{Delta_x} v, exact by weight-graded nilpotence."""
+    out = state_xpoly(system, v)
+    current = state_xpoly(system, v)
+    t = 1
+    while current.terms:
+        nxt = XPolyOp(system, "L")
+        for e, sv in current.terms.items():
+            piece = delta_apply(system, sv)
+            for e2, sv2 in piece.terms.items():
+                nxt.add_term(e + e2, sv2)
+        if not nxt.terms:
+            break
+        current = XPolyOp(system, "L", {e: sv.scaled(Fraction(1, t)) for e, sv in nxt.terms.items()})
+        for e, sv in current.terms.items():
+            out.add_term(e, sv)
+        t += 1
+    return out
+

@@ -19,7 +19,7 @@ from permtwist.fock import (apply_vector_mode, omega_state, twisted_L0,
                             twisted_state_counts, twisted_vacuum_weight,
                             vacuum, virasoro_L, weight_basis)
 from permtwist.isomap import (default_mode_set, generator_family,
-                              intertwine_check)
+                              intertwine_generators)
 from permtwist.lattice import Lattice, eigenprojection, integer_span_equal
 from permtwist.vertexops import base_module_mode
 
@@ -195,14 +195,10 @@ def test_criterion_11_intertwining(k):
     system = TwistSystem(A1, k)
     basis = weight_basis(system, "T", 2)
     modes = default_mode_set(system, 2)
-    ok = True
-    first = ""
-    for name, u in generator_family(system):
-        for v in basis:
-            for rep in intertwine_check(system, u, v, modes, label=name):
-                if not rep.passed and ok:
-                    ok = False
-                    first = rep.witness
+    reports = intertwine_generators(system, basis, modes)
+    failed = [r.witness for r in reports if not r.passed]
+    ok = len(reports) == len(generator_family(system)) and not failed
+    first = failed[0] if failed else ""
     _report(11, f"intertwining of the two twisted actions through F on A1, k={k} {first}", ok)
 
 

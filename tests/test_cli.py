@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from permtwist import characters
+from permtwist.characters import FracQSeries
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
 from permtwist.lattice import LatticeError
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def write(tmp_path, text, name="lat.lat"):
@@ -105,6 +108,17 @@ def test_main_entrypoint(tmp_path):
     assert main(["thm41", "--lattice", bad]) == 2
 
 
+def test_chars_reports_no_check_that_cannot_fail(tmp_path, monkeypatch):
+    reports, status = cmd("chars", a1_config(tmp_path))
+    assert status == 0 and reports
+    # a twisted character with a half-integral coefficient that leads at q^1
+    wrong = FracQSeries(1, {1: Fraction(1, 2)}, Fraction(6))
+    monkeypatch.setattr(characters, "char_twisted", lambda K, k, order: wrong)
+    reports, status = cmd("chars", a1_config(tmp_path))
+    assert status == 1
+    assert reports and not any(r.passed for r in reports)
+
+
 def test_chars_on_a_bound_with_empty_shells():
     # q-order 3/8 asks the enumeration for bounds whose intervals hold no integer
     assert main(["chars", "--lattice", str(LATTICES / "a2.lat"), "--k", "2",
@@ -136,3 +150,15 @@ def test_rank_zero_lattice_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: lattice must have positive rank"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("iso_a1_k3", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
+    ("coeffs_a1_k2", ["coeffs", "--k", "2"]),
+    ("thm41_a1_k2", ["thm41", "--k", "2"]),
+])
+def test_machine_output_matches_golden_file(capsys, golden, argv):
+    # the default machine output must stay byte-identical to these files
+    argv = argv + ["--lattice", str(LATTICES / "a1.lat"), "--format", "machine"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.machine").read_text(encoding="utf-8")

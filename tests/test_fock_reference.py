@@ -1,0 +1,92 @@
+"""The accumulating mode actions against the per-piece oracles in fock_reference.
+
+Every weight-basis state of A1 and A2 at k = 1, 2, 3 to a small weight, in
+every sector, and one dense combination of them with cyclotomic
+coefficients, so that terms of different monomials meet and cancel.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import fock_reference as reference
+from permtwist.cocycle import TwistSystem
+from permtwist.coeffs import delta_apply, exp_delta_apply
+from permtwist.fock import (apply_mode, apply_vector_mode, twisted_L0,
+                            virasoro_L, weight_basis, zero_state)
+from permtwist.isomap import generator_family
+from permtwist.lattice import Lattice
+
+A1 = Lattice([[2]], "A1")
+A2 = Lattice([[2, 1], [1, 2]], "A2")
+
+CUTOFF = {"K": 2, "L": 2, "T": 1}
+
+
+@pytest.fixture(scope="module", params=[(A1, 1), (A1, 2), (A1, 3), (A2, 1), (A2, 2), (A2, 3)],
+                ids=lambda p: f"{p[0].name}k{p[1]}")
+def system(request):
+    lattice, k = request.param
+    return TwistSystem(lattice, k)
+
+
+def _states(system, sector):
+    """The basis to the sector's cutoff, then a combination of all of it."""
+    basis = weight_basis(system, sector, CUTOFF[sector])
+    mixed = zero_state(system, sector)
+    for t, sv in enumerate(basis):
+        mixed = mixed + sv.scaled(system.eta_pow(t) - (t % 3))
+    return basis + [mixed]
+
+
+def _modes(system, sector):
+    """Every mode with |n| <= 2 on the sector's grid."""
+    k = system.k if sector == "T" else 1
+    return [Fraction(t, k) for t in range(-2 * k, 2 * k + 1)]
+
+
+def _colours(system, sector):
+    return system.L.rank if sector == "L" else system.d
+
+
+@pytest.mark.parametrize("sector", ["K", "L", "T"])
+def test_apply_mode_matches_reference(system, sector):
+    for sv in _states(system, sector):
+        for n in _modes(system, sector):
+            for i in range(_colours(system, sector)):
+                assert apply_mode(system, n, i, sv) == reference.apply_mode(system, n, i, sv)
+
+
+@pytest.mark.parametrize("sector", ["K", "L", "T"])
+def test_apply_vector_mode_matches_reference(system, sector):
+    rank = _colours(system, sector)
+    # a cyclotomic, a rational, a zero and an integer coordinate, cycled
+    entries = [system.eta_pow(1), Fraction(-3, 2), 0, 2]
+    coords = [entries[t % len(entries)] for t in range(rank)]
+    for sv in _states(system, sector):
+        for n in _modes(system, sector):
+            assert (apply_vector_mode(system, n, coords, sv)
+                    == reference.apply_vector_mode(system, n, coords, sv))
+
+
+def test_virasoro_L_matches_reference(system):
+    for sv in _states(system, "K"):
+        for j in range(-3, 4):
+            assert virasoro_L(system, j, sv) == reference.virasoro_L(system, j, sv)
+
+
+def test_twisted_L0_matches_reference(system):
+    for sv in _states(system, "T"):
+        assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
+
+
+def test_delta_apply_matches_reference(system):
+    for sv in _states(system, "L"):
+        assert delta_apply(system, sv) == reference.delta_apply(system, sv)
+    sv = _states(system, "L")[-1]
+    assert delta_apply(system, sv, order=3) == reference.delta_apply(system, sv, order=3)
+
+
+def test_exp_delta_apply_matches_reference(system):
+    for _, u in generator_family(system):
+        assert exp_delta_apply(system, u) == reference.exp_delta_apply(system, u)

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from permtwist import coeffs, vertexops
+from permtwist.cli import RunConfig, run_iso
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (apply_mode, ground_state, relabel_slots,
-                            slot_state, vacuum, weight, weight_basis)
+from permtwist.fock import (apply_mode, apply_vector_mode, ground_state,
+                            relabel_slots, slot_state, vacuum, weight,
+                            weight_basis, zero_state)
 from permtwist.isomap import (default_mode_set, f_apply, f_inverse_apply,
                               general_mode_image, generator_family,
-                              intertwine_check)
+                              intertwine_check, intertwine_generators)
 from permtwist.lattice import Lattice
 
 A1 = Lattice([[2]], "A1")
@@ -94,6 +97,14 @@ def test_general_mode_image_rules(system):
     assert not on_grid.is_zero()
 
 
+def _apply_image(system, image, v):
+    """sum of coeff * vec(mode) v over the entries of a conjugated mode."""
+    out = zero_state(system, "K")
+    for coeff, vec in image.entries:
+        out = out + apply_vector_mode(system, image.mode, vec, v).scaled(coeff)
+    return out
+
+
 def test_general_mode_image_linearity_and_equivariance(system):
     k = system.k
     rng = random.Random(k)
@@ -108,23 +119,54 @@ def test_general_mode_image_linearity_and_equivariance(system):
         im_b = general_mode_image(system, tup_b, n)
         im_ab = general_mode_image(system, tup_ab, n)
         for probe in (vac, target):
-            assert (im_ab.apply(system, probe)
-                    == im_a.apply(system, probe) + im_b.apply(system, probe))
+            assert (_apply_image(system, im_ab, probe)
+                    == _apply_image(system, im_a, probe) + _apply_image(system, im_b, probe))
         # precomposing with the shift rotates the phase by eta^{kn}
         rotated = general_mode_image(system, tup_a[1:] + tup_a[:1], n)
         for probe in (vac, target):
-            assert (rotated.apply(system, probe)
-                    == im_a.apply(system, probe).scaled(system.eta_pow(int(n * k))))
+            assert (_apply_image(system, rotated, probe)
+                    == _apply_image(system, im_a, probe).scaled(system.eta_pow(int(n * k))))
 
 
 def test_intertwining_low_weight(system):
     basis = weight_basis(system, "T", 1)
     modes = default_mode_set(system, 1)
-    for name, u in generator_family(system):
+    summary = intertwine_generators(system, basis, modes)
+    assert len(summary) == len(generator_family(system))
+    for rep, (name, u) in zip(summary, generator_family(system)):
+        checked = 0
         for v in basis:
             reports = intertwine_check(system, u, v, modes, label=name)
             bad = [r for r in reports if not r.passed]
             assert not bad, bad[0].witness if bad else ""
+            checked += len(reports)
+        # the whole-basis report agrees with the per-state checks
+        assert rep.check_id == f"intertwine[{name}]"
+        assert rep.passed and rep.witness == f"{checked} modes checked"
+
+
+def test_iso_computes_each_generator_series_once(monkeypatch):
+    calls = {"exp_delta_apply": 0, "ef_apply": 0}
+
+    def counted(name):
+        original = getattr(coeffs, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vertexops, name, counted(name))
+    system = TwistSystem(A1, 2)
+    generators = generator_family(system)
+    # omega spans both tensor slots, every other generator one
+    slots = sum(2 if name == "omega" else 1 for name, _ in generators)
+    reports = run_iso(RunConfig(k=2, weight_cutoff=Fraction(1), mode_bound=Fraction(1),
+                                lattice=A1))
+    assert all(r.passed for r in reports)
+    assert len(weight_basis(system, "T", 1)) > 1
+    assert calls == {"exp_delta_apply": len(generators), "ef_apply": slots}
 
 
 def test_intertwining_under_slot_relabeling(system):
