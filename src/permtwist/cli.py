@@ -37,6 +37,10 @@ class LatticeFileError(ValueError):
     pass
 
 
+class UsageError(ValueError):
+    """A command-line value the requested checks cannot run with."""
+
+
 def parse_lattice_file(path: str) -> Lattice:
     """Read the lattice text format: name, rank, gram with '#' comments."""
     with open(path, encoding="utf-8") as fh:
@@ -138,11 +142,19 @@ def run_coeffs(cfg: RunConfig) -> list[Report]:
     return out
 
 
+def _require_q_order(cfg: RunConfig, lead: Fraction) -> None:
+    """A series truncated below its leading exponent holds nothing to check."""
+    if cfg.q_order < lead:
+        raise UsageError(f"--q-order {cfg.q_order} is below the leading exponent "
+                         f"{lead} of the character")
+
+
 def run_chars(cfg: RunConfig) -> list[Report]:
     out = []
     K, k, order = cfg.lattice, cfg.k, cfg.q_order
-    twisted = characters.char_twisted(K, k, order)
     shift = characters.twisted_lead_exponent(K, k)
+    _require_q_order(cfg, shift)
+    twisted = characters.char_twisted(K, k, order)
     ok_counts = all(
         c == int(c) and c >= 0
         for _, c in twisted.items())
@@ -161,6 +173,7 @@ def run_chars(cfg: RunConfig) -> list[Report]:
 
 
 def run_thm41(cfg: RunConfig) -> list[Report]:
+    _require_q_order(cfg, Fraction(-cfg.lattice.rank, 24))
     return characters.compare_thm41(cfg.lattice, cfg.k, cfg.q_order)
 
 
@@ -211,6 +224,13 @@ def emit(reports: list[Report], fmt: str, stream=None) -> None:
         stream.write(f"{len(reports) - failed}/{len(reports)} checks passed\n")
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="permtwist",
@@ -218,9 +238,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--lattice", help="path to a lattice spec file")
     parser.add_argument("--k", type=int, default=2, help="number of tensor factors")
-    parser.add_argument("--q-order", type=Fraction, default=Fraction(10))
-    parser.add_argument("--weight-cutoff", type=Fraction, default=Fraction(2))
-    parser.add_argument("--mode-bound", type=Fraction, default=Fraction(2))
+    parser.add_argument("--q-order", type=_fraction, default=Fraction(10))
+    parser.add_argument("--weight-cutoff", type=_fraction, default=Fraction(2))
+    parser.add_argument("--mode-bound", type=_fraction, default=Fraction(2))
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     args = parser.parse_args(argv)
     if args.k < 1:
@@ -231,7 +251,7 @@ def main(argv=None) -> int:
                     fmt=args.format)
     try:
         reports, status = cmd(args.subcommand, cfg)
-    except (LatticeFileError, LatticeError, OSError) as exc:
+    except (LatticeFileError, LatticeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(reports, cfg.fmt)

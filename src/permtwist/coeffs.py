@@ -12,11 +12,12 @@ never by order truncation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import (StateVector, _max_level, _merge_into, _mode_into,
-                   _virasoro_into, weight_split, zero_state)
+from .fock import (StateVector, _accumulate, _max_level, _merge_into, _mode_into,
+                   _virasoro_into, mono_weight, zero_state)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -179,7 +180,8 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 
 
 class XPolyOp:
-    """A finite formal-variable polynomial with StateVector coefficients."""
+    """A finite formal-variable polynomial with StateVector coefficients: the
+    public form of the internal tables {exponent: {FockMono: Cyc}}."""
 
     def __init__(self, system, sector, terms=None):
         self.system = system
@@ -218,12 +220,6 @@ class XPolyOp:
         if not self.terms:
             return "0"
         return " + ".join(f"x^{e}*[{sv}]" for e, sv in self.items())
-
-
-def state_xpoly(system, sv: StateVector) -> XPolyOp:
-    out = XPolyOp(system, sv.sector)
-    out.add_term(0, sv)
-    return out
 
 
 # -- Delta_x -------------------------------------------------------------------
@@ -277,15 +273,15 @@ def _delta_into(system: TwistSystem, terms: dict, scale, shift: Fraction, acc: d
                             _mode_into(system, "L", mm, dst, first, w, target)
 
 
-def _xpoly(system, sector, acc: dict) -> XPolyOp:
-    """The x-polynomial of an accumulator {exponent: {FockMono: Cyc}}."""
+def _xpoly(system, sector, table: dict) -> XPolyOp:
+    """The x-polynomial of a table {exponent: {FockMono: Cyc}}."""
     return XPolyOp(system, sector,
-                   {e: StateVector._of(system, sector, t) for e, t in acc.items()})
+                   {e: StateVector._of(system, sector, t) for e, t in table.items()})
 
 
-def _exp_series(system, sector, start: dict, step_into) -> XPolyOp:
-    """exp(D) applied to an x-polynomial given as {exponent: terms}, exact by
-    nilpotence; step_into(terms, scale, e, acc) adds scale * D x^e terms into acc."""
+def _exp_series(start: dict, step_into) -> dict:
+    """exp(D) applied to a table {exponent: terms}, exact by nilpotence;
+    step_into(terms, scale, e, acc) adds scale * D x^e terms into acc."""
     out = {e: dict(t) for e, t in start.items()}
     current, t = start, 1
     while current:
@@ -296,34 +292,35 @@ def _exp_series(system, sector, start: dict, step_into) -> XPolyOp:
         for e, ts in current.items():
             _merge_into(out.setdefault(e, {}), ts)
         t += 1
-    return _xpoly(system, sector, out)
+    return {e: ts for e, ts in out.items() if ts}
 
 
 def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    return _exp_series(system, "L", {Fraction(0): v.terms},
-                       lambda terms, scale, e, acc: _delta_into(system, terms, scale, e, acc))
+    return _xpoly(system, "L", _exp_series({Fraction(0): v.terms}, partial(_delta_into, system)))
 
 
 # -- E_f -----------------------------------------------------------------------
 
 
-def _scaling_part(system, v: StateVector, log_k_power: int, x_exp_factor: Fraction) -> XPolyOp:
-    """k^(log_k_power * L(0)) x^(x_exp_factor * L(0)) applied per weight component."""
-    out = XPolyOp(system, "K")
-    for w, comp in weight_split(system, v).items():
-        scale = Fraction(system.k) ** int(log_k_power * w) if w.denominator == 1 else None
-        if scale is None:
+def _scaling_into(system, terms: dict, log_k_power: int, x_exp_factor: Fraction,
+                  shift, out: dict) -> None:
+    """Add k^(log_k_power * L(0)) x^(x_exp_factor * L(0)) applied to `terms`,
+    moved by x^shift, into the table `out`."""
+    k = Fraction(system.k)
+    for mono, c in terms.items():
+        w = mono_weight(system, "K", mono)
+        if w.denominator != 1:
             raise ValueError("non-integer weight in the base sector")
-        out.add_term(x_exp_factor * w, comp.scaled(scale))
-    return out
+        _accumulate(out.setdefault(shift + x_exp_factor * w, {}), mono,
+                    c * k ** int(log_k_power * w))
 
 
-def _exp_virasoro_sum(system, xp: XPolyOp, avals: list[Fraction], sign: int,
-                      exp_step: Fraction) -> XPolyOp:
-    """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to an x-polynomial."""
+def _exp_virasoro_sum(system, table: dict, avals: list[Fraction], sign: int,
+                      exp_step: Fraction) -> dict:
+    """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to a table."""
     def step_into(terms, scale, e, acc):
         lev = int(_max_level(terms))
         for j, aj in enumerate(avals, start=1):
@@ -332,7 +329,7 @@ def _exp_virasoro_sum(system, xp: XPolyOp, avals: list[Fraction], sign: int,
             _virasoro_into(system, j, terms, lev, aj * sign * scale,
                            acc.setdefault(e + j * exp_step, {}))
 
-    return _exp_series(system, "K", {e: sv.terms for e, sv in xp.terms.items()}, step_into)
+    return _exp_series(table, step_into)
 
 
 def _max_virasoro_level(system, v: StateVector) -> int:
@@ -351,8 +348,9 @@ def ef_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPoly
         J = max(1, _max_virasoro_level(system, v))
     avals = a_coeffs(system.k, J)
     step = Fraction(-1, system.k)
-    scaled = _scaling_part(system, v, -1, Fraction(1 - system.k, system.k))
-    return _exp_virasoro_sum(system, scaled, avals, +1, step)
+    scaled: dict = {}
+    _scaling_into(system, v.terms, -1, Fraction(1 - system.k, system.k), Fraction(0), scaled)
+    return _xpoly(system, "K", _exp_virasoro_sum(system, scaled, avals, +1, step))
 
 
 def ef_inverse_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPolyOp:
@@ -363,10 +361,8 @@ def ef_inverse_apply(system: TwistSystem, v: StateVector, J: int | None = None) 
         J = max(1, _max_virasoro_level(system, v))
     avals = a_coeffs(system.k, J)
     step = Fraction(-1, system.k)
-    blown = _exp_virasoro_sum(system, state_xpoly(system, v), avals, -1, step)
-    out = XPolyOp(system, "K")
-    for e, sv in blown.terms.items():
-        piece = _scaling_part(system, sv, +1, Fraction(system.k - 1, system.k))
-        for e2, sv2 in piece.terms.items():
-            out.add_term(e + e2, sv2)
-    return out
+    blown = _exp_virasoro_sum(system, {Fraction(0): v.terms}, avals, -1, step)
+    out: dict = {}
+    for e, terms in blown.items():
+        _scaling_into(system, terms, +1, Fraction(system.k - 1, system.k), e, out)
+    return _xpoly(system, "K", out)

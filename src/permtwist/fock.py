@@ -328,15 +328,6 @@ def weight(system, sv: StateVector) -> Fraction:
     return ws.pop()
 
 
-def weight_split(system, sv: StateVector):
-    """Decompose into homogeneous components, as {weight: StateVector}."""
-    comps = {}
-    for mono, c in sv.terms.items():
-        w = mono_weight(system, sv.sector, mono)
-        comps.setdefault(w, {})[mono] = c
-    return {w: StateVector(system, sv.sector, t) for w, t in sorted(comps.items())}
-
-
 # -- distinguished states ----------------------------------------------------
 
 

@@ -107,19 +107,7 @@ class Lattice:
     def gram_inverse(self):
         """Inverse Gram matrix over Q (rows of the dual basis)."""
         if self._gram_inv is None:
-            n = self.rank
-            a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-                 for i, row in enumerate(self.gram)]
-            for col in range(n):
-                piv = next(r for r in range(col, n) if a[r][col])
-                a[col], a[piv] = a[piv], a[col]
-                f = a[col][col]
-                a[col] = [x / f for x in a[col]]
-                for r in range(n):
-                    if r != col and a[r][col]:
-                        g = a[r][col]
-                        a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-            self._gram_inv = tuple(tuple(row[n:]) for row in a)
+            self._gram_inv = tuple(tuple(row) for row in _rational_inverse(self.gram))
         return self._gram_inv
 
     # -- constructions -----------------------------------------------------
@@ -310,8 +298,9 @@ def smith_normal_form(mat):
     return a, u, v
 
 
-def _int_matrix_inverse(mat):
-    """Inverse of a unimodular integer matrix, exact, as integer rows."""
+def _rational_inverse(mat) -> list[list[Fraction]]:
+    """Inverse of an invertible integer or rational matrix by exact
+    Gauss-Jordan elimination, as rows of Fractions."""
     n = len(mat)
     a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
          for i, row in enumerate(mat)]
@@ -324,13 +313,15 @@ def _int_matrix_inverse(mat):
             if r != col and a[r][col]:
                 g = a[r][col]
                 a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ArithmeticError("matrix not unimodular")
-        out.append([int(x) for x in vals])
-    return out
+    return [row[n:] for row in a]
+
+
+def _int_matrix_inverse(mat):
+    """Inverse of a unimodular integer matrix, exact, as integer rows."""
+    out = _rational_inverse(mat)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ArithmeticError("matrix not unimodular")
+    return [[int(x) for x in row] for row in out]
 
 
 def integer_span_contains(basis_rows, vec) -> bool:

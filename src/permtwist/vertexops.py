@@ -2,11 +2,12 @@
 
 One engine builds, for a pair (u, v), every coefficient of x^e in the
 operator series of u applied to v, for all exponents e up to the largest one
-requested, as a finite exponent-keyed table of states.  Callers read off the
-modes they need: the window entry points ask for many at once, and the
-single-mode entry points are one-target calls into the same engine.  The
-computation enumerates the finitely many normal-ordered contributions, so
-every result is exact.
+requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
+zero coefficient.  Callers read off the modes they need: the window entry
+points ask for many at once, and the single-mode entry points are one-target
+calls into the same engine.  Only the entry points wrap table entries as
+states.  The computation enumerates the finitely many normal-ordered
+contributions, so every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -17,11 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cocycle import SECTION_PLAIN, SECTION_TWISTED, TwistSystem
-from .coeffs import (ef_apply, ef_inverse_apply, exp_delta_apply,
+from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
                      rational_binomial)
 from .exact import Cyc
-from .fock import (FockMono, StateVector, apply_vector_mode,
-                   apply_twisted_vector_mode, slot_state, zero_state)
+from .fock import (FockMono, StateVector, _accumulate, _merge_into, _mode_into,
+                   slot_state, twisted_coords)
 
 
 def _dcoeff(m: Fraction, nt: int) -> Fraction:
@@ -30,12 +31,8 @@ def _dcoeff(m: Fraction, nt: int) -> Fraction:
     return sign * rational_binomial(m + nt - 1, nt - 1)
 
 
-def _positive_levels(sv: StateVector):
-    out = set()
-    for mono in sv.terms:
-        for n, _ in mono.modes:
-            out.add(-n)
-    return sorted(out)
+def _positive_levels(terms: dict):
+    return sorted({-n for mono in terms for n, _ in mono.modes})
 
 
 class _Dialect:
@@ -46,10 +43,15 @@ class _Dialect:
         self.sector = sector
         self.step = Fraction(1, system.k) if sector == "T" else Fraction(1)
 
-    def vec_mode(self, n, coords, sv):
+    def mode_into(self, n: Fraction, coords, terms: dict, scale, out: dict) -> None:
+        """Add scale * h(n) applied to `terms` into the accumulator `out`, for
+        h given by mode-basis coordinates (ambient L coordinates in T)."""
+        s = self.system
         if self.sector == "T":
-            return apply_twisted_vector_mode(self.system, n, coords, sv)
-        return apply_vector_mode(self.system, n, coords, sv)
+            coords = twisted_coords(s, coords, n)
+        for i, c in enumerate(coords):
+            if c != 0:
+                _mode_into(s, self.sector, n, i, terms, scale * c, out)
 
     def x_exponent(self, beta, ground) -> Fraction:
         s = self.system
@@ -79,60 +81,48 @@ class _Dialect:
         return s.field.one()
 
 
-# -- exponent-keyed state tables ------------------------------------------------
-
-
-def _add_into(table: dict, e, sv: StateVector) -> None:
-    prev = table.get(e)
-    table[e] = sv if prev is None else prev + sv
+# -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
 
 
 def _table_apply(dialect: _Dialect, table: dict, moves) -> dict:
-    """Apply mode moves to an exponent-keyed table {e: state}.
+    """Apply mode moves to an exponent-keyed table.
 
-    For every entry (e, sv) and every (n, h, c, shift) in moves(e, sv), the
-    state c * h(n) sv is added at exponent e + shift.
+    For every entry (e, terms) and every (n, h, c, shift) in moves(e, terms),
+    c * h(n) terms is added at exponent e + shift.
     """
     out: dict = {}
-    for e, sv in table.items():
-        for n, coords, c, shift in moves(e, sv):
-            if c == 0:
-                continue
-            piece = dialect.vec_mode(n, coords, sv)
-            if not piece.is_zero():
-                _add_into(out, e + shift, piece.scaled(c))
-    return {e: sv for e, sv in out.items() if not sv.is_zero()}
+    for e, terms in table.items():
+        for n, coords, c, shift in moves(e, terms):
+            if c != 0:
+                dialect.mode_into(n, coords, terms, c, out.setdefault(e + shift, {}))
+    return {e: t for e, t in out.items() if t}
 
 
 def _exp_table(dialect: _Dialect, table: dict, beta, sign: int, top=None) -> dict:
     """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table.
 
     sign = -1 is the annihilation exponential, over the levels present in
-    the table; sign = +1 the creation exponential, kept up to x^top.
+    the table; sign = +1 the creation exponential, kept up to x^top.  Each
+    level's factor is one coeffs._exp_series.
     """
     if sign < 0:
-        levels = sorted({m for sv in table.values() for m in _positive_levels(sv)})
+        levels = sorted({m for terms in table.values() for m in _positive_levels(terms)})
     else:
         step = dialect.step
         levels = [step * t for t in range(1, int((top - min(table)) / step) + 1)]
     for m in levels:
-        out = dict(table)
-        current, t = table, 1
-        while current:
-            move = ((-sign * m, beta, Fraction(sign, t) / m, sign * m),)
-            current = _table_apply(dialect, current,
-                                   lambda e, sv: move if top is None or e + sign * m <= top else ())
-            for e, sv in current.items():
-                _add_into(out, e, sv)
-            t += 1
-        table = {e: sv for e, sv in out.items() if not sv.is_zero()}
+        def step_into(terms, scale, e, acc, m=m):
+            if top is None or e + sign * m <= top:
+                dialect.mode_into(-sign * m, beta, terms, scale * sign / m,
+                                  acc.setdefault(e + sign * m, {}))
+        table = _exp_series(table, step_into)
     return table
 
 
 def _annihilation_moves(nt: int, coords):
     """The zero and annihilation modes of a derivative factor."""
-    def moves(e, sv):
-        for m in [Fraction(0)] + _positive_levels(sv):
+    def moves(e, terms):
+        for m in [Fraction(0)] + _positive_levels(terms):
             yield m, coords, _dcoeff(m, nt), -m - nt
     return moves
 
@@ -140,7 +130,7 @@ def _annihilation_moves(nt: int, coords):
 def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, land=None):
     """The creation modes of a derivative factor landing at exponents <= room,
     and in `land` when it is given."""
-    def moves(e, sv):
+    def moves(e, terms):
         s = step
         while e + s - nt <= room:
             if land is None or e + s - nt in land:
@@ -150,17 +140,15 @@ def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, land=None):
 
 
 def _ground_shift(dialect: _Dialect, table: dict, beta) -> dict:
-    """The group element over beta on every state of a table."""
-    system, sector = dialect.system, dialect.sector
+    """The group element over beta on every entry of a table."""
     out = {}
-    for e, sv in table.items():
-        shifted = zero_state(system, sector)
-        for mono, c in sv.terms.items():
+    for e, terms in table.items():
+        acc: dict = {}
+        for mono, c in terms.items():
             scalar, newg = dialect.ground_action(beta, mono.ground)
-            shifted = shifted + StateVector(
-                system, sector, {FockMono(mono.modes, newg): c * scalar})
-        if not shifted.is_zero():
-            out[e] = shifted
+            _accumulate(acc, FockMono._sorted(mono.modes, tuple(newg)), c * scalar)
+        if acc:
+            out[e] = acc
     return out
 
 
@@ -176,14 +164,15 @@ def _umono_factors(umono: FockMono):
 
 def _terms(pieces):
     """(offset, u-monomial, coefficient) for every monomial of every
-    (offset, state) piece of an x-polynomial of operators."""
+    (offset, terms) piece of an x-polynomial of operators."""
     return [(Fraction(offset), umono, c)
-            for offset, u in pieces for umono, c in u.terms.items()]
+            for offset, u in pieces for umono, c in u.items()]
 
 
 def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
     """Coefficients of x^e, e in targets, of sum c x^offset Y(umono, x) v over
-    the (offset, umono, c) in terms, as {e: state}.
+    the (offset, umono, c) in terms, as a table; a target whose coefficient
+    is zero has no entry.
 
     Per (u-monomial, v-monomial) pair and per choice of which derivative
     factors create (the mask), the annihilation side runs once and the
@@ -191,7 +180,7 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
     Tables sharing a ground label of u are summed before its creation
     exponential is applied, once, up to the largest target.
     """
-    system, sector, step = dialect.system, dialect.sector, dialect.step
+    step = dialect.step
     targets = frozenset(targets)
     top = max(targets)
     pending: dict = {}      # ground label of u -> table before its creation exponential
@@ -206,7 +195,7 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
             base_exp = offset
             if has_group:
                 base_exp += dialect.x_exponent(beta, vmono.ground)
-            base = StateVector(system, sector, {vmono: scalar * cv})
+            base = {vmono: scalar * cv}
             for mask in range(1 << r):
                 table = {base_exp: base}
                 for t in range(r):
@@ -224,17 +213,18 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
                     land = None if later or has_group else targets
                     table = _table_apply(dialect, table,
                                          _creation_moves(step, nt, coords, room, land))
-                for e, sv in table.items():
+                for e, ts in table.items():
                     if e <= top:
-                        _add_into(acc, e, sv)
+                        _merge_into(acc.setdefault(e, {}), ts)
     out: dict = {}
     for beta, table in pending.items():
+        table = {e: ts for e, ts in table.items() if ts}
         if any(beta) and table:
             table = _exp_table(dialect, table, beta, +1, top)
-        for e, sv in table.items():
+        for e, ts in table.items():
             if e in targets:
-                _add_into(out, e, sv)
-    return {e: out[e] if e in out else zero_state(system, sector) for e in targets}
+                _merge_into(out.setdefault(e, {}), ts)
+    return {e: ts for e, ts in out.items() if ts}
 
 
 def _twisted_modes(system: TwistSystem, modes) -> list[Fraction]:
@@ -255,22 +245,25 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
     if n.denominator != 1:
         raise ValueError("untwisted modes are integral")
     e = -n - 1
-    return _series(_Dialect(system, v.sector), _terms([(0, u)]), v, [e])[e]
+    table = _series(_Dialect(system, v.sector), _terms([(0, u.terms)]), v, [e])
+    return StateVector._of(system, v.sector, table.get(e, {}))
 
 
 def _spacetime_series(system: TwistSystem, pieces, states, targets):
     """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
     over the (offset, u) in pieces, each u corrected by exp(Delta_x) once;
-    yields them for each v in states in turn."""
+    yields them for each v in states in turn, as states."""
     states = list(states)
     if any(u.sector != "L" for _, u in pieces) or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
     terms = []
     for offset, u in pieces:
-        terms += _terms((offset + e, u_e) for e, u_e in exp_delta_apply(system, u).terms.items())
+        terms += _terms((offset + e, u_e.terms)
+                        for e, u_e in exp_delta_apply(system, u).terms.items())
     dialect = _Dialect(system, "T")
     for v in states:
-        yield _series(dialect, terms, v, targets)
+        table = _series(dialect, terms, v, targets)
+        yield {e: StateVector._of(system, "T", table.get(e, {})) for e in targets}
 
 
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
@@ -358,16 +351,18 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
             by_slot.setdefault(p, {})[kmono] = cu
         for p, kterms in by_slot.items():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
-            slots.append((p, _terms((k * e, w_e) for e, w_e in corrected.terms.items())))
+            slots.append((p, _terms((k * e, w_e.terms) for e, w_e in corrected.terms.items())))
     dialect = _Dialect(system, "K")
     targets = [-k * (n + 1) for n in modes]
     for v in states:
-        out = {n: zero_state(system, "K") for n in modes}
+        out = {n: {} for n in modes}
         for p, terms in slots:
             series = _series(dialect, terms, v, targets)
-            for n in out:
-                out[n] = out[n] + series[-k * (n + 1)].scaled(system.eta_pow(-p * int(n * k)))
-        yield out
+            for n, acc in out.items():
+                phase = system.eta_pow(-p * int(n * k))
+                for mono, c in series.get(-k * (n + 1), {}).items():
+                    _accumulate(acc, mono, c * phase)
+        yield {n: StateVector._of(system, "K", acc) for n, acc in out.items()}
 
 
 def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,

@@ -12,10 +12,70 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
 from permtwist.coeffs import ef_apply, exp_delta_apply
-from permtwist.fock import FockMono, StateVector, zero_state
-from permtwist.vertexops import (_Dialect, _dcoeff, _positive_levels,
-                                 _split_slot, _umono_factors)
+from permtwist.fock import (FockMono, StateVector, apply_twisted_vector_mode,
+                            apply_vector_mode, zero_state)
+from permtwist.vertexops import _split_slot
+
+
+def _dcoeff(m: Fraction, nt: int) -> Fraction:
+    """(-1)^(nt-1) binom(m + nt - 1, nt - 1), the mode coefficient of the
+    (nt-1)-fold derivative factor."""
+    out = Fraction(1)
+    for s in range(nt - 1):
+        out *= Fraction(m + nt - 1 - s, s + 1)
+    return -out if (nt - 1) % 2 else out
+
+
+def _positive_levels(sv: StateVector):
+    return sorted({-n for mono in sv.terms for n, _ in mono.modes})
+
+
+def _umono_factors(umono: FockMono):
+    """Derivative factors (order, coordinate vector) for a u-monomial."""
+    rank = len(umono.ground)
+    return [(int(-n), tuple(int(j == idx) for j in range(rank)))
+            for n, idx in umono.modes]
+
+
+class _Dialect:
+    """Sector hooks, with modes applied through the public Fock functions."""
+
+    def __init__(self, system, sector: str):
+        self.system = system
+        self.sector = sector
+        self.step = Fraction(1, system.k) if sector == "T" else Fraction(1)
+
+    def vec_mode(self, n, coords, sv):
+        if self.sector == "T":
+            return apply_twisted_vector_mode(self.system, n, coords, sv)
+        return apply_vector_mode(self.system, n, coords, sv)
+
+    def x_exponent(self, beta, ground) -> Fraction:
+        s = self.system
+        if self.sector == "T":
+            t = s.tot(beta)
+            return (Fraction(s.K.inner(t, ground), s.k)
+                    + Fraction(s.K.inner(t, t), 2 * s.k)
+                    - Fraction(s.L.inner(beta, beta), 2))
+        lat = s.K if self.sector == "K" else s.L
+        return Fraction(lat.inner(beta, ground))
+
+    def ground_action(self, beta, ground):
+        """(scalar, new_ground) for the group element over beta."""
+        s = self.system
+        if self.sector == "T":
+            return s.ut_action(s.ext_from_base(beta, SECTION_TWISTED), ground)
+        phase = s.eps_exponent(SECTION_PLAIN, beta, ground)
+        return s.eta0_pow(phase), tuple(x + y for x, y in zip(beta, ground))
+
+    def prefactor(self, beta):
+        s = self.system
+        if self.sector == "T":
+            norm = s.L.inner(beta, beta)
+            return s.sigma(beta) * Fraction(s.k) ** (-(norm // 2))
+        return s.field.one()
 
 
 def _apply_exp_annihilators(dialect, xp: dict, beta) -> dict:

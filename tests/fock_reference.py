@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import XPolyOp, c_coeffs, state_xpoly
+from permtwist.coeffs import XPolyOp, c_coeffs
 from permtwist.fock import (FockMono, StateVector, _pairing, _validate_mode,
                             twisted_vacuum_weight, zero_mode_eigenvalue,
                             zero_state)
@@ -181,8 +181,8 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
 
 def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
-    out = state_xpoly(system, v)
-    current = state_xpoly(system, v)
+    out = XPolyOp(system, "L", {0: v})
+    current = XPolyOp(system, "L", {0: v})
     t = 1
     while current.terms:
         nxt = XPolyOp(system, "L")

@@ -130,6 +130,15 @@ def test_coset_leading_exponent_matches_min_norm():
             assert cs.leading_exponent() != base_lead
 
 
+def test_coset_character_below_its_leading_exponent_vanishes():
+    # the A1 coset starts at q^(5/24): truncated below it the series is empty
+    beta = next(b for b in A1.dual_coset_reps() if any(b))
+    cs = char_coset(A1, beta, Fraction(1, 5))
+    assert not cs.coeffs and cs.order == Fraction(1, 5)
+    reports = compare_thm41(A1, 2, Fraction(1, 5))
+    assert len(reports) == 2 and all(r.passed for r in reports)
+
+
 def test_cycle_type_products():
     full = char_cycle_type(A1, (1, 1), 6)
     square = char_voa(A1, 6) * char_voa(A1, 6)

@@ -152,6 +152,46 @@ def test_rank_zero_lattice_is_a_usage_error(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: lattice must have positive rank"]
 
 
+@pytest.mark.parametrize("flag", ["--q-order", "--weight-cutoff", "--mode-bound"])
+def test_zero_denominator_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", "--lattice", str(LATTICES / "a1.lat"), flag, "1/0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"argument {flag}: not a fraction: '1/0'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm41", "--q-order=1/5"],
+    ["thm41", "--q-order=0"],
+    ["thm41", "--q-order=-1/100"],
+    ["thm41", "--q-order=-1/24"],
+    ["verify-all", "--q-order=0", "--weight-cutoff", "1", "--mode-bound", "1"],
+])
+def test_low_q_order_reports_coset_exclusion_exactly(capsys, argv):
+    # the A1 coset character starts at q^(5/24), above these orders
+    rc = main(argv + ["--lattice", str(LATTICES / "a1.lat"), "--k", "2", "--format", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert any(line.startswith("id=coset-exclusion[") for line in lines)
+    assert all("status=pass" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv, lead", [
+    (["thm41", "--q-order=-1/20"], "-1/24"),
+    (["verify-all", "--q-order=-1"], "-1/48"),
+    (["chars", "--q-order=-1/30"], "-1/48"),
+])
+def test_q_order_below_the_leading_exponent_is_a_usage_error(capsys, argv, lead):
+    assert main(argv + ["--lattice", str(LATTICES / "a1.lat"), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    order = argv[1].split("=")[1]
+    assert captured.err.splitlines() == [
+        f"error: --q-order {order} is below the leading exponent {lead} of the character"]
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("iso_a1_k3", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
     ("coeffs_a1_k2", ["coeffs", "--k", "2"]),

@@ -238,21 +238,24 @@ def test_worldsheet_rejects_mixed_slots(sys2):
         worldsheet_twisted_mode(sys2, mixed, 0, vacuum(sys2, "K"))
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_transported_l0_relation(k):
+@pytest.mark.parametrize("K, k", [pytest.param(A1, 2, id="2"), pytest.param(A1, 3, id="3"),
+                                  pytest.param(A2, 2, id="A2-2")])
+def test_transported_l0_relation(K, k):
     # the base-module degree operator against the twisted one, two code paths
-    system = TwistSystem(A1, k)
-    shift = Fraction((k * k - 1), 24)
+    system = TwistSystem(K, k)
+    shift = Fraction(K.rank * (k * k - 1), 24)
     for v in weight_basis(system, "T", Fraction(3, 2)):
         lhs = base_module_mode(system, omega_state(system, "K"), 1, v)
         rhs = twisted_L0(system, v).scaled(k) - v.scaled(shift)
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_series_engine_matches_per_mode_reference(k):
+@pytest.mark.parametrize("K, k, compared_want", [
+    pytest.param(A1, 2, 100, id="2"), pytest.param(A1, 3, 315, id="3"),
+    pytest.param(A2, 2, 200, id="A2-2")])
+def test_series_engine_matches_per_mode_reference(K, k, compared_want):
     # the window entry points against the per-mode extractor, every generator
-    system = TwistSystem(A1, k)
+    system = TwistSystem(K, k)
     basis = weight_basis(system, "T", 1)
     assert any(any(next(iter(v.terms)).ground) for v in basis)
     states = basis + [sum(basis[1:], basis[0])]
@@ -269,7 +272,7 @@ def test_series_engine_matches_per_mode_reference(k):
                 assert worldsheet[n] == reference.worldsheet_twisted_mode(system, u, n, fv), n
                 compared += 1
                 nonzero += not spacetime[n].is_zero()
-    assert compared == (k + 2) * len(states) * (2 * k + 1)
+    assert compared == compared_want
     assert nonzero > 0
 
 
