@@ -171,11 +171,11 @@ def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
             base = base * dd // math.gcd(base, dd)
         denom = 2 * base * base if base > 1 else denom
     coeffs: dict[int, Fraction] = {}
-    # |alpha|^2 <= 2|alpha+shift|^2 + 2|shift|^2, so this ball is complete
-    margin = Fraction(0)
-    if shift is not None and any(shift):
-        margin = Fraction(L.inner(shift, shift))
-    bound = 2 * order + margin + 1
+    if shift is None or not any(shift):
+        bound = max(order, 0)
+    else:
+        # |alpha|^2 <= 2|alpha+shift|^2 + 2|shift|^2, so this ball is complete
+        bound = 2 * order + Fraction(L.inner(shift, shift)) + 1
     for alpha in L.enumerate_up_to_norm(bound):
         vec = alpha if shift is None else tuple(a + s for a, s in zip(alpha, shift))
         e = Fraction(L.inner(vec, vec), 2)
@@ -203,13 +203,10 @@ def char_twisted(K: Lattice, k: int, order) -> FracQSeries:
     d = K.rank
     denom = 24 * k
     theta_order = order + Fraction(d, denom)
-    # sum_alpha q^{<alpha,alpha>/2k}, directly on the 1/(24k) exponent grid
-    coeffs: dict[int, Fraction] = {}
-    for alpha in K.enumerate_up_to_norm(theta_order * k):
-        e = Fraction(K.inner(alpha, alpha) * 12)  # <a,a>/2k in units of 1/24k
-        if Fraction(e, denom) <= theta_order:
-            coeffs[int(e)] = coeffs.get(int(e), Fraction(0)) + 1
-    theta_scaled = FracQSeries(denom, coeffs, theta_order)
+    # sum_alpha q^{<alpha,alpha>/2k}: the theta series on the 1/24 grid, read
+    # on the 1/(24k) grid (q -> q^{1/k})
+    theta = theta_series(K, theta_order * k, denom=24)
+    theta_scaled = FracQSeries(denom, theta.coeffs, theta_order)
     # eta(q^{1/k})^d = q^{d/24k} prod (1 - q^{n/k})^d; its inverse brings q^{-d/24k}
     etad = eta_power(d, order + Fraction(d, denom) + 1, k_scale=k)
     return (theta_scaled * etad.inverse()).truncated(order)

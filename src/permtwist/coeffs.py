@@ -16,8 +16,8 @@ from functools import partial
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import (StateVector, _accumulate, _max_level, _merge_into, _mode_into,
-                   _virasoro_into, mono_weight, zero_state)
+from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into, _mode_into,
+                   _virasoro_into, zero_state)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -230,17 +230,19 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
     acc: dict = {}
-    _delta_into(system, v.terms, 1, Fraction(0), acc, order)
+    _delta_into(Sector.of(system, "L"), v.terms, 1, Fraction(0), acc, order)
     return _xpoly(system, "L", acc)
 
 
-def _delta_into(system: TwistSystem, terms: dict, scale, shift: Fraction, acc: dict,
+def _delta_into(sector: Sector, terms: dict, scale, shift: Fraction, acc: dict,
                 order: int | None = None) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
-    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift."""
+    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
+    sector is the descriptor of L."""
     lev = int(_max_level(terms))
     if order is None:
         order = 2 * lev + 2
+    system = sector.system
     k, d = system.k, system.d
     ginv = system.K.gram_inverse()
     # b_j^p(n) v does not depend on r, m or i: each is applied once
@@ -265,12 +267,12 @@ def _delta_into(system: TwistSystem, terms: dict, scale, shift: Fraction, acc: d
                         first = firsts.get((n, src))
                         if first is None:
                             first = firsts[(n, src)] = {}
-                            _mode_into(system, "L", Fraction(n), src, terms, 1, first)
+                            _mode_into(sector, Fraction(n), src, terms, 1, first)
                         if first:
                             if w is None:
                                 w = c * f * scale
                             dst = ((p + r) % k) * d + i
-                            _mode_into(system, "L", mm, dst, first, w, target)
+                            _mode_into(sector, mm, dst, first, w, target)
 
 
 def _xpoly(system, sector, table: dict) -> XPolyOp:
@@ -299,26 +301,28 @@ def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    return _xpoly(system, "L", _exp_series({Fraction(0): v.terms}, partial(_delta_into, system)))
+    return _xpoly(system, "L", _exp_series({Fraction(0): v.terms},
+                                           partial(_delta_into, Sector.of(system, "L"))))
 
 
 # -- E_f -----------------------------------------------------------------------
 
 
-def _scaling_into(system, terms: dict, log_k_power: int, x_exp_factor: Fraction,
+def _scaling_into(sector: Sector, terms: dict, log_k_power: int, x_exp_factor: Fraction,
                   shift, out: dict) -> None:
-    """Add k^(log_k_power * L(0)) x^(x_exp_factor * L(0)) applied to `terms`,
-    moved by x^shift, into the table `out`."""
-    k = Fraction(system.k)
+    """Add k^(log_k_power * L(0)) x^(x_exp_factor * L(0)) applied to the V_K
+    state `terms`, moved by x^shift, into the table `out`; sector is the
+    descriptor of K."""
+    k = Fraction(sector.system.k)
     for mono, c in terms.items():
-        w = mono_weight(system, "K", mono)
+        w = sector.mono_weight(mono)
         if w.denominator != 1:
             raise ValueError("non-integer weight in the base sector")
         _accumulate(out.setdefault(shift + x_exp_factor * w, {}), mono,
                     c * k ** int(log_k_power * w))
 
 
-def _exp_virasoro_sum(system, table: dict, avals: list[Fraction], sign: int,
+def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: int,
                       exp_step: Fraction) -> dict:
     """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to a table."""
     def step_into(terms, scale, e, acc):
@@ -326,43 +330,36 @@ def _exp_virasoro_sum(system, table: dict, avals: list[Fraction], sign: int,
         for j, aj in enumerate(avals, start=1):
             if aj == 0 or j > lev + 2:
                 continue
-            _virasoro_into(system, j, terms, lev, aj * sign * scale,
+            _virasoro_into(sector, j, terms, lev, aj * sign * scale,
                            acc.setdefault(e + j * exp_step, {}))
 
     return _exp_series(table, step_into)
 
 
-def _max_virasoro_level(system, v: StateVector) -> int:
-    top = 0
-    for mono in v.terms.keys():
-        lev = int(mono.level()) + system.K.inner(mono.ground, mono.ground) // 2
-        top = max(top, lev)
-    return top
+def _ef_data(system: TwistSystem, v: StateVector, J: int | None):
+    """The K descriptor, a_1..a_J (J defaults to the top weight of v) and the
+    x-exponent step -1/k of E_f."""
+    if v.sector != "K":
+        raise ValueError("E_f acts on the base sector")
+    sector = Sector.of(system, "K")
+    if J is None:
+        J = max([1] + [int(sector.mono_weight(mono)) for mono in v.terms])
+    return sector, a_coeffs(system.k, J), Fraction(-1, system.k)
 
 
 def ef_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPolyOp:
     """E_f(x^(1/k)) v on the base sector; exponents lie in (1/k)Z."""
-    if v.sector != "K":
-        raise ValueError("E_f acts on the base sector")
-    if J is None:
-        J = max(1, _max_virasoro_level(system, v))
-    avals = a_coeffs(system.k, J)
-    step = Fraction(-1, system.k)
+    sector, avals, step = _ef_data(system, v, J)
     scaled: dict = {}
-    _scaling_into(system, v.terms, -1, Fraction(1 - system.k, system.k), Fraction(0), scaled)
-    return _xpoly(system, "K", _exp_virasoro_sum(system, scaled, avals, +1, step))
+    _scaling_into(sector, v.terms, -1, Fraction(1 - system.k, system.k), Fraction(0), scaled)
+    return _xpoly(system, "K", _exp_virasoro_sum(sector, scaled, avals, +1, step))
 
 
 def ef_inverse_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPolyOp:
     """E_f(x^(1/k))^(-1) v; two-sided inverse of ef_apply on finite states."""
-    if v.sector != "K":
-        raise ValueError("E_f acts on the base sector")
-    if J is None:
-        J = max(1, _max_virasoro_level(system, v))
-    avals = a_coeffs(system.k, J)
-    step = Fraction(-1, system.k)
-    blown = _exp_virasoro_sum(system, {Fraction(0): v.terms}, avals, -1, step)
+    sector, avals, step = _ef_data(system, v, J)
+    blown = _exp_virasoro_sum(sector, {Fraction(0): v.terms}, avals, -1, step)
     out: dict = {}
     for e, terms in blown.items():
-        _scaling_into(system, terms, +1, Fraction(system.k - 1, system.k), e, out)
+        _scaling_into(sector, terms, +1, Fraction(system.k - 1, system.k), e, out)
     return _xpoly(system, "K", out)

@@ -7,6 +7,11 @@ Three sectors share one representation:
 * ``"T"``   -- the twisted space S[nu] (x) C[P0 L] (modes in (1/k)Z, ground
   labels stored as their K-image under (1/k)(a,...,a) <-> a).
 
+They differ only in a lattice (K, L, K), a grid step (1, 1, 1/k) and a
+vacuum weight (0, 0, d(k^2-1)/24k).  `Sector` holds that difference and what
+follows from it (pairing, zero-mode eigenvalues, weights, grid check, the
+vertex-operator hooks); it is the only code that branches on the sector.
+
 A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.
 Twisted mode index i stands for the projected first-block generator built
@@ -18,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .cocycle import SECTION_PLAIN, TwistSystem
+from .cocycle import SECTION_PLAIN, SECTION_TWISTED, TwistSystem
 from .exact import Cyc
 
 SECTORS = ("K", "L", "T")
@@ -146,36 +151,104 @@ def zero_state(system, sector) -> StateVector:
 
 def vacuum(system, sector, ground=None) -> StateVector:
     if ground is None:
-        n = {"K": system.d, "L": system.L.rank, "T": system.d}[sector]
-        ground = (0,) * n
+        ground = (0,) * Sector.of(system, sector).lattice.rank
     return StateVector.monomial(system, sector, (), ground)
 
 
-def _pairing(system, sector, i, j):
-    if sector == "K":
-        return system.K.gram[i][j]
-    if sector == "L":
-        return system.L.gram[i][j]
-    return Fraction(system.K.gram[i][j], system.k)
+class Sector:
+    """The Fock-level data of one sector; `Sector.of` keeps one per system and
+    sector name."""
 
+    __slots__ = ("system", "twisted", "lattice", "step", "vacuum_weight", "_unit", "pairing")
 
-def zero_mode_eigenvalue(system, sector, i, ground):
-    """Eigenvalue of the i-th basis zero mode on a ground label."""
-    if sector == "K":
-        return sum(system.K.gram[i][j] * g for j, g in enumerate(ground))
-    if sector == "L":
-        return sum(system.L.gram[i][j] * g for j, g in enumerate(ground))
-    val = sum(system.K.gram[i][j] * g for j, g in enumerate(ground))
-    return Fraction(val, system.k)
+    def __init__(self, system: TwistSystem, name: str):
+        if name not in SECTORS:
+            raise ValueError(f"unknown sector {name!r}")
+        self.system = system
+        self.twisted = name == "T"
+        self.lattice = system.L if name == "L" else system.K
+        self.step = Fraction(1, system.k) if self.twisted else Fraction(1)
+        self.vacuum_weight = twisted_vacuum_weight(system) if self.twisted else Fraction(0)
+        # an int 1 keeps untwisted pairings and eigenvalues ints: faster to use
+        self._unit = self.step if self.twisted else 1
+        # [b_i(m), b_j(n)] = m * pairing[i][j] * delta_{m+n,0}
+        self.pairing = tuple(tuple(x * self._unit for x in row) for row in self.lattice.gram)
 
+    @classmethod
+    def of(cls, system: TwistSystem, name: str) -> "Sector":
+        """The descriptor of sector `name`, built on first use."""
+        table = system.__dict__.setdefault("_sectors", {})
+        return table.get(name) or table.setdefault(name, cls(system, name))
 
-def _validate_mode(system, sector, n: Fraction):
-    if sector == "T":
-        if (n * system.k).denominator != 1:
-            raise ValueError(f"mode {n} not in (1/k)Z")
-    else:
-        if Fraction(n).denominator != 1:
-            raise ValueError(f"fractional mode {n} in untwisted sector")
+    # -- grid and weights ------------------------------------------------------
+
+    def mode(self, n) -> Fraction:
+        """n as a Fraction, checked to lie on the sector's grid."""
+        n = Fraction(n)
+        if self.step.denominator % n.denominator:
+            if self.twisted:
+                raise ValueError(f"mode {n} not in (1/k)Z")
+            raise ValueError(f"fractional mode {n} in untwisted sector: modes are integral")
+        return n
+
+    def eigenvalue(self, i, ground):
+        """The eigenvalue <b_i, g> * step of the zero mode b_i(0) on the ground
+        label g."""
+        return sum(x * g for x, g in zip(self.lattice.gram[i], ground)) * self._unit
+
+    def ground_weight(self, ground) -> Fraction:
+        """<g, g> * step / 2 plus the vacuum weight."""
+        return self.lattice.inner(ground, ground) * self.step / 2 + self.vacuum_weight
+
+    def mono_weight(self, mono: FockMono) -> Fraction:
+        return mono.level() + self.ground_weight(mono.ground)
+
+    # -- hooks of the vertex-operator engine -------------------------------------
+
+    def mode_into(self, n: Fraction, coords, terms: dict, scale, out: dict,
+                  projected: dict) -> None:
+        """Add scale * h(n) applied to `terms` into the accumulator `out`, for h
+        given by mode-basis coordinates.  In T they are ambient L coordinates,
+        projected once per (coords, kn mod k) into `projected`, a dict the
+        caller owns."""
+        if self.twisted:
+            k = self.system.k
+            key = (coords, n.numerator * k // n.denominator % k)
+            proj = projected.get(key)
+            if proj is None:
+                proj = projected[key] = twisted_coords(self.system, coords, n)
+            coords = proj
+        for i, c in enumerate(coords):
+            if c != 0:
+                _mode_into(self, n, i, terms, scale * c, out)
+
+    def x_exponent(self, beta, ground) -> Fraction:
+        """The power of x the group element over beta brings on a ground label."""
+        s = self.system
+        if self.twisted:
+            t = s.tot(beta)
+            return (Fraction(s.K.inner(t, ground), s.k)
+                    + Fraction(s.K.inner(t, t), 2 * s.k)
+                    - Fraction(s.L.inner(beta, beta), 2))
+        return Fraction(self.lattice.inner(beta, ground))
+
+    def ground_action(self, beta, ground):
+        """(scalar, new_ground) for the group element over beta."""
+        s = self.system
+        if self.twisted:
+            elem = s.ext_from_base(beta, SECTION_TWISTED)
+            return s.ut_action(elem, ground)
+        phase = s.eps_exponent(SECTION_PLAIN, beta, ground)
+        newg = tuple(x + y for x, y in zip(beta, ground))
+        return s.eta0_pow(phase), newg
+
+    def prefactor(self, beta) -> Cyc:
+        """The scalar in front of the vertex operator of the ground label beta."""
+        s = self.system
+        if self.twisted:
+            norm = s.L.inner(beta, beta)
+            return s.sigma(beta) * Fraction(s.k) ** (-(norm // 2))
+        return s.field.one()
 
 
 def _accumulate(out: dict, mono: FockMono, c) -> None:
@@ -198,7 +271,7 @@ def _merge_into(out: dict, terms: dict) -> None:
         _accumulate(out, mono, c)
 
 
-def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) -> None:
+def _mode_into(sector: Sector, n: Fraction, i, terms: dict, scale, out: dict) -> None:
     """Add scale * b_i(n) applied to `terms` into the accumulator `out`.
 
     `n` is a Fraction on the sector's grid and `scale` a nonzero rational or
@@ -219,6 +292,7 @@ def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) ->
             _accumulate(out, new, c if unit else c * scale)
         return
     if sign > 0:
+        row = sector.pairing[i]
         weights = {}    # colour j -> scale * n * <b_i, b_j>, None when zero
         m = -n
         head = (m,)
@@ -235,7 +309,7 @@ def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) ->
                 if j in weights:
                     w = weights[j]
                 else:
-                    pair = _pairing(system, sector, i, j)
+                    pair = row[j]
                     w = weights[j] = scale * (n * pair) if pair else None
                 if w is not None:
                     count = nxt - pos
@@ -249,7 +323,7 @@ def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) ->
         if g in eigen:
             w = eigen[g]
         else:
-            ev = zero_mode_eigenvalue(system, sector, i, g)
+            ev = sector.eigenvalue(i, g)
             w = eigen[g] = (scale * ev) if ev != 0 else None
         if w is not None:
             _accumulate(out, mono, c * w)
@@ -257,21 +331,21 @@ def _mode_into(system, sector, n: Fraction, i, terms: dict, scale, out: dict) ->
 
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
-    n = Fraction(n)
-    _validate_mode(system, sv.sector, n)
+    sector = Sector.of(system, sv.sector)
+    n = sector.mode(n)
     out = {}
-    _mode_into(system, sv.sector, n, i, sv.terms, 1, out)
+    _mode_into(sector, n, i, sv.terms, 1, out)
     return StateVector._of(system, sv.sector, out)
 
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
-    n = Fraction(n)
-    _validate_mode(system, sv.sector, n)
+    sector = Sector.of(system, sv.sector)
+    n = sector.mode(n)
     out = {}
     for i, c in enumerate(coords):
         if c != 0:
-            _mode_into(system, sv.sector, n, i, sv.terms, c, out)
+            _mode_into(sector, n, i, sv.terms, c, out)
     return StateVector._of(system, sv.sector, out)
 
 
@@ -307,15 +381,7 @@ def twisted_vacuum_weight(system) -> Fraction:
 
 
 def mono_weight(system, sector, mono: FockMono) -> Fraction:
-    w = mono.level()
-    if sector == "T":
-        w += Fraction(system.K.inner(mono.ground, mono.ground), 2 * system.k)
-        w += twisted_vacuum_weight(system)
-    elif sector == "K":
-        w += Fraction(system.K.inner(mono.ground, mono.ground), 2)
-    else:
-        w += Fraction(system.L.inner(mono.ground, mono.ground), 2)
-    return w
+    return Sector.of(system, sector).mono_weight(mono)
 
 
 def weight(system, sv: StateVector) -> Fraction:
@@ -335,20 +401,16 @@ def omega_state(system, sector) -> StateVector:
     """The conformal vector: half the dual-basis quadratic in modes (-1)."""
     if sector == "T":
         raise ValueError("conformal vector lives in an untwisted sector")
-    lat = system.K if sector == "K" else system.L
+    lat = Sector.of(system, sector).lattice
     ginv = lat.gram_inverse()
-    out = zero_state(system, sector)
     n = lat.rank
-    half = Fraction(1, 2)
+    out = {}
     for i in range(n):
         for j in range(n):
             if ginv[i][j]:
-                mono = StateVector.monomial(system, sector,
-                                            ((Fraction(-1), i), (Fraction(-1), j)),
-                                            (0,) * n,
-                                            system.field.from_rat(ginv[i][j] * half))
-                out = out + mono
-    return out
+                mono = FockMono(((Fraction(-1), i), (Fraction(-1), j)), (0,) * n)
+                _accumulate(out, mono, system.field.from_rat(ginv[i][j] / 2))
+    return StateVector._of(system, sector, out)
 
 
 def ground_state(system, sector, vec, coeff=None) -> StateVector:
@@ -410,14 +472,14 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
     if sv.sector != "K":
         raise ValueError("virasoro_L acts on the base sector")
     out = {}
-    _virasoro_into(system, j, sv.terms, int(sv.max_level()), 1, out)
+    _virasoro_into(Sector.of(system, "K"), j, sv.terms, int(sv.max_level()), 1, out)
     return StateVector._of(system, "K", out)
 
 
-def _virasoro_into(system, j: int, terms: dict, lev: int, scale, out: dict) -> None:
-    """Add scale * L(j) applied to the V_K state `terms` of level <= lev into out."""
-    ginv = system.K.gram_inverse()
-    d = system.d
+def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: dict) -> None:
+    """Add scale * L(j) applied to the untwisted state `terms` of level <= lev into out."""
+    ginv = sector.lattice.gram_inverse()
+    d = sector.lattice.rank
     half = scale * Fraction(1, 2)
     for m in range(min(j, 0) - lev - 1, max(j, 0) + lev + 2):
         other = j - m
@@ -428,41 +490,42 @@ def _virasoro_into(system, j: int, terms: dict, lev: int, scale, out: dict) -> N
         first, second = Fraction(max(m, other)), Fraction(min(m, other))
         for a in range(d):
             inner = {}
-            _mode_into(system, "K", first, a, terms, 1, inner)
+            _mode_into(sector, first, a, terms, 1, inner)
             if not inner:
                 continue
             for b in range(d):
                 f = ginv[a][b]
                 if f:
-                    _mode_into(system, "K", second, b, inner, f * half, out)
+                    _mode_into(sector, second, b, inner, f * half, out)
 
 
 def twisted_L0(system, sv: StateVector) -> StateVector:
     """The degree operator on the twisted sector, built from the mode sum."""
     if sv.sector != "T":
         raise ValueError("twisted_L0 acts on the twisted sector")
-    k, d = system.k, system.d
-    ginv = system.K.gram_inverse()
-    vac = twisted_vacuum_weight(system)
+    sector = Sector.of(system, "T")
+    k, d, step = system.k, sector.lattice.rank, sector.step
+    ginv = sector.lattice.gram_inverse()
+    vac = sector.vacuum_weight
     out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
     lev = sv.max_level()
     # zero-mode square with coefficient k/2, then the paired
     # creation/annihilation modes with coefficient k per positive mode
     pairs = [(Fraction(0), Fraction(0), Fraction(k, 2))]
-    n = Fraction(1, k)
+    n = step
     while n <= lev:
         pairs.append((n, -n, Fraction(k)))
-        n += Fraction(1, k)
+        n += step
     for first, second, coeff in pairs:
         for b in range(d):
             inner = {}
-            _mode_into(system, "T", first, b, sv.terms, 1, inner)
+            _mode_into(sector, first, b, sv.terms, 1, inner)
             if not inner:
                 continue
             for a in range(d):
                 f = ginv[a][b]
                 if f:
-                    _mode_into(system, "T", second, a, inner, f * coeff, out)
+                    _mode_into(sector, second, a, inner, f * coeff, out)
     return StateVector._of(system, "T", out)
 
 
@@ -487,26 +550,16 @@ def _mode_multisets(levels, budget, start=0):
 def weight_basis(system, sector, max_weight) -> list[StateVector]:
     """All monomial basis states of weight <= max_weight, sorted by weight."""
     max_weight = Fraction(max_weight)
-    if sector == "T":
-        shift = twisted_vacuum_weight(system)
-        lat, ncolors, step = system.K, system.d, Fraction(1, system.k)
-        ground_norm_bound = 2 * system.k * (max_weight - shift)
-        if ground_norm_bound < 0:
-            return []
-        grounds = lat.enumerate_up_to_norm(Fraction(ground_norm_bound, 2))
-        gweight = lambda g: Fraction(system.K.inner(g, g), 2 * system.k) + shift
-    else:
-        lat = system.K if sector == "K" else system.L
-        ncolors, step = lat.rank, Fraction(1)
-        grounds = lat.enumerate_up_to_norm(max_weight)
-        gweight = lambda g: Fraction(lat.inner(g, g), 2)
+    desc = Sector.of(system, sector)
+    step, ncolors = desc.step, desc.lattice.rank
+    # a ground label g has weight <g, g> * step / 2 + vacuum weight
+    ground_bound = (max_weight - desc.vacuum_weight) / step
+    if ground_bound < 0:
+        return []
     out = []
-    for g in grounds:
-        budget = max_weight - gweight(g)
-        if budget < 0:
-            continue
-        nlevels = int(budget / step)
-        levels = [(step * t, ncolors) for t in range(1, nlevels + 1)]
+    for g in desc.lattice.enumerate_up_to_norm(ground_bound):
+        budget = max_weight - desc.ground_weight(g)
+        levels = [(step * t, ncolors) for t in range(1, int(budget / step) + 1)]
         for modes in _mode_multisets(levels, budget):
             out.append(StateVector.monomial(system, sector, modes, g))
     out.sort(key=lambda s: (weight(system, s),

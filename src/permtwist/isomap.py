@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import FockMono, StateVector
+from .fock import FockMono, Sector, StateVector
 from .report import Report
 from .vertexops import (spacetime_twisted_modes, spacetime_twisted_windows,
                         worldsheet_twisted_modes, worldsheet_twisted_windows)
@@ -61,12 +61,9 @@ def general_mode_image(system: TwistSystem, alphas, n) -> ConjugatedMode:
 
     Zero off the integer grid; on it, (1/k) sum_j eta^{-(j-1)kn} alpha_j(kn).
     """
-    n = Fraction(n)
     if len(alphas) != system.k:
         raise ValueError("need one K-vector per tensor slot")
-    kn = n * system.k
-    if kn.denominator != 1:
-        raise ValueError("twisted modes lie in (1/k)Z")
+    kn = Sector.of(system, "T").mode(n) * system.k
     inv_k = Fraction(1, system.k)
     entries = []
     for j, alpha in enumerate(alphas, start=1):

@@ -17,88 +17,46 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cocycle import SECTION_PLAIN, SECTION_TWISTED, TwistSystem
+from .cocycle import TwistSystem
 from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
                      rational_binomial)
-from .exact import Cyc
-from .fock import (FockMono, StateVector, _accumulate, _merge_into, _mode_into,
-                   slot_state, twisted_coords)
+from .fock import FockMono, Sector, StateVector, _accumulate, _merge_into, slot_state
 
 
-def _dcoeff(m: Fraction, nt: int) -> Fraction:
-    """Coefficient of the mode at m in the (nt-1)-fold derivative factor."""
-    sign = -1 if (nt - 1) % 2 else 1
-    return sign * rational_binomial(m + nt - 1, nt - 1)
+def _dcoeff(m: Fraction, nt: int, memo: dict) -> Fraction:
+    """Coefficient of the mode at m in the (nt-1)-fold derivative factor,
+    through `memo`, a dict local to one series."""
+    key = (m.numerator, m.denominator, nt)     # a Fraction hashes slowly
+    c = memo.get(key)
+    if c is None:
+        sign = -1 if (nt - 1) % 2 else 1
+        c = memo[key] = sign * rational_binomial(m + nt - 1, nt - 1)
+    return c
 
 
 def _positive_levels(terms: dict):
     return sorted({-n for mono in terms for n, _ in mono.modes})
 
 
-class _Dialect:
-    """Sector-specific hooks for the extraction engine."""
-
-    def __init__(self, system: TwistSystem, sector: str):
-        self.system = system
-        self.sector = sector
-        self.step = Fraction(1, system.k) if sector == "T" else Fraction(1)
-
-    def mode_into(self, n: Fraction, coords, terms: dict, scale, out: dict) -> None:
-        """Add scale * h(n) applied to `terms` into the accumulator `out`, for
-        h given by mode-basis coordinates (ambient L coordinates in T)."""
-        s = self.system
-        if self.sector == "T":
-            coords = twisted_coords(s, coords, n)
-        for i, c in enumerate(coords):
-            if c != 0:
-                _mode_into(s, self.sector, n, i, terms, scale * c, out)
-
-    def x_exponent(self, beta, ground) -> Fraction:
-        s = self.system
-        if self.sector == "T":
-            t = s.tot(beta)
-            return (Fraction(s.K.inner(t, ground), s.k)
-                    + Fraction(s.K.inner(t, t), 2 * s.k)
-                    - Fraction(s.L.inner(beta, beta), 2))
-        lat = s.K if self.sector == "K" else s.L
-        return Fraction(lat.inner(beta, ground))
-
-    def ground_action(self, beta, ground):
-        """(scalar, new_ground) for the group element over beta."""
-        s = self.system
-        if self.sector == "T":
-            elem = s.ext_from_base(beta, SECTION_TWISTED)
-            return s.ut_action(elem, ground)
-        phase = s.eps_exponent(SECTION_PLAIN, beta, ground)
-        newg = tuple(x + y for x, y in zip(beta, ground))
-        return s.eta0_pow(phase), newg
-
-    def prefactor(self, beta) -> Cyc:
-        s = self.system
-        if self.sector == "T":
-            norm = s.L.inner(beta, beta)
-            return s.sigma(beta) * Fraction(s.k) ** (-(norm // 2))
-        return s.field.one()
-
-
 # -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
 
 
-def _table_apply(dialect: _Dialect, table: dict, moves) -> dict:
+def _table_apply(sector: Sector, table: dict, moves, projected: dict) -> dict:
     """Apply mode moves to an exponent-keyed table.
 
     For every entry (e, terms) and every (n, h, c, shift) in moves(e, terms),
-    c * h(n) terms is added at exponent e + shift.
+    c * h(n) terms is added at exponent e + shift, through Sector.mode_into.
     """
     out: dict = {}
     for e, terms in table.items():
         for n, coords, c, shift in moves(e, terms):
             if c != 0:
-                dialect.mode_into(n, coords, terms, c, out.setdefault(e + shift, {}))
+                sector.mode_into(n, coords, terms, c, out.setdefault(e + shift, {}), projected)
     return {e: t for e, t in out.items() if t}
 
 
-def _exp_table(dialect: _Dialect, table: dict, beta, sign: int, top=None) -> dict:
+def _exp_table(sector: Sector, table: dict, beta, sign: int, projected: dict,
+               top=None) -> dict:
     """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table.
 
     sign = -1 is the annihilation exponential, over the levels present in
@@ -108,44 +66,45 @@ def _exp_table(dialect: _Dialect, table: dict, beta, sign: int, top=None) -> dic
     if sign < 0:
         levels = sorted({m for terms in table.values() for m in _positive_levels(terms)})
     else:
-        step = dialect.step
+        step = sector.step
         levels = [step * t for t in range(1, int((top - min(table)) / step) + 1)]
     for m in levels:
         def step_into(terms, scale, e, acc, m=m):
             if top is None or e + sign * m <= top:
-                dialect.mode_into(-sign * m, beta, terms, scale * sign / m,
-                                  acc.setdefault(e + sign * m, {}))
+                sector.mode_into(-sign * m, beta, terms, scale * sign / m,
+                                 acc.setdefault(e + sign * m, {}), projected)
         table = _exp_series(table, step_into)
     return table
 
 
-def _annihilation_moves(nt: int, coords):
+def _annihilation_moves(nt: int, coords, dcoeffs: dict):
     """The zero and annihilation modes of a derivative factor."""
     def moves(e, terms):
         for m in [Fraction(0)] + _positive_levels(terms):
-            yield m, coords, _dcoeff(m, nt), -m - nt
+            yield m, coords, _dcoeff(m, nt, dcoeffs), -m - nt
     return moves
 
 
-def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, land=None):
+def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, dcoeffs: dict,
+                    land=None):
     """The creation modes of a derivative factor landing at exponents <= room,
     and in `land` when it is given."""
     def moves(e, terms):
         s = step
         while e + s - nt <= room:
             if land is None or e + s - nt in land:
-                yield -s, coords, _dcoeff(-s, nt), s - nt
+                yield -s, coords, _dcoeff(-s, nt, dcoeffs), s - nt
             s += step
     return moves
 
 
-def _ground_shift(dialect: _Dialect, table: dict, beta) -> dict:
+def _ground_shift(sector: Sector, table: dict, beta) -> dict:
     """The group element over beta on every entry of a table."""
     out = {}
     for e, terms in table.items():
         acc: dict = {}
         for mono, c in terms.items():
-            scalar, newg = dialect.ground_action(beta, mono.ground)
+            scalar, newg = sector.ground_action(beta, mono.ground)
             _accumulate(acc, FockMono._sorted(mono.modes, tuple(newg)), c * scalar)
         if acc:
             out[e] = acc
@@ -169,7 +128,7 @@ def _terms(pieces):
             for offset, u in pieces for umono, c in u.items()]
 
 
-def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
+def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     """Coefficients of x^e, e in targets, of sum c x^offset Y(umono, x) v over
     the (offset, umono, c) in terms, as a table; a target whose coefficient
     is zero has no entry.
@@ -180,29 +139,33 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
     Tables sharing a ground label of u are summed before its creation
     exponential is applied, once, up to the largest target.
     """
-    step = dialect.step
+    step = sector.step
     targets = frozenset(targets)
     top = max(targets)
     pending: dict = {}      # ground label of u -> table before its creation exponential
+    projected: dict = {}    # for Sector.mode_into, shared by every move of the series
+    dcoeffs: dict = {}      # for _dcoeff
     for offset, umono, cu in terms:
         beta = umono.ground
         has_group = any(beta)
         factors = _umono_factors(umono)
         r = len(factors)
-        scalar = cu * dialect.prefactor(beta)
+        scalar = cu * sector.prefactor(beta)
         acc = pending.setdefault(beta, {})
         for vmono, cv in v.terms.items():
             base_exp = offset
             if has_group:
-                base_exp += dialect.x_exponent(beta, vmono.ground)
+                base_exp += sector.x_exponent(beta, vmono.ground)
             base = {vmono: scalar * cv}
             for mask in range(1 << r):
                 table = {base_exp: base}
                 for t in range(r):
                     if not mask >> t & 1 and table:
-                        table = _table_apply(dialect, table, _annihilation_moves(*factors[t]))
+                        table = _table_apply(sector, table,
+                                             _annihilation_moves(*factors[t], dcoeffs), projected)
                 if has_group and table:
-                    table = _ground_shift(dialect, _exp_table(dialect, table, beta, -1), beta)
+                    table = _ground_shift(sector, _exp_table(sector, table, beta, -1, projected),
+                                          beta)
                 deferred = [factors[t] for t in range(r) if mask >> t & 1]
                 for idx, (nt, coords) in enumerate(deferred):
                     # leave room for the least the later factors must add;
@@ -211,8 +174,9 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
                     later = deferred[idx + 1:]
                     room = top - sum(step - nt2 for nt2, _ in later)
                     land = None if later or has_group else targets
-                    table = _table_apply(dialect, table,
-                                         _creation_moves(step, nt, coords, room, land))
+                    table = _table_apply(sector, table,
+                                         _creation_moves(step, nt, coords, room, dcoeffs, land),
+                                         projected)
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)
@@ -220,18 +184,11 @@ def _series(dialect: _Dialect, terms, v: StateVector, targets) -> dict:
     for beta, table in pending.items():
         table = {e: ts for e, ts in table.items() if ts}
         if any(beta) and table:
-            table = _exp_table(dialect, table, beta, +1, top)
+            table = _exp_table(sector, table, beta, +1, projected, top)
         for e, ts in table.items():
             if e in targets:
                 _merge_into(out.setdefault(e, {}), ts)
     return {e: ts for e, ts in out.items() if ts}
-
-
-def _twisted_modes(system: TwistSystem, modes) -> list[Fraction]:
-    modes = [Fraction(n) for n in modes]
-    if any((n * system.k).denominator != 1 for n in modes):
-        raise ValueError("twisted modes lie in (1/k)Z")
-    return modes
 
 
 # -- the three operator families --------------------------------------------------
@@ -241,11 +198,9 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
     """The coefficient u_n of the untwisted vertex operator, applied to v."""
     if u.sector != v.sector or u.sector == "T":
         raise ValueError("untwisted modes need matching untwisted sectors")
-    n = Fraction(n)
-    if n.denominator != 1:
-        raise ValueError("untwisted modes are integral")
-    e = -n - 1
-    table = _series(_Dialect(system, v.sector), _terms([(0, u.terms)]), v, [e])
+    sector = Sector.of(system, v.sector)
+    e = -sector.mode(n) - 1
+    table = _series(sector, _terms([(0, u.terms)]), v, [e])
     return StateVector._of(system, v.sector, table.get(e, {}))
 
 
@@ -260,9 +215,9 @@ def _spacetime_series(system: TwistSystem, pieces, states, targets):
     for offset, u in pieces:
         terms += _terms((offset + e, u_e.terms)
                         for e, u_e in exp_delta_apply(system, u).terms.items())
-    dialect = _Dialect(system, "T")
+    sector = Sector.of(system, "T")
     for v in states:
-        table = _series(dialect, terms, v, targets)
+        table = _series(sector, terms, v, targets)
         yield {e: StateVector._of(system, "T", table.get(e, {})) for e in targets}
 
 
@@ -276,7 +231,7 @@ def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """Yields spacetime_twisted_modes of u on each of the states in turn, with
     exp(Delta_x) u computed once for all of them."""
-    modes = _twisted_modes(system, modes)
+    modes = [Sector.of(system, "T").mode(n) for n in modes]
     if not modes:
         for _ in states:
             yield {}
@@ -304,9 +259,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     in the first slot and raising the variable to the k-th power."""
     if u.sector != "K" or v.sector != "T":
         raise ValueError("base_module_mode maps base states onto the twisted space")
-    n = Fraction(n)
-    if n.denominator != 1:
-        raise ValueError("the transported module has integral modes")
+    n = Sector.of(system, "K").mode(n)
     # u_n is the coefficient of x^{(-n-1)/k} in sum_e x^e Y^{st}(w_e, x),
     # where E_f(x^{1/k})^{-1} u = sum_e x^e w_e
     exponent = Fraction(-n - 1, system.k)
@@ -339,7 +292,7 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    modes = _twisted_modes(system, modes)
+    modes = [Sector.of(system, "T").mode(n) for n in modes]
     k = system.k
     # u_n is the coefficient of x^{-k(n+1)} in sum_e x^{ke} Y(w_e, x),
     # where E_f(x^{1/k}) u = sum_e x^e w_e, rotated by the slot's phase
@@ -352,12 +305,12 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
         for p, kterms in by_slot.items():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
             slots.append((p, _terms((k * e, w_e.terms) for e, w_e in corrected.terms.items())))
-    dialect = _Dialect(system, "K")
+    sector = Sector.of(system, "K")
     targets = [-k * (n + 1) for n in modes]
     for v in states:
         out = {n: {} for n in modes}
         for p, terms in slots:
-            series = _series(dialect, terms, v, targets)
+            series = _series(sector, terms, v, targets)
             for n, acc in out.items():
                 phase = system.eta_pow(-p * int(n * k))
                 for mono, c in series.get(-k * (n + 1), {}).items():

@@ -6,9 +6,11 @@ Each operator here rebuilds the whole state after every piece
 again for every colour of the second, and `delta_apply` reapplies each
 first mode for every (r, m, i).  It is slow and shares no mode-action
 code with the package, which is what makes it useful in tests: only state
-addition and scaling, the c_{mnr} series and the sector helpers are
-imported.  `exp_delta_apply` divides each power by t with
-`StateVector.scaled` per exponent, as `XPolyOp.scaled` did.
+addition and scaling, the c_{mnr} series and the twisted vacuum weight are
+imported.  The pairing, the zero-mode eigenvalues and the grid check are
+written here from the Gram matrices of K and L.  `exp_delta_apply` divides
+each power by t with `StateVector.scaled` per exponent, as `XPolyOp.scaled`
+did.
 """
 
 from __future__ import annotations
@@ -17,15 +19,40 @@ from fractions import Fraction
 
 from permtwist.cocycle import TwistSystem
 from permtwist.coeffs import XPolyOp, c_coeffs
-from permtwist.fock import (FockMono, StateVector, _pairing, _validate_mode,
-                            twisted_vacuum_weight, zero_mode_eigenvalue,
-                            zero_state)
+from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight, zero_state
+
+
+def pairing(system, sector, i, j) -> Fraction:
+    """<b_i, b_j> in the sector: the Gram entry of L in V_L, of K in V_K, and
+    of K over k on the twisted space, where b_i is the projected first-block
+    generator."""
+    if sector == "L":
+        return Fraction(system.L.gram[i][j])
+    if sector == "K":
+        return Fraction(system.K.gram[i][j])
+    return Fraction(system.K.gram[i][j], system.k)
+
+
+def zero_mode_eigenvalue(system, sector, i, ground) -> Fraction:
+    """The eigenvalue of b_i(0) on a ground label: its pairing with b_i."""
+    return sum((pairing(system, sector, i, j) * g for j, g in enumerate(ground)),
+               Fraction(0))
+
+
+def check_mode(system, sector, n) -> Fraction:
+    """n as a Fraction: integral in V_K and V_L, in (1/k)Z on the twisted space."""
+    n = Fraction(n)
+    if sector == "T":
+        if (n * system.k).denominator != 1:
+            raise ValueError(f"mode {n} not in (1/k)Z")
+    elif n.denominator != 1:
+        raise ValueError(f"fractional mode {n} in untwisted sector")
+    return n
 
 
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
-    n = Fraction(n)
-    _validate_mode(system, sv.sector, n)
+    n = check_mode(system, sv.sector, n)
     out = {}
 
     def add(mono, c):
@@ -49,7 +76,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
                     continue
                 seen.add((m, j))
                 count = mono.modes.count((m, j))
-                pair = _pairing(system, sv.sector, i, j)
+                pair = pairing(system, sv.sector, i, j)
                 if pair == 0:
                     continue
                 rest = list(mono.modes)
