@@ -230,16 +230,16 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
     acc: dict = {}
-    _delta_into(Sector.of(system, "L"), v.terms, 1, Fraction(0), acc, order)
+    _delta_into(Sector.of(system, "L"), v.terms, 1, 0, acc, order)
     return _xpoly(system, "L", acc)
 
 
-def _delta_into(sector: Sector, terms: dict, scale, shift: Fraction, acc: dict,
+def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
                 order: int | None = None) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
     accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
     sector is the descriptor of L."""
-    lev = int(_max_level(terms))
+    lev = _max_level(terms)
     if order is None:
         order = 2 * lev + 2
     system = sector.system
@@ -253,7 +253,6 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: Fraction, acc: dict,
             if m > lev or n > lev or (m == 0 and n == 0):
                 continue
             target = acc.setdefault(shift - m - n, {})
-            mm = Fraction(m)
             # sum_j sum_p c_mnr (nu^{-r} dual-pair) (m) pair (n)
             for i in range(d):
                 for j in range(d):
@@ -267,12 +266,12 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: Fraction, acc: dict,
                         first = firsts.get((n, src))
                         if first is None:
                             first = firsts[(n, src)] = {}
-                            _mode_into(sector, Fraction(n), src, terms, 1, first)
+                            _mode_into(sector, n, src, terms, 1, first)
                         if first:
                             if w is None:
                                 w = c * f * scale
                             dst = ((p + r) % k) * d + i
-                            _mode_into(sector, mm, dst, first, w, target)
+                            _mode_into(sector, m, dst, first, w, target)
 
 
 def _xpoly(system, sector, table: dict) -> XPolyOp:
@@ -301,7 +300,7 @@ def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    return _xpoly(system, "L", _exp_series({Fraction(0): v.terms},
+    return _xpoly(system, "L", _exp_series({0: v.terms},
                                            partial(_delta_into, Sector.of(system, "L"))))
 
 
@@ -326,7 +325,7 @@ def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: 
                       exp_step: Fraction) -> dict:
     """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to a table."""
     def step_into(terms, scale, e, acc):
-        lev = int(_max_level(terms))
+        lev = _max_level(terms)
         for j, aj in enumerate(avals, start=1):
             if aj == 0 or j > lev + 2:
                 continue

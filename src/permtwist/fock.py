@@ -16,12 +16,22 @@ A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.
 Twisted mode index i stands for the projected first-block generator built
 from the i-th basis vector of K; its residue is determined by the mode.
+
+Modes are stored on their sector's grid: the mode t * step is the int t.
+The twisted mode b(t/k) and the base mode b(t) under the isomorphism F
+carry the same int.  Mode actions, bases and monomial equality and hashing
+run on ints; only the public readers (`FockMono.modes`, `level`, `repr`,
+`StateVector.max_level`) and the public entry points, through
+`Sector.grid`, see mode values.  In the sector the pairing of b_i and b_j
+is the Gram entry times step, so [b_i(s step), b_j(-s step)] is s times
+the Gram entry times step^2: that product is the pairing on the grid.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .cocycle import SECTION_PLAIN, SECTION_TWISTED, TwistSystem
 from .exact import Cyc
@@ -30,32 +40,54 @@ SECTORS = ("K", "L", "T")
 
 
 class FockMono:
-    """Immutable monomial: sorted creation modes and a ground label."""
+    """Immutable monomial: sorted creation modes and a ground label.
 
-    __slots__ = ("modes", "ground", "_hash")
+    `grid` holds the modes as sorted (t, colour) int pairs, the mode being
+    t / den for den the denominator of the sector's grid step (1, or k in
+    the twisted sector); `modes` reads them as mode values.
+    """
 
-    def __init__(self, modes, ground):
-        self.modes = tuple(sorted(modes))
+    __slots__ = ("grid", "ground", "den", "_hash")
+
+    def __init__(self, modes, ground, den: int = 1):
+        """The monomial of (mode, colour) pairs with modes in (1/den)Z; a mode
+        off that grid raises."""
+        grid = []
+        for n, i in modes:
+            t = Fraction(n) * den
+            if t.denominator != 1:
+                raise ValueError(f"mode {n} not in (1/{den})Z")
+            grid.append((t.numerator, i))
+        self.grid = tuple(sorted(grid))
         self.ground = tuple(ground)
-        self._hash = hash((self.modes, self.ground))
+        self.den = den
+        self._hash = hash((self.grid, self.ground))
 
     @classmethod
-    def _sorted(cls, modes: tuple, ground: tuple) -> "FockMono":
-        """A monomial from modes already in sorted order and a ground tuple."""
+    def _sorted(cls, grid: tuple, ground: tuple, den: int) -> "FockMono":
+        """A monomial from grid pairs already in sorted order and a ground tuple."""
         self = object.__new__(cls)
-        self.modes = modes
+        self.grid = grid
         self.ground = ground
-        self._hash = hash((modes, ground))
+        self.den = den
+        self._hash = hash((grid, ground))
         return self
 
+    @property
+    def modes(self) -> tuple:
+        """The (mode, colour) pairs, each mode a Fraction."""
+        den = self.den
+        return tuple((Fraction(t, den), i) for t, i in self.grid)
+
     def __eq__(self, other):
-        return self.modes == other.modes and self.ground == other.ground
+        return (self.grid == other.grid and self.ground == other.ground
+                and self.den == other.den)
 
     def __hash__(self):
         return self._hash
 
     def level(self) -> Fraction:
-        return -sum((n for n, _ in self.modes), Fraction(0))
+        return Fraction(-sum(t for t, _ in self.grid), self.den)
 
     def __repr__(self):
         parts = [f"b{i}({n})" for n, i in self.modes]
@@ -83,8 +115,12 @@ class StateVector:
 
     @classmethod
     def monomial(cls, system, sector, modes, ground, coeff=None):
+        """coeff (default 1) times the monomial of the (mode, colour) pairs
+        `modes` on `ground`; a mode off the sector's grid raises."""
+        desc = Sector.of(system, sector)
+        grid = tuple(sorted((desc.grid(n), i) for n, i in modes))
         c = system.field.one() if coeff is None else coeff
-        return cls(system, sector, {FockMono(modes, ground): c})
+        return cls(system, sector, {FockMono._sorted(grid, tuple(ground), desc.den): c})
 
     @classmethod
     def _of(cls, system, sector, terms: dict) -> "StateVector":
@@ -133,16 +169,17 @@ class StateVector:
         if not self.terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (m.modes, m.ground)):
+        for mono in sorted(self.terms, key=lambda m: (m.grid, m.ground)):
             bits.append(f"({self.terms[mono]})*{mono}")
         return " + ".join(bits)
 
     def max_level(self) -> Fraction:
-        return _max_level(self.terms)
+        return max((m.level() for m in self.terms), default=Fraction(0))
 
 
-def _max_level(terms) -> Fraction:
-    return max((m.level() for m in terms), default=Fraction(0))
+def _max_level(terms) -> int:
+    """The largest level of a monomial in terms, in grid steps."""
+    return max((-sum(t for t, _ in m.grid) for m in terms), default=0)
 
 
 def zero_state(system, sector) -> StateVector:
@@ -159,7 +196,8 @@ class Sector:
     """The Fock-level data of one sector; `Sector.of` keeps one per system and
     sector name."""
 
-    __slots__ = ("system", "twisted", "lattice", "step", "vacuum_weight", "_unit", "pairing")
+    __slots__ = ("system", "twisted", "lattice", "den", "step", "vacuum_weight", "_unit",
+                 "pairing")
 
     def __init__(self, system: TwistSystem, name: str):
         if name not in SECTORS:
@@ -167,12 +205,14 @@ class Sector:
         self.system = system
         self.twisted = name == "T"
         self.lattice = system.L if name == "L" else system.K
-        self.step = Fraction(1, system.k) if self.twisted else Fraction(1)
+        self.den = system.k if self.twisted else 1
+        self.step = Fraction(1, self.den)
         self.vacuum_weight = twisted_vacuum_weight(system) if self.twisted else Fraction(0)
         # an int 1 keeps untwisted pairings and eigenvalues ints: faster to use
         self._unit = self.step if self.twisted else 1
-        # [b_i(m), b_j(n)] = m * pairing[i][j] * delta_{m+n,0}
-        self.pairing = tuple(tuple(x * self._unit for x in row) for row in self.lattice.gram)
+        # [b_i(s step), b_j(t step)] = s * pairing[i][j] * delta_{s+t,0}
+        self.pairing = tuple(tuple(x * self._unit ** 2 for x in row)
+                             for row in self.lattice.gram)
 
     @classmethod
     def of(cls, system: TwistSystem, name: str) -> "Sector":
@@ -182,14 +222,15 @@ class Sector:
 
     # -- grid and weights ------------------------------------------------------
 
-    def mode(self, n) -> Fraction:
-        """n as a Fraction, checked to lie on the sector's grid."""
-        n = Fraction(n)
-        if self.step.denominator % n.denominator:
+    def grid(self, x, what: str = "mode") -> int:
+        """The int t with x = t * step; an x off the sector's grid raises."""
+        x = Fraction(x)
+        t = x * self.den
+        if t.denominator != 1:
             if self.twisted:
-                raise ValueError(f"mode {n} not in (1/k)Z")
-            raise ValueError(f"fractional mode {n} in untwisted sector: modes are integral")
-        return n
+                raise ValueError(f"{what} {x} not in (1/k)Z")
+            raise ValueError(f"fractional {what} {x} in untwisted sector: {what}s are integral")
+        return t.numerator
 
     def eigenvalue(self, i, ground):
         """The eigenvalue <b_i, g> * step of the zero mode b_i(0) on the ground
@@ -205,32 +246,34 @@ class Sector:
 
     # -- hooks of the vertex-operator engine -------------------------------------
 
-    def mode_into(self, n: Fraction, coords, terms: dict, scale, out: dict,
+    def mode_into(self, n: int, coords, terms: dict, scale, out: dict,
                   projected: dict) -> None:
-        """Add scale * h(n) applied to `terms` into the accumulator `out`, for h
-        given by mode-basis coordinates.  In T they are ambient L coordinates,
-        projected once per (coords, kn mod k) into `projected`, a dict the
-        caller owns."""
+        """Add scale * h(n * step) applied to `terms` into the accumulator
+        `out`, for h given by mode-basis coordinates.  In T they are ambient L
+        coordinates, projected once per (coords, n mod k) into `projected`, a
+        dict the caller owns."""
         if self.twisted:
             k = self.system.k
-            key = (coords, n.numerator * k // n.denominator % k)
+            key = (coords, n % k)
             proj = projected.get(key)
             if proj is None:
-                proj = projected[key] = twisted_coords(self.system, coords, n)
+                proj = projected[key] = twisted_coords(self.system, coords, Fraction(n, k))
             coords = proj
         for i, c in enumerate(coords):
             if c != 0:
                 _mode_into(self, n, i, terms, scale * c, out)
 
-    def x_exponent(self, beta, ground) -> Fraction:
-        """The power of x the group element over beta brings on a ground label."""
+    def x_exponent(self, beta, ground) -> int:
+        """The power of x the group element over beta brings on a ground label,
+        in grid steps."""
         s = self.system
         if self.twisted:
+            # <t,g>/k + <t,t>/2k - <beta,beta>/2 lies in (1/k)Z because K and
+            # L are even
             t = s.tot(beta)
-            return (Fraction(s.K.inner(t, ground), s.k)
-                    + Fraction(s.K.inner(t, t), 2 * s.k)
-                    - Fraction(s.L.inner(beta, beta), 2))
-        return Fraction(self.lattice.inner(beta, ground))
+            twice = 2 * s.K.inner(t, ground) + s.K.inner(t, t) - s.k * s.L.inner(beta, beta)
+            return self.grid(Fraction(twice, 2 * s.k), "exponent")
+        return self.lattice.inner(beta, ground)
 
     def ground_action(self, beta, ground):
         """(scalar, new_ground) for the group element over beta."""
@@ -271,33 +314,33 @@ def _merge_into(out: dict, terms: dict) -> None:
         _accumulate(out, mono, c)
 
 
-def _mode_into(sector: Sector, n: Fraction, i, terms: dict, scale, out: dict) -> None:
-    """Add scale * b_i(n) applied to `terms` into the accumulator `out`.
+def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None:
+    """Add scale * b_i(n * step) applied to `terms` into the accumulator `out`.
 
-    `n` is a Fraction on the sector's grid and `scale` a nonzero rational or
-    Cyc.  `terms` holds no zero coefficient, so every contribution is
-    nonzero and only cancellation inside `out` can produce a zero, which is
-    dropped on the spot.
+    `n` is a mode in grid steps and `scale` a nonzero rational or Cyc.
+    `terms` holds no zero coefficient, so every contribution is nonzero and
+    only cancellation inside `out` can produce a zero, which is dropped on
+    the spot.
     """
     if isinstance(scale, Cyc) and scale.is_rational():
         scale = scale.c[0]
-    sign = n.numerator
-    if sign < 0:
+    den = sector.den
+    if n < 0:
         key = (n, i)
         unit = scale == 1
         for mono, c in terms.items():
-            modes = mono.modes
+            modes = mono.grid
             pos = bisect_right(modes, key)
-            new = FockMono._sorted(modes[:pos] + (key,) + modes[pos:], mono.ground)
+            new = FockMono._sorted(modes[:pos] + (key,) + modes[pos:], mono.ground, den)
             _accumulate(out, new, c if unit else c * scale)
         return
-    if sign > 0:
+    if n > 0:
         row = sector.pairing[i]
         weights = {}    # colour j -> scale * n * <b_i, b_j>, None when zero
         m = -n
         head = (m,)
         for mono, c in terms.items():
-            modes = mono.modes
+            modes = mono.grid
             end = len(modes)
             pos = bisect_left(modes, head)
             # the modes at -n are contiguous, one run per colour
@@ -313,7 +356,7 @@ def _mode_into(sector: Sector, n: Fraction, i, terms: dict, scale, out: dict) ->
                     w = weights[j] = scale * (n * pair) if pair else None
                 if w is not None:
                     count = nxt - pos
-                    new = FockMono._sorted(modes[:pos] + modes[pos + 1:], mono.ground)
+                    new = FockMono._sorted(modes[:pos] + modes[pos + 1:], mono.ground, den)
                     _accumulate(out, new, c * (w if count == 1 else w * count))
                 pos = nxt
         return
@@ -332,16 +375,15 @@ def _mode_into(sector: Sector, n: Fraction, i, terms: dict, scale, out: dict) ->
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
     sector = Sector.of(system, sv.sector)
-    n = sector.mode(n)
     out = {}
-    _mode_into(sector, n, i, sv.terms, 1, out)
+    _mode_into(sector, sector.grid(n), i, sv.terms, 1, out)
     return StateVector._of(system, sv.sector, out)
 
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
     sector = Sector.of(system, sv.sector)
-    n = sector.mode(n)
+    n = sector.grid(n)
     out = {}
     for i, c in enumerate(coords):
         if c != 0:
@@ -349,14 +391,14 @@ def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     return StateVector._of(system, sv.sector, out)
 
 
-def twisted_coords(system, h_coords, n: Fraction):
+def twisted_coords(system, h_coords, n):
     """First-block coordinates of the projected mode of an ambient L-vector.
 
     h^T(n) = sum_i c_i (b_i^1-projected)(n) with
     c_i = sum_p h_{p,i} eta^{kn(1-p)}.
     """
     k, d = system.k, system.d
-    kn = int(n * k)
+    kn = Sector.of(system, "T").grid(n)
     out = []
     for i in range(d):
         acc = system.field.zero()
@@ -472,7 +514,7 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
     if sv.sector != "K":
         raise ValueError("virasoro_L acts on the base sector")
     out = {}
-    _virasoro_into(Sector.of(system, "K"), j, sv.terms, int(sv.max_level()), 1, out)
+    _virasoro_into(Sector.of(system, "K"), j, sv.terms, _max_level(sv.terms), 1, out)
     return StateVector._of(system, "K", out)
 
 
@@ -487,7 +529,7 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: di
             continue
         # normal order: the larger mode acts first; ginv is symmetric, so
         # the term of colours (a, b) has coefficient ginv[a][b] either way
-        first, second = Fraction(max(m, other)), Fraction(min(m, other))
+        first, second = max(m, other), min(m, other)
         for a in range(d):
             inner = {}
             _mode_into(sector, first, a, terms, 1, inner)
@@ -504,18 +546,14 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
     if sv.sector != "T":
         raise ValueError("twisted_L0 acts on the twisted sector")
     sector = Sector.of(system, "T")
-    k, d, step = system.k, sector.lattice.rank, sector.step
+    k, d = system.k, sector.lattice.rank
     ginv = sector.lattice.gram_inverse()
     vac = sector.vacuum_weight
     out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
-    lev = sv.max_level()
     # zero-mode square with coefficient k/2, then the paired
     # creation/annihilation modes with coefficient k per positive mode
-    pairs = [(Fraction(0), Fraction(0), Fraction(k, 2))]
-    n = step
-    while n <= lev:
-        pairs.append((n, -n, Fraction(k)))
-        n += step
+    pairs = [(0, 0, Fraction(k, 2))]
+    pairs += [(n, -n, Fraction(k)) for n in range(1, _max_level(sv.terms) + 1)]
     for first, second, coeff in pairs:
         for b in range(d):
             inner = {}
@@ -532,18 +570,16 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
 # -- weight-graded bases -------------------------------------------------------
 
 
-def _mode_multisets(levels, budget, start=0):
-    """Multisets over `levels` (with d colors each) of total level <= budget."""
-    if start == len(levels):
+def _mode_multisets(top: int, budget: int, ncolors: int):
+    """Sorted grids of creation modes at levels 1..top, ncolors colours each,
+    of total level <= budget; levels in grid steps."""
+    if top == 0:
         yield ()
         return
-    lv, count_colors = levels[start]
-    max_mult = int(budget / lv) if lv <= budget else 0
-    from itertools import combinations_with_replacement
-    for mult in range(max_mult + 1):
-        for colors in combinations_with_replacement(range(count_colors), mult):
-            head = tuple((Fraction(-lv), c) for c in colors)
-            for tail in _mode_multisets(levels, budget - mult * lv, start + 1):
+    for mult in range(budget // top + 1):
+        for colors in combinations_with_replacement(range(ncolors), mult):
+            head = tuple((-top, c) for c in colors)
+            for tail in _mode_multisets(top - 1, budget - mult * top, ncolors):
                 yield head + tail
 
 
@@ -551,19 +587,20 @@ def weight_basis(system, sector, max_weight) -> list[StateVector]:
     """All monomial basis states of weight <= max_weight, sorted by weight."""
     max_weight = Fraction(max_weight)
     desc = Sector.of(system, sector)
-    step, ncolors = desc.step, desc.lattice.rank
+    den, ncolors = desc.den, desc.lattice.rank
     # a ground label g has weight <g, g> * step / 2 + vacuum weight
-    ground_bound = (max_weight - desc.vacuum_weight) / step
+    ground_bound = (max_weight - desc.vacuum_weight) * den
     if ground_bound < 0:
         return []
     out = []
     for g in desc.lattice.enumerate_up_to_norm(ground_bound):
-        budget = max_weight - desc.ground_weight(g)
-        levels = [(step * t, ncolors) for t in range(1, int(budget / step) + 1)]
-        for modes in _mode_multisets(levels, budget):
-            out.append(StateVector.monomial(system, sector, modes, g))
+        # the level left for the modes, in grid steps (at least 0)
+        budget = int((max_weight - desc.ground_weight(g)) * den)
+        for grid in _mode_multisets(budget, budget, ncolors):
+            mono = FockMono._sorted(grid, g, den)
+            out.append(StateVector._of(system, sector, {mono: system.field.one()}))
     out.sort(key=lambda s: (weight(system, s),
-                            next(iter(s.terms)).modes,
+                            next(iter(s.terms)).grid,
                             next(iter(s.terms)).ground))
     return out
 

@@ -25,24 +25,25 @@ def f_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The normalized isomorphism from the twisted space to V_K."""
     if v.sector != "T":
         raise ValueError("f_apply takes twisted states")
-    return _regrade(system, v, "K", Fraction(system.k))
+    return _regrade(system, v, "K", Fraction(1, system.k))
 
 
 def f_inverse_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The two-sided inverse of f_apply."""
     if v.sector != "K":
         raise ValueError("f_inverse_apply takes base-sector states")
-    return _regrade(system, v, "T", Fraction(1, system.k))
+    return _regrade(system, v, "T", Fraction(system.k))
 
 
-def _regrade(system: TwistSystem, v: StateVector, sector: str, factor: Fraction) -> StateVector:
-    """Every mode n becomes factor * n, and each monomial is divided by factor
-    once per mode; distinct monomials stay distinct."""
-    inv = 1 / factor
+def _regrade(system: TwistSystem, v: StateVector, sector: str, scale: Fraction) -> StateVector:
+    """Each monomial read in `sector` and multiplied by scale once per mode.
+
+    The twisted mode t/k and the base mode t share the grid int t, so the
+    grid stays and only the step changes."""
+    den = Sector.of(system, sector).den
     out = {}
     for mono, c in v.terms.items():
-        modes = tuple((n * factor, i) for n, i in mono.modes)
-        out[FockMono(modes, mono.ground)] = c * inv ** len(mono.modes)
+        out[FockMono._sorted(mono.grid, mono.ground, den)] = c * scale ** len(mono.grid)
     return StateVector(system, sector, out)
 
 
@@ -63,7 +64,7 @@ def general_mode_image(system: TwistSystem, alphas, n) -> ConjugatedMode:
     """
     if len(alphas) != system.k:
         raise ValueError("need one K-vector per tensor slot")
-    kn = Sector.of(system, "T").mode(n) * system.k
+    kn = Fraction(Sector.of(system, "T").grid(n))
     inv_k = Fraction(1, system.k)
     entries = []
     for j, alpha in enumerate(alphas, start=1):

@@ -11,6 +11,16 @@ contributions, so every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
+
+Table exponents, like modes, are ints on the sector's grid: e stands for
+x^{e * step}.  The grid holds every exponent that arises.  Modes and the
+orders of derivative factors are on it by construction.  So are the
+offsets of exp(Delta_x) (integers) and of E_f (in (1/k)Z, and integers
+once the worldsheet side raises x to the k-th power).  The power of x a
+group element brings is <beta, g> in V_K and V_L, and
+<t,g>/k + <t,t>/2k - <beta,beta>/2 in T for t the block sum of beta,
+which lies in (1/k)Z because K and L are even.  The entry points convert
+modes and exponents at the boundary and reject any off the grid.
 """
 
 from __future__ import annotations
@@ -23,19 +33,18 @@ from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
 from .fock import FockMono, Sector, StateVector, _accumulate, _merge_into, slot_state
 
 
-def _dcoeff(m: Fraction, nt: int, memo: dict) -> Fraction:
-    """Coefficient of the mode at m in the (nt-1)-fold derivative factor,
-    through `memo`, a dict local to one series."""
-    key = (m.numerator, m.denominator, nt)     # a Fraction hashes slowly
-    c = memo.get(key)
+def _dcoeff(m: int, nt: int, den: int, memo: dict) -> Fraction:
+    """Coefficient of the mode at m / den in the (nt-1)-fold derivative
+    factor, through `memo`, a dict local to one series."""
+    c = memo.get((m, nt))
     if c is None:
         sign = -1 if (nt - 1) % 2 else 1
-        c = memo[key] = sign * rational_binomial(m + nt - 1, nt - 1)
+        c = memo[m, nt] = sign * rational_binomial(Fraction(m, den) + nt - 1, nt - 1)
     return c
 
 
 def _positive_levels(terms: dict):
-    return sorted({-n for mono in terms for n, _ in mono.modes})
+    return sorted({-n for mono in terms for n, _ in mono.grid})
 
 
 # -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
@@ -60,41 +69,44 @@ def _exp_table(sector: Sector, table: dict, beta, sign: int, projected: dict,
     """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table.
 
     sign = -1 is the annihilation exponential, over the levels present in
-    the table; sign = +1 the creation exponential, kept up to x^top.  Each
-    level's factor is one coeffs._exp_series.
+    the table; sign = +1 the creation exponential, kept up to x^top.  Levels
+    m and exponents are in grid steps.  Each level's factor is one
+    coeffs._exp_series.
     """
     if sign < 0:
         levels = sorted({m for terms in table.values() for m in _positive_levels(terms)})
     else:
-        step = sector.step
-        levels = [step * t for t in range(1, int((top - min(table)) / step) + 1)]
+        levels = range(1, top - min(table) + 1)
     for m in levels:
-        def step_into(terms, scale, e, acc, m=m):
+        weight = Fraction(sign * sector.den, m)     # sign over the level's value
+
+        def step_into(terms, scale, e, acc, m=m, weight=weight):
             if top is None or e + sign * m <= top:
-                sector.mode_into(-sign * m, beta, terms, scale * sign / m,
+                sector.mode_into(-sign * m, beta, terms, scale * weight,
                                  acc.setdefault(e + sign * m, {}), projected)
         table = _exp_series(table, step_into)
     return table
 
 
-def _annihilation_moves(nt: int, coords, dcoeffs: dict):
+def _annihilation_moves(nt: int, coords, den: int, dcoeffs: dict):
     """The zero and annihilation modes of a derivative factor."""
+    shift = nt * den
+
     def moves(e, terms):
-        for m in [Fraction(0)] + _positive_levels(terms):
-            yield m, coords, _dcoeff(m, nt, dcoeffs), -m - nt
+        for m in [0] + _positive_levels(terms):
+            yield m, coords, _dcoeff(m, nt, den, dcoeffs), -m - shift
     return moves
 
 
-def _creation_moves(step: Fraction, nt: int, coords, room: Fraction, dcoeffs: dict,
-                    land=None):
+def _creation_moves(nt: int, coords, den: int, room: int, dcoeffs: dict, land=None):
     """The creation modes of a derivative factor landing at exponents <= room,
     and in `land` when it is given."""
+    shift = nt * den
+
     def moves(e, terms):
-        s = step
-        while e + s - nt <= room:
-            if land is None or e + s - nt in land:
-                yield -s, coords, _dcoeff(-s, nt, dcoeffs), s - nt
-            s += step
+        for s in range(1, room - e + shift + 1):
+            if land is None or e + s - shift in land:
+                yield -s, coords, _dcoeff(-s, nt, den, dcoeffs), s - shift
     return moves
 
 
@@ -105,7 +117,7 @@ def _ground_shift(sector: Sector, table: dict, beta) -> dict:
         acc: dict = {}
         for mono, c in terms.items():
             scalar, newg = sector.ground_action(beta, mono.ground)
-            _accumulate(acc, FockMono._sorted(mono.modes, tuple(newg)), c * scalar)
+            _accumulate(acc, FockMono._sorted(mono.grid, tuple(newg), mono.den), c * scalar)
         if acc:
             out[e] = acc
     return out
@@ -115,23 +127,24 @@ def _ground_shift(sector: Sector, table: dict, beta) -> dict:
 
 
 def _umono_factors(umono: FockMono):
-    """Derivative factors (order, coordinate hook) for a u-monomial."""
+    """Derivative factors (order, coordinate hook) for an untwisted u-monomial."""
     rank = len(umono.ground)
-    return [(int(-n), tuple(int(j == idx) for j in range(rank)))
-            for n, idx in umono.modes]
+    return [(-n, tuple(int(j == idx) for j in range(rank)))
+            for n, idx in umono.grid]
 
 
-def _terms(pieces):
+def _terms(sector: Sector, pieces):
     """(offset, u-monomial, coefficient) for every monomial of every
-    (offset, terms) piece of an x-polynomial of operators."""
-    return [(Fraction(offset), umono, c)
+    (offset, terms) piece of an x-polynomial of operators, the offset in
+    the sector's grid steps."""
+    return [(sector.grid(offset, "exponent"), umono, c)
             for offset, u in pieces for umono, c in u.items()]
 
 
 def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     """Coefficients of x^e, e in targets, of sum c x^offset Y(umono, x) v over
     the (offset, umono, c) in terms, as a table; a target whose coefficient
-    is zero has no entry.
+    is zero has no entry.  Exponents and offsets are in grid steps.
 
     Per (u-monomial, v-monomial) pair and per choice of which derivative
     factors create (the mask), the annihilation side runs once and the
@@ -139,7 +152,7 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     Tables sharing a ground label of u are summed before its creation
     exponential is applied, once, up to the largest target.
     """
-    step = sector.step
+    den = sector.den
     targets = frozenset(targets)
     top = max(targets)
     pending: dict = {}      # ground label of u -> table before its creation exponential
@@ -162,7 +175,8 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                 for t in range(r):
                     if not mask >> t & 1 and table:
                         table = _table_apply(sector, table,
-                                             _annihilation_moves(*factors[t], dcoeffs), projected)
+                                             _annihilation_moves(*factors[t], den, dcoeffs),
+                                             projected)
                 if has_group and table:
                     table = _ground_shift(sector, _exp_table(sector, table, beta, -1, projected),
                                           beta)
@@ -172,10 +186,10 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                     # with no creation exponential to follow, the last
                     # factor must land on a target
                     later = deferred[idx + 1:]
-                    room = top - sum(step - nt2 for nt2, _ in later)
+                    room = top - sum(1 - nt2 * den for nt2, _ in later)
                     land = None if later or has_group else targets
                     table = _table_apply(sector, table,
-                                         _creation_moves(step, nt, coords, room, dcoeffs, land),
+                                         _creation_moves(nt, coords, den, room, dcoeffs, land),
                                          projected)
                 for e, ts in table.items():
                     if e <= top:
@@ -199,23 +213,24 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
     if u.sector != v.sector or u.sector == "T":
         raise ValueError("untwisted modes need matching untwisted sectors")
     sector = Sector.of(system, v.sector)
-    e = -sector.mode(n) - 1
-    table = _series(sector, _terms([(0, u.terms)]), v, [e])
+    e = -sector.grid(n) - 1
+    table = _series(sector, _terms(sector, [(0, u.terms)]), v, [e])
     return StateVector._of(system, v.sector, table.get(e, {}))
 
 
 def _spacetime_series(system: TwistSystem, pieces, states, targets):
-    """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
-    over the (offset, u) in pieces, each u corrected by exp(Delta_x) once;
-    yields them for each v in states in turn, as states."""
+    """Coefficients at the target exponents (in steps of 1/k) of
+    sum x^offset Y^{st}(u, x) v over the (offset, u) in pieces, each u
+    corrected by exp(Delta_x) once; yields them for each v in states in
+    turn, as states."""
     states = list(states)
     if any(u.sector != "L" for _, u in pieces) or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
+    sector = Sector.of(system, "T")
     terms = []
     for offset, u in pieces:
-        terms += _terms((offset + e, u_e.terms)
-                        for e, u_e in exp_delta_apply(system, u).terms.items())
-    sector = Sector.of(system, "T")
+        terms += _terms(sector, ((offset + e, u_e.terms)
+                                 for e, u_e in exp_delta_apply(system, u).terms.items()))
     for v in states:
         table = _series(sector, terms, v, targets)
         yield {e: StateVector._of(system, "T", table.get(e, {})) for e in targets}
@@ -224,20 +239,22 @@ def _spacetime_series(system: TwistSystem, pieces, states, targets):
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
-    exponent = Fraction(exponent)
-    return next(_spacetime_series(system, [(0, u)], [v], [exponent]))[exponent]
+    e = Sector.of(system, "T").grid(exponent, "exponent")
+    return next(_spacetime_series(system, [(0, u)], [v], [e]))[e]
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """Yields spacetime_twisted_modes of u on each of the states in turn, with
     exp(Delta_x) u computed once for all of them."""
-    modes = [Sector.of(system, "T").mode(n) for n in modes]
-    if not modes:
+    k = system.k
+    grid = [Sector.of(system, "T").grid(n) for n in modes]
+    if not grid:
         for _ in states:
             yield {}
         return
-    for series in _spacetime_series(system, [(0, u)], states, [-n - 1 for n in modes]):
-        yield {n: series[-n - 1] for n in modes}
+    # the mode t/k is the coefficient of x^{-t/k-1}, the exponent -t-k on the grid
+    for series in _spacetime_series(system, [(0, u)], states, [-t - k for t in grid]):
+        yield {Fraction(t, k): series[-t - k] for t in grid}
 
 
 def spacetime_twisted_modes(system: TwistSystem, u: StateVector, modes,
@@ -259,10 +276,11 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     in the first slot and raising the variable to the k-th power."""
     if u.sector != "K" or v.sector != "T":
         raise ValueError("base_module_mode maps base states onto the twisted space")
-    n = Sector.of(system, "K").mode(n)
-    # u_n is the coefficient of x^{(-n-1)/k} in sum_e x^e Y^{st}(w_e, x),
-    # where E_f(x^{1/k})^{-1} u = sum_e x^e w_e
-    exponent = Fraction(-n - 1, system.k)
+    n = Sector.of(system, "K").grid(n)
+    # u_n is the coefficient of x^{(-n-1)/k} (the exponent -n-1 on the
+    # twisted grid) in sum_e x^e Y^{st}(w_e, x), where
+    # E_f(x^{1/k})^{-1} u = sum_e x^e w_e
+    exponent = -n - 1
     pieces = [(e, slot_state(system, w_e, 0))
               for e, w_e in ef_inverse_apply(system, u).terms.items()]
     return next(_spacetime_series(system, pieces, [v], [exponent]))[exponent]
@@ -292,30 +310,32 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    modes = [Sector.of(system, "T").mode(n) for n in modes]
+    grid = [Sector.of(system, "T").grid(n) for n in modes]
     k = system.k
-    # u_n is the coefficient of x^{-k(n+1)} in sum_e x^{ke} Y(w_e, x),
-    # where E_f(x^{1/k}) u = sum_e x^e w_e, rotated by the slot's phase
+    sector = Sector.of(system, "K")
+    # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
+    # sum_e x^{ke} Y(w_e, x), where E_f(x^{1/k}) u = sum_e x^e w_e, rotated
+    # by the slot's phase
     slots = []
-    if modes:
+    if grid:
         by_slot: dict[int, dict] = {}
         for umono, cu in u.terms.items():
             p, kmono = _split_slot(system, umono)
             by_slot.setdefault(p, {})[kmono] = cu
         for p, kterms in by_slot.items():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
-            slots.append((p, _terms((k * e, w_e.terms) for e, w_e in corrected.terms.items())))
-    sector = Sector.of(system, "K")
-    targets = [-k * (n + 1) for n in modes]
+            slots.append((p, _terms(sector, ((k * e, w_e.terms)
+                                             for e, w_e in corrected.terms.items()))))
+    targets = [-t - k for t in grid]
     for v in states:
-        out = {n: {} for n in modes}
+        out = {t: {} for t in grid}
         for p, terms in slots:
             series = _series(sector, terms, v, targets)
-            for n, acc in out.items():
-                phase = system.eta_pow(-p * int(n * k))
-                for mono, c in series.get(-k * (n + 1), {}).items():
+            for t, acc in out.items():
+                phase = system.eta_pow(-p * t)
+                for mono, c in series.get(-t - k, {}).items():
                     _accumulate(acc, mono, c * phase)
-        yield {n: StateVector._of(system, "K", acc) for n, acc in out.items()}
+        yield {Fraction(t, k): StateVector._of(system, "K", acc) for t, acc in out.items()}
 
 
 def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,

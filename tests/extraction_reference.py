@@ -172,7 +172,7 @@ def extract_for_vmono(system, dialect, dfactors, beta, coeff,
                 for mono, c in sv.terms.items():
                     scalar, newg = dialect.ground_action(beta, mono.ground)
                     shifted = shifted + StateVector(
-                        system, sector, {FockMono(mono.modes, newg): c * scalar})
+                        system, sector, {FockMono(mono.modes, newg, mono.den): c * scalar})
                 sv = shifted
                 if sv.is_zero():
                     continue

@@ -67,7 +67,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
 
     if n < 0:
         for mono, c in sv.terms.items():
-            add(FockMono(mono.modes + ((n, i),), mono.ground), c)
+            add(FockMono(mono.modes + ((n, i),), mono.ground, mono.den), c)
     elif n > 0:
         for mono, c in sv.terms.items():
             seen = set()
@@ -81,7 +81,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
                     continue
                 rest = list(mono.modes)
                 rest.pop(pos)
-                add(FockMono(rest, mono.ground), c * (n * pair * count))
+                add(FockMono(rest, mono.ground, mono.den), c * (n * pair * count))
     else:
         for mono, c in sv.terms.items():
             ev = zero_mode_eigenvalue(system, sv.sector, i, mono.ground)

@@ -192,13 +192,15 @@ def test_q_order_below_the_leading_exponent_is_a_usage_error(capsys, argv, lead)
         f"error: --q-order {order} is below the leading exponent {lead} of the character"]
 
 
-@pytest.mark.parametrize("golden, argv", [
-    ("iso_a1_k3", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
-    ("coeffs_a1_k2", ["coeffs", "--k", "2"]),
-    ("thm41_a1_k2", ["thm41", "--k", "2"]),
+@pytest.mark.parametrize("golden, lattice, argv", [
+    ("iso_a1_k3", "a1.lat", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
+    ("coeffs_a1_k2", "a1.lat", ["coeffs", "--k", "2"]),
+    ("thm41_a1_k2", "a1.lat", ["thm41", "--k", "2"]),
+    ("iso_a2_k3", "a2.lat",
+     ["iso", "--k", "3", "--weight-cutoff", "5/9", "--mode-bound", "2/3"]),
 ])
-def test_machine_output_matches_golden_file(capsys, golden, argv):
+def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     # the default machine output must stay byte-identical to these files
-    argv = argv + ["--lattice", str(LATTICES / "a1.lat"), "--format", "machine"]
+    argv = argv + ["--lattice", str(LATTICES / lattice), "--format", "machine"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.machine").read_text(encoding="utf-8")

@@ -1,12 +1,13 @@
 """State spaces: mode actions, weights, Virasoro operators, bases."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (apply_mode, apply_twisted_vector_mode,
+from permtwist.fock import (FockMono, StateVector, apply_mode, apply_twisted_vector_mode,
                             ground_state, nu_hat_state, omega_state,
                             relabel_slots, slot_state, twisted_L0,
                             twisted_state_counts, twisted_vacuum_weight,
@@ -67,6 +68,56 @@ def test_sector_validation():
         apply_mode(s, Fraction(1, 3), 0, vacuum(s, "T"))
     with pytest.raises(ValueError, match="sector mismatch"):
         vacuum(s, "K") + vacuum(s, "L")
+
+
+@pytest.mark.parametrize("sector, mode, message", [
+    ("K", Fraction(-1, 2), "fractional mode -1/2 in untwisted sector: modes are integral"),
+    ("L", Fraction(-1, 2), "fractional mode -1/2 in untwisted sector: modes are integral"),
+    ("T", Fraction(-1, 4), "mode -1/4 not in (1/k)Z"),
+])
+def test_monomial_rejects_off_grid_modes(sector, mode, message):
+    # a mode off the sector's grid is an error, never rounded onto it
+    s = TwistSystem(A1, 3)
+    ground = (0,) * (s.L.rank if sector == "L" else s.d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StateVector.monomial(s, sector, [(Fraction(-1), 0), (mode, 0)], ground)
+    with pytest.raises(ValueError, match="not in"):
+        FockMono([(mode, 0)], ground, s.k if sector == "T" else 1)
+
+
+def _ground_weight(system, sector, ground):
+    """<g, g> * step / 2 plus the vacuum weight, from the Gram matrices."""
+    gram = system.L.gram if sector == "L" else system.K.gram
+    norm = sum(gram[i][j] * a * b for i, a in enumerate(ground) for j, b in enumerate(ground))
+    if sector != "T":
+        return Fraction(norm, 2)
+    k, d = system.k, system.d
+    return Fraction(norm, 2 * k) + Fraction((k * k - 1) * d, 24 * k)
+
+
+@pytest.mark.parametrize("K", [A1, A2])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("sector, cutoff", [("K", 2), ("L", 1), ("T", Fraction(3, 2))])
+def test_monomials_read_mode_values(K, k, sector, cutoff):
+    # whatever the storage, FockMono.modes, the level and repr give mode
+    # values: the level plus the ground weight is the weight, as a reader
+    # outside the package computes it, and the modes rebuild the monomial
+    s = TwistSystem(K, k)
+    basis = weight_basis(s, sector, cutoff)
+    assert len(basis) > 1
+    for v in basis:
+        (mono,) = v.terms
+        level = -sum(n for n, _ in mono.modes)
+        assert level == mono.level() == v.max_level()
+        assert level + _ground_weight(s, sector, mono.ground) == weight(s, v)
+        assert StateVector.monomial(s, sector, mono.modes, mono.ground) == v
+    if sector == "T":
+        ground = (0,) * K.rank
+        st = apply_mode(s, Fraction(-1, k), 0, vacuum(s, "T"))
+        (mono,) = st.terms
+        assert repr(mono) == f"b0(-1/{k})*e{ground}"
+        st = apply_mode(s, -1, 0, st)
+        assert repr(st) == f"(1)*b0(-1)*b0(-1/{k})*e{ground}"
 
 
 def test_weights():
