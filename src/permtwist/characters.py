@@ -3,12 +3,16 @@
 Exponents are rationals held as integers over a per-series denominator
 scale; arithmetic merges scales by lcm.  Every series tracks the exponent
 up to which its coefficients are complete, so products and inverses never
-silently lose terms.
+silently lose terms.  Integral coefficients stay ints (a float is refused);
+eta^e for every integer e comes from one divisor-sum recurrence, so Theta /
+eta^d needs no inverse; a shifted theta series enumerates only its ellipsoid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from .lattice import Lattice
@@ -16,38 +20,37 @@ from .report import Report
 
 
 class FracQSeries:
-    """Truncated series sum_e c_e q^(e/denom) with rational coefficients."""
+    """Truncated series sum_e c_e q^(e/denom) with int or Fraction coefficients."""
 
-    def __init__(self, denom: int, coeffs: dict[int, Fraction], order: Fraction):
+    def __init__(self, denom: int, coeffs: dict, order):
         self.denom = denom
         self.order = Fraction(order)
-        self.coeffs = {e: Fraction(c) for e, c in coeffs.items()
-                       if c != 0 and Fraction(e, denom) <= self.order}
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs.values()):
+            raise TypeError("series coefficients must be ints or Fractions")
+        lim = math.floor(self.order * denom)
+        self.coeffs = {e: c for e, c in coeffs.items() if c and e <= lim}
 
     @classmethod
     def constant(cls, value, order, denom: int = 1) -> "FracQSeries":
-        return cls(denom, {0: Fraction(value)}, order)
+        return cls(denom, {0: value}, order)
 
     def rescaled(self, denom: int) -> "FracQSeries":
-        if denom == self.denom:
-            return self
-        if denom % self.denom:
+        f, rest = divmod(denom, self.denom)
+        if rest:
             raise ValueError("denominator scales incompatible")
-        f = denom // self.denom
-        return FracQSeries(denom, {e * f: c for e, c in self.coeffs.items()}, self.order)
+        return self if f == 1 else FracQSeries(
+            denom, {e * f: c for e, c in self.coeffs.items()}, self.order)
 
     def _align(self, other):
-        denom = self.denom * other.denom // math.gcd(self.denom, other.denom)
+        denom = math.lcm(self.denom, other.denom)
         return self.rescaled(denom), other.rescaled(denom)
 
-    def coefficient(self, exponent) -> Fraction:
+    def coefficient(self, exponent):
         exponent = Fraction(exponent)
         if exponent > self.order:
             raise ValueError(f"coefficient at {exponent} beyond truncation {self.order}")
         e = exponent * self.denom
-        if e.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(e), Fraction(0))
+        return self.coeffs.get(e.numerator, 0) if e.denominator == 1 else 0
 
     def leading_exponent(self) -> Fraction:
         if not self.coeffs:
@@ -59,11 +62,10 @@ class FracQSeries:
 
     def __add__(self, other):
         a, b = self._align(other)
-        order = min(a.order, b.order)
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return FracQSeries(a.denom, out, order)
+            out[e] = out.get(e, 0) + c
+        return FracQSeries(a.denom, out, min(a.order, b.order))
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -78,39 +80,41 @@ class FracQSeries:
         la = a.leading_exponent() if a.coeffs else a.order
         lb = b.leading_exponent() if b.coeffs else b.order
         order = min(a.order + lb, b.order + la)
-        lim = order * a.denom
-        out: dict[int, Fraction] = {}
+        lim = math.floor(order * a.denom)
+        right = sorted(b.coeffs.items())
+        out: dict = {}
         for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                if e <= lim:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+            top = lim - e1
+            for e2, c2 in right:
+                if e2 > top:
+                    break
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return FracQSeries(a.denom, out, order)
 
     def inverse(self) -> "FracQSeries":
-        """Inverse of a series whose leading coefficient is a unit."""
+        """Inverse of a series whose leading coefficient is a unit; a lead
+        of +-1 is its own inverse, so an integral series stays integral."""
         lead_e = min(self.coeffs)
         lead_c = self.coeffs[lead_e]
+        unit = lead_c if lead_c in (1, -1) else 1 / Fraction(lead_c)
         tail_order = self.order - Fraction(lead_e, self.denom)  # relative precision
-        lim = int(tail_order * self.denom)
-        tail = {e - lead_e: c / lead_c for e, c in self.coeffs.items()}
-        inv = {0: Fraction(1)}
+        lim = math.floor(tail_order * self.denom)
+        tail = sorted((e - lead_e, c * unit) for e, c in self.coeffs.items() if e != lead_e)
+        inv = [1] + [0] * lim
         for e in range(1, lim + 1):
-            s = Fraction(0)
-            for e2, c2 in tail.items():
-                if 0 < e2 <= e:
-                    s += c2 * inv.get(e - e2, Fraction(0))
-            if s:
-                inv[e] = -s
-        out = {e - lead_e: c / lead_c for e, c in inv.items()}
-        order = tail_order - Fraction(lead_e, self.denom)
-        return FracQSeries(self.denom, out, order)
+            s = 0
+            for e2, c2 in tail:
+                if e2 > e:
+                    break
+                s += c2 * inv[e - e2]
+            inv[e] = -s
+        out = {e - lead_e: c * unit for e, c in enumerate(inv)}
+        return FracQSeries(self.denom, out, tail_order - Fraction(lead_e, self.denom))
 
     def substitute_power(self, k: int) -> "FracQSeries":
         """q -> q^k: multiplies every exponent (and the valid order) by k."""
-        new_denom = self.denom
-        coeffs = {e * k: c for e, c in self.coeffs.items()}
-        return FracQSeries(new_denom, coeffs, self.order * k)
+        return FracQSeries(self.denom, {e * k: c for e, c in self.coeffs.items()},
+                           self.order * k)
 
     def truncated(self, order) -> "FracQSeries":
         order = Fraction(order)
@@ -122,11 +126,9 @@ class FracQSeries:
         if not isinstance(other, FracQSeries):
             return NotImplemented
         a, b = self._align(other)
-        order = min(a.order, b.order)
-        lim = order * a.denom
-        ka = {e: c for e, c in a.coeffs.items() if e <= lim}
-        kb = {e: c for e, c in b.coeffs.items() if e <= lim}
-        return ka == kb
+        lim = math.floor(min(a.order, b.order) * a.denom)
+        return ({e: c for e, c in a.coeffs.items() if e <= lim}
+                == {e: c for e, c in b.coeffs.items() if e <= lim})
 
     def __repr__(self):
         bits = [f"{c}*q^({e})" for e, c in self.items()[:8]]
@@ -134,56 +136,54 @@ class FracQSeries:
         return " + ".join(bits) + more + f"  (order {self.order})"
 
 
+def _euler_coeffs(e: int, n: int) -> list[int]:
+    """Int coefficients c(0..n) of prod_{m>=1} (1 - q^m)^e, from q d/dq log:
+    n c(n) = -e sum_{m=1}^{n} sigma(m) c(n - m), sigma the divisor sum, and
+    the division by n is exact because the c(n) are integers."""
+    sigma = [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(n + 1)]
+    c = [1] + [0] * n
+    for j in range(1, n + 1):
+        c[j] = -e * sum(sigma[m] * c[j - m] for m in range(1, j + 1)) // j
+    return c
+
+
 def eta_power(d: int, order, k_scale: int = 1) -> FracQSeries:
-    """eta(q^(1/k_scale))^d truncated at `order`, exponents in (1/(24 k_scale))Z."""
-    if d < 0:
-        raise ValueError("use .inverse() for negative powers")
+    """eta(q^(1/k_scale))^d for any integer d, truncated at `order`,
+    exponents in (1/(24 k_scale))Z: q^(d/24k) prod (1 - q^(m/k))^d."""
     order = Fraction(order)
     denom = 24 * k_scale
-    out = FracQSeries(denom, {d: Fraction(1)}, order)  # q^(d/24k)
-    if d == 0:
-        return FracQSeries(denom, {0: Fraction(1)}, order)
-    nmax = int(order - Fraction(d, denom)) + 2
-    step = Fraction(1, k_scale)
-    n = step
-    while n <= nmax:
-        factor = FracQSeries(denom, {0: Fraction(1), int(n * denom): Fraction(-1)}, order)
-        fd = factor
-        for _ in range(d - 1):
-            fd = fd * factor
-        out = out * fd
-        n += step
-    return out
+    n = math.floor((order - Fraction(d, denom)) * k_scale)
+    coeffs = {d + 24 * m: c for m, c in enumerate(_euler_coeffs(d, n))}
+    return FracQSeries(denom, coeffs, order)
 
 
 def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
-    """Theta series of L (optionally shifted by a dual vector), truncated."""
+    """Theta series of L (optionally shifted by a dual vector), truncated.
+
+    A shift beta is enumerated as the ellipsoid <alpha + beta, alpha + beta>/2
+    <= order, each vector scaled by the lcm s of beta's denominators.  Its
+    norm N is an int, and its key N * denom / (2 s^2) is exact: s divides
+    base, or s = 1 and N is even.
+    """
     order = Fraction(order)
+    scale, center = 1, None
     if shift is not None:
         shift = tuple(Fraction(x) for x in shift)
-        for row in L.gram:
-            pairing = sum(Fraction(g) * x for g, x in zip(row, shift))
-            if pairing.denominator != 1:
-                raise ValueError("shift not in the dual lattice")
-        denoms = [x.denominator for x in shift] + [denom]
-        base = 1
-        for dd in denoms:
-            base = base * dd // math.gcd(base, dd)
+        if any(sum(g * x for g, x in zip(row, shift)).denominator != 1 for row in L.gram):
+            raise ValueError("shift not in the dual lattice")
+        scale = math.lcm(*(x.denominator for x in shift))
+        base = math.lcm(scale, denom)
         denom = 2 * base * base if base > 1 else denom
-    coeffs: dict[int, Fraction] = {}
-    if shift is None or not any(shift):
-        bound = max(order, 0)
-    else:
-        # |alpha|^2 <= 2|alpha+shift|^2 + 2|shift|^2, so this ball is complete
-        bound = 2 * order + Fraction(L.inner(shift, shift)) + 1
-    for alpha in L.enumerate_up_to_norm(bound):
-        vec = alpha if shift is None else tuple(a + s for a, s in zip(alpha, shift))
-        e = Fraction(L.inner(vec, vec), 2)
-        if e <= order:
-            key = e * denom
-            if key.denominator != 1:
-                raise ArithmeticError("denominator scale too small for shifted norms")
-            coeffs[int(key)] = coeffs.get(int(key), Fraction(0)) + 1
+        center = shift if any(shift) else None
+    div = 2 * scale * scale
+    top = math.floor(order * div)  # largest scaled norm kept
+    lift = tuple(int(scale * b) for b in center or (0,) * L.rank)
+    coeffs: dict[int, int] = {}
+    for alpha in L.enumerate_up_to_norm(max(order, 0), center):
+        norm = L.norm(tuple(scale * a + b for a, b in zip(alpha, lift)))
+        if norm <= top:
+            key = norm * denom // div
+            coeffs[key] = coeffs.get(key, 0) + 1
     return FracQSeries(denom, coeffs, order)
 
 
@@ -197,30 +197,28 @@ def char_voa(K: Lattice, order) -> FracQSeries:
     return char_coset(K, None, order)
 
 
+def _over_eta(theta: FracQSeries, d: int, k: int, order: Fraction) -> FracQSeries:
+    """theta(q^(1/k)) * eta(q^(1/k))^(-d), truncated at `order`; the eta
+    factor runs one unit past it, complete even where theta vanishes."""
+    theta = FracQSeries(theta.denom * k, theta.coeffs, theta.order / k)
+    return (theta * eta_power(-d, order + 1 - Fraction(d, 24 * k), k)).truncated(order)
+
+
 def char_twisted(K: Lattice, k: int, order) -> FracQSeries:
     """Graded dimension of the twisted module, exponents in (1/24k)Z."""
     order = Fraction(order)
-    d = K.rank
-    denom = 24 * k
-    theta_order = order + Fraction(d, denom)
     # sum_alpha q^{<alpha,alpha>/2k}: the theta series on the 1/24 grid, read
     # on the 1/(24k) grid (q -> q^{1/k})
-    theta = theta_series(K, theta_order * k, denom=24)
-    theta_scaled = FracQSeries(denom, theta.coeffs, theta_order)
-    # eta(q^{1/k})^d = q^{d/24k} prod (1 - q^{n/k})^d; its inverse brings q^{-d/24k}
-    etad = eta_power(d, order + Fraction(d, denom) + 1, k_scale=k)
-    return (theta_scaled * etad.inverse()).truncated(order)
+    theta = theta_series(K, (order + Fraction(K.rank, 24 * k)) * k, denom=24)
+    return _over_eta(theta, K.rank, k, order)
 
 
 def char_coset(K: Lattice, beta, order) -> FracQSeries:
     """Graded dimension of the coset module attached to a dual vector beta;
     beta None is the zero coset, the lattice vertex algebra itself."""
     order = Fraction(order)
-    d = K.rank
-    lead = Fraction(-d, 24)
-    theta = theta_series(K, order - lead, shift=beta)
-    etad = eta_power(d, order + Fraction(d, 24) + 1)
-    return (theta * etad.inverse()).truncated(order)
+    theta = theta_series(K, order + Fraction(K.rank, 24), shift=beta)
+    return _over_eta(theta, K.rank, 1, order)
 
 
 def char_cycle_type(K: Lattice, cycle_lengths, order) -> FracQSeries:
@@ -228,14 +226,11 @@ def char_cycle_type(K: Lattice, cycle_lengths, order) -> FracQSeries:
     order = Fraction(order)
     if not cycle_lengths:
         raise ValueError("need at least one cycle")
-    d = K.rank
-    leads = [Fraction(-d, 24 * k_i) for k_i in cycle_lengths]
-    total_lead = sum(leads)
-    out = None
-    for k_i, lead in zip(cycle_lengths, leads):
-        factor = char_twisted(K, k_i, order - (total_lead - lead))
-        out = factor if out is None else out * factor
-    return out.truncated(order)
+    leads = [twisted_lead_exponent(K, k_i) for k_i in cycle_lengths]
+    # each factor to the order that the other factors' leads leave it
+    factors = [char_twisted(K, k_i, order - sum(leads) + lead)
+               for k_i, lead in zip(cycle_lengths, leads)]
+    return functools.reduce(operator.mul, factors).truncated(order)
 
 
 def compare_thm41(K: Lattice, k: int, order) -> list[Report]:

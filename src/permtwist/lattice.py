@@ -143,14 +143,18 @@ class Lattice:
             self._ldl = (dvals, cmat)
         return self._ldl
 
-    def enumerate_up_to_norm(self, bound) -> list[tuple[int, ...]]:
-        """All alpha with <alpha, alpha> <= 2*bound, in lexicographic order."""
+    def enumerate_up_to_norm(self, bound, center=None) -> list[tuple[int, ...]]:
+        """All alpha with <alpha + center, alpha + center> <= 2*bound (center
+        a rational vector, None for 0), in lexicographic order."""
         bound = Fraction(bound)
         if bound < 0:
             raise LatticeError("bound must be nonnegative")
         limit = 2 * bound
         dvals, cmat = self._ldl_decomposition()
         n = self.rank
+        # (C center)_i joins the shift c of coordinate i in the descent
+        offsets = [0] * n if center is None else [
+            sum(cmat[i][j] * center[j] for j in range(i, n)) for i in range(n)]
         found = []
         coords = [0] * n
 
@@ -159,7 +163,7 @@ class Lattice:
                 found.append(tuple(coords))
                 return
             # (x_i + c)^2 * D_i <= remaining
-            c = sum(cmat[i][j] * coords[j] for j in range(i + 1, n))
+            c = sum((cmat[i][j] * coords[j] for j in range(i + 1, n)), offsets[i])
             r = remaining / dvals[i]
             lo = _ceil_neg_sqrt_shift(r, c)
             hi = _floor_sqrt_shift(r, c)

@@ -13,8 +13,11 @@ from permtwist.cocycle import TwistSystem
 from permtwist.fock import twisted_state_counts
 from permtwist.lattice import Lattice
 
+import characters_reference as ref
+
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
+D4 = Lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], "D4")
 
 
 def test_eta_power_examples():
@@ -158,3 +161,76 @@ def test_substitution_and_truncation_bookkeeping():
         ct.coefficient(6)
     with pytest.raises(ValueError, match="cannot extend"):
         ct.truncated(7)
+
+
+def _same_series(got, want):
+    """Same denominator scale, order and coefficients, exponent by exponent."""
+    assert (got.denom, got.order) == (want.denom, want.order)
+    assert got.items() == want.items()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_eta_powers_match_the_product_form(d):
+    # through q^30: eta^d by its binomial factors, eta^-d by the Fraction inverse
+    order = Fraction(30)
+    _same_series(eta_power(d, order), ref.eta_power(d, order))
+    _same_series(eta_power(-d, order), ref.eta_power(d, order + Fraction(d, 12)).inverse())
+    _same_series(eta_power(d, order + Fraction(d, 12)).inverse(), eta_power(-d, order))
+
+
+@pytest.mark.parametrize("K,order", [(A1, 6), (A2, 4), (D4, 2)], ids=["A1", "A2", "D4"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_char_twisted_matches_reference(K, order, k):
+    _same_series(char_twisted(K, k, order), ref.char_twisted(K, k, order))
+
+
+@pytest.mark.parametrize("K", [A1, A2, D4], ids=["A1", "A2", "D4"])
+def test_char_coset_matches_reference_on_every_dual_coset(K):
+    reps = K.dual_coset_reps()
+    assert len(reps) == K.det
+    for beta in reps:
+        _same_series(char_coset(K, beta, 3), ref.char_coset(K, beta, 3))
+        _same_series(theta_series(K, 3, shift=beta), ref.theta_series(K, 3, shift=beta))
+
+
+def test_series_refuse_float_coefficients():
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        FracQSeries(1, {0: 1.0}, 2)
+    with pytest.raises(TypeError):
+        FracQSeries(1, {0: 1, 1: 0.0}, 2)
+    with pytest.raises(TypeError):
+        FracQSeries(1, {0: 1}, 2).scaled(0.5)
+    with pytest.raises(TypeError):
+        FracQSeries.constant(1.0, 2)
+
+
+def test_inverse_keeps_unit_lead_series_integral():
+    rng = random.Random(3)
+    for lead in (1, -1):
+        coeffs = {rng.randint(1, 30): rng.randint(-4, 4) for _ in range(8)}
+        coeffs[0] = lead
+        series = FracQSeries(24, coeffs, Fraction(3))
+        inv = series.inverse()
+        assert inv.coeffs and all(type(c) is int for c in inv.coeffs.values())
+        assert (series * inv).truncated(2) == FracQSeries.constant(1, 2)
+    for series in (eta_power(3, 5), eta_power(1, 4, k_scale=3)):
+        assert all(type(c) is int for c in series.inverse().coeffs.values())
+
+
+def test_inverse_of_a_non_unit_lead_is_exact_fractions():
+    series = FracQSeries(1, {0: 2, 1: 1}, 6)   # 2 + q
+    inv = series.inverse()
+    assert all(type(c) is Fraction for c in inv.coeffs.values())
+    assert inv.items() == [(Fraction(n), Fraction((-1) ** n, 2 ** (n + 1)))
+                           for n in range(7)]
+    assert (series * inv) == FracQSeries.constant(1, 6)
+
+
+def test_characters_hold_only_ints():
+    beta = next(b for b in A2.dual_coset_reps() if any(b))
+    results = [char_twisted(A2, 3, 3), char_voa(A2, 3), char_coset(A2, beta, 3),
+               char_cycle_type(A1, (3, 2, 1), 2), theta_series(A2, 3, shift=beta),
+               eta_power(-2, 3, k_scale=2), char_twisted(A1, 2, 3).substitute_power(2)]
+    for series in results:
+        assert series.coeffs
+        assert all(type(c) is int for c in series.coeffs.values()), series

@@ -192,12 +192,24 @@ def test_q_order_below_the_leading_exponent_is_a_usage_error(capsys, argv, lead)
         f"error: --q-order {order} is below the leading exponent {lead} of the character"]
 
 
+@pytest.mark.parametrize("subcommand", ["iso", "chars", "thm41", "coeffs", "verify-all"])
+def test_non_even_lattice_is_a_usage_error(tmp_path, capsys, subcommand):
+    path = write(tmp_path, "name = odd\nrank = 2\ngram = [[2, 1], [1, 3]]\n")
+    assert main([subcommand, "--lattice", path, "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: lattice not even"]
+
+
 @pytest.mark.parametrize("golden, lattice, argv", [
     ("iso_a1_k3", "a1.lat", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
     ("coeffs_a1_k2", "a1.lat", ["coeffs", "--k", "2"]),
     ("thm41_a1_k2", "a1.lat", ["thm41", "--k", "2"]),
     ("iso_a2_k3", "a2.lat",
      ["iso", "--k", "3", "--weight-cutoff", "5/9", "--mode-bound", "2/3"]),
+    ("chars_a2_k3", "a2.lat", ["chars", "--k", "3"]),
+    ("thm41_a2_k3", "a2.lat", ["thm41", "--k", "3"]),
+    ("thm41_d4_k2", "d4.lat", ["thm41", "--k", "2"]),
 ])
 def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     # the default machine output must stay byte-identical to these files

@@ -7,6 +7,7 @@ is hit on either side: zero, rational elements, general elements, and
 plain ints and Fractions.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,3 +91,26 @@ def test_cyclotomic_polynomials_against_sympy():
     for n in range(1, 25):
         poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(poly.all_coeffs()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_inv_against_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(n, x)
+    field = CycField(n)
+    rng = random.Random(n)
+    elements = [field.zeta(), field.zeta(1) + 1, field.zeta(-1) * 3 - Fraction(1, 2)]
+    for _ in range(20):
+        coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(field.degree))
+        elements.append(Cyc(field, coeffs))
+    for a in elements:
+        if a.is_zero():
+            continue
+        poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(a.c))
+        inv = sympy.Poly(sympy.invert(poly, phi, x), x)
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+        want += [Fraction(0)] * (field.degree - len(want))
+        assert a.inv().c == tuple(want), a
