@@ -16,8 +16,8 @@ from functools import partial
 
 from .cocycle import TwistSystem
 from .exact import Cyc
-from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into, _mode_into,
-                   _virasoro_into, zero_state)
+from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into,
+                   _quadratic_into, _virasoro_into, zero_state)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -137,19 +137,33 @@ def c110_closed_form(system: TwistSystem) -> Fraction:
 
 
 def a_coeffs(k: int, J: int) -> list[Fraction]:
-    """a_1..a_J with exp(-sum a_j x^(j+1) d/dx) . x = ((1+x)^k - 1)/k through x^(J+1)."""
+    """a_1..a_J with exp(-sum a_j x^(j+1) d/dx) . x = ((1+x)^k - 1)/k through x^(J+1).
+
+    The vector field V = sum_m v_m x^m, v_m = -a_(m-1), whose time-one flow is
+    f = sum_t f_t x^t solves the Julia equation V(f(x)) = f'(x) V(x).  Its
+    x^(m+1) coefficient reads (m - 2) f_2 v_m + sum_(i<m) v_i [x^(m+1)](f^i -
+    x^i f') = 0, which gives v_3, v_4, ... in turn from v_2 = f_2.  This does
+    not run the flow, so `substitute_flow` checks the result independently.
+    When k = 1, f = x and every a_j vanishes.
+    """
     if J < 1:
         raise ValueError("J must be at least 1")
-    target = [Fraction(0)] * (J + 2)
-    for t in range(1, J + 2):
-        target[t] = rational_binomial(k, t) / k
-    avals: list[Fraction] = []
-    for j in range(1, J + 1):
-        avals.append(Fraction(0))
-        cur = substitute_flow(avals, j + 1)
-        # a_j enters linearly with coefficient -1 at degree j+1
-        avals[-1] = cur[j + 1] - target[j + 1]
-    return avals
+    if k == 1:
+        return [Fraction(0)] * J
+    deg = J + 2
+    f = [Fraction(0)] + [rational_binomial(k, t) / k for t in range(1, deg + 1)]
+    fprime = [(t + 1) * f[t + 1] for t in range(deg)]
+    power = f
+    solved = []     # (v_m, coefficients of f^m - x^m f') for m = 2, 3, ...
+    for m in range(2, J + 2):
+        power = [sum(power[s] * f[t - s] for s in range(1, t)) for t in range(deg + 1)]
+        if m == 2:
+            vm = f[2]
+        else:
+            vm = -sum(v * defect[m + 1] for v, defect in solved) / ((m - 2) * f[2])
+        solved.append((vm, [p - (fprime[t - m] if t >= m else 0)
+                            for t, p in enumerate(power)]))
+    return [-v for v, _ in solved]
 
 
 def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
@@ -244,34 +258,18 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
         order = 2 * lev + 2
     system = sector.system
     k, d = system.k, system.d
-    ginv = system.K.gram_inverse()
-    # b_j^p(n) v does not depend on r, m or i: each is applied once
+    # b_b(n) v does not depend on r, m or the second colour: each is applied once
     firsts: dict = {}
     for r in range(k):
-        series = c_coeffs(system, r, order)
-        for (m, n), c in series.coeffs.items():
+        # sum_p c_mnr (nu^{-r} b_i^p)(m) b_j^p(n) over L's dual form: nu^{-r}
+        # moves the second colour p * d + i to block p + r
+        form = tuple((b, tuple((((a // d + r) % k) * d + a % d, f) for a, f in row))
+                     for b, row in sector.dual_form)
+        for (m, n), c in c_coeffs(system, r, order).coeffs.items():
             if m > lev or n > lev or (m == 0 and n == 0):
                 continue
-            target = acc.setdefault(shift - m - n, {})
-            # sum_j sum_p c_mnr (nu^{-r} dual-pair) (m) pair (n)
-            for i in range(d):
-                for j in range(d):
-                    f = ginv[i][j]
-                    if not f:
-                        continue
-                    w = None
-                    for p in range(k):
-                        # (nu^{-r} b_i^p)(m) b_j^p(n): nu^{-r} moves block p to p+r
-                        src = p * d + j
-                        first = firsts.get((n, src))
-                        if first is None:
-                            first = firsts[(n, src)] = {}
-                            _mode_into(sector, n, src, terms, 1, first)
-                        if first:
-                            if w is None:
-                                w = c * f * scale
-                            dst = ((p + r) % k) * d + i
-                            _mode_into(sector, m, dst, first, w, target)
+            _quadratic_into(sector, form, n, m, terms, c * scale,
+                            acc.setdefault(shift - m - n, {}), firsts)
 
 
 def _xpoly(system, sector, table: dict) -> XPolyOp:

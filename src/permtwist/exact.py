@@ -9,6 +9,7 @@ comparison.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -200,24 +201,17 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        """Field inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Field inverse: the first column of the inverse of the matrix of
+        multiplication by self, whose column j is self * zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
             return self.field.from_rat(1 / self.c[0])
-        mod = [Fraction(m) for m in cyclotomic_polynomial(self.field.n)]
-        r0, r1 = mod, list(self.c)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # gcd is a nonzero constant since Phi_n is irreducible
-        if max(i for i, c in enumerate(r0) if c) != 0:
-            raise ArithmeticError("inverse failed: element not coprime to modulus")
-        c0 = r0[0]
-        res = [s / c0 for s in s0]
-        return Cyc(self.field, self.field._reduce(res))
+        # column j + 1 is zeta times column j: shifted up one power and reduced
+        cols = [self.c]
+        for _ in range(self.field.degree - 1):
+            cols.append(self.field._reduce((Fraction(0),) + cols[-1]))
+        return Cyc(self.field, tuple(row[0] for row in _rational_inverse(list(zip(*cols)))))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -272,36 +266,27 @@ class Cyc:
         return " + ".join(parts)
 
 
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    lead = b[db]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db]
-        if c:
-            f = c / lead
-            q[i] = f
-            for j in range(db + 1):
-                a[i + j] -= f * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    return [ai - (b[i] if i < len(b) else 0) for i, ai in enumerate(a)]
+def _rational_inverse(mat) -> list[list[Fraction]]:
+    """Inverse of an invertible integer or rational matrix, as rows of
+    Fractions: fraction-free (Bareiss) Gauss-Jordan elimination on ints."""
+    n = len(mat)
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[int(x * den) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
+    prev = 1
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        p = top[col]
+        # every division by the previous pivot is exact
+        for r in range(n):
+            if r != col:
+                g = a[r][col]
+                a[r] = [(p * x - g * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    # the left block is now prev times the identity
+    return [[Fraction(x * den, prev) for x in row[n:]] for row in a]
 
 
 def lemma_root_sum(m: int) -> Cyc:

@@ -12,6 +12,12 @@ vacuum weight (0, 0, d(k^2-1)/24k).  `Sector` holds that difference and what
 follows from it (pairing, zero-mode eigenvalues, weights, grid check, the
 vertex-operator hooks); it is the only code that branches on the sector.
 
+Every quadratic Heisenberg operator sum f b_a(second) b_b(first) over the
+nonzero entries f of the inverse Gram matrix (`Sector.dual_form`) runs
+through one normal-ordered loop, `_quadratic_into`: L(j), the twisted
+degree operator, the conformal vector L(-2) 1 and, with the shift applied
+to the second colour, Delta_x in `coeffs`.
+
 A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.
 Twisted mode index i stands for the projected first-block generator built
@@ -197,7 +203,7 @@ class Sector:
     sector name."""
 
     __slots__ = ("system", "twisted", "lattice", "den", "step", "vacuum_weight", "_unit",
-                 "pairing")
+                 "pairing", "dual_form")
 
     def __init__(self, system: TwistSystem, name: str):
         if name not in SECTORS:
@@ -213,6 +219,10 @@ class Sector:
         # [b_i(s step), b_j(t step)] = s * pairing[i][j] * delta_{s+t,0}
         self.pairing = tuple(tuple(x * self._unit ** 2 for x in row)
                              for row in self.lattice.gram)
+        # the nonzero entries f = ginv[a][b] of the symmetric inverse Gram
+        # matrix as (b, ((a, f), ...)): the dual-basis quadratic sum f b_a b_b
+        self.dual_form = tuple((b, tuple((a, f) for a, f in enumerate(row) if f))
+                               for b, row in enumerate(self.lattice.gram_inverse()))
 
     @classmethod
     def of(cls, system: TwistSystem, name: str) -> "Sector":
@@ -440,18 +450,12 @@ def weight(system, sv: StateVector) -> Fraction:
 
 
 def omega_state(system, sector) -> StateVector:
-    """The conformal vector: half the dual-basis quadratic in modes (-1)."""
+    """The conformal vector L(-2) 1: half the dual-basis quadratic in modes (-1)."""
     if sector == "T":
         raise ValueError("conformal vector lives in an untwisted sector")
-    lat = Sector.of(system, sector).lattice
-    ginv = lat.gram_inverse()
-    n = lat.rank
+    one = vacuum(system, sector)
     out = {}
-    for i in range(n):
-        for j in range(n):
-            if ginv[i][j]:
-                mono = FockMono(((Fraction(-1), i), (Fraction(-1), j)), (0,) * n)
-                _accumulate(out, mono, system.field.from_rat(ginv[i][j] / 2))
+    _virasoro_into(Sector.of(system, sector), -2, one.terms, 0, 1, out)
     return StateVector._of(system, sector, out)
 
 
@@ -519,51 +523,48 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
 
 
 def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: dict) -> None:
-    """Add scale * L(j) applied to the untwisted state `terms` of level <= lev into out."""
-    ginv = sector.lattice.gram_inverse()
-    d = sector.lattice.rank
-    half = scale * Fraction(1, 2)
-    for m in range(min(j, 0) - lev - 1, max(j, 0) + lev + 2):
-        other = j - m
-        if m > lev or other > lev + max(0, -m):
-            continue
-        # normal order: the larger mode acts first; ginv is symmetric, so
-        # the term of colours (a, b) has coefficient ginv[a][b] either way
-        first, second = max(m, other), min(m, other)
-        for a in range(d):
-            inner = {}
-            _mode_into(sector, first, a, terms, 1, inner)
-            if not inner:
-                continue
-            for b in range(d):
-                f = ginv[a][b]
-                if f:
-                    _mode_into(sector, second, b, inner, f * half, out)
+    """Add scale * L(j) applied to `terms`, of level <= lev, into out.
+
+    L(j) is half the dual-basis quadratic summed over the modes (first,
+    second) with first + second = j, in normal order: the larger mode, first,
+    acts first.  The sum over all splits of j meets each pair of distinct
+    modes twice, and since ginv is symmetric the two terms agree, so each
+    pair is visited once: at weight 1, or 1/2 when the two modes are equal.
+    A first mode above lev annihilates `terms`."""
+    firsts: dict = {}
+    for first in range(-(-j // 2), lev + 1):
+        second = j - first
+        _quadratic_into(sector, sector.dual_form, first, second, terms,
+                        scale * Fraction(1, 2) if first == second else scale, out, firsts)
+
+
+def _quadratic_into(sector: Sector, form, first: int, second: int, terms: dict, scale,
+                    out: dict, firsts: dict) -> None:
+    """Add scale * sum f * b_a(second) b_b(first) applied to `terms` into out.
+
+    `form` lists the nonzero entries as (b, ((a, f), ...)), modes are in grid
+    steps, and `firsts` memoizes b_b(first) applied to `terms` per (first, b),
+    for callers that reuse one first mode across several forms."""
+    for b, row in form:
+        key = (first, b)
+        inner = firsts.get(key)
+        if inner is None:
+            inner = firsts[key] = {}
+            _mode_into(sector, first, b, terms, 1, inner)
+        if inner:
+            for a, f in row:
+                _mode_into(sector, second, a, inner, scale * f, out)
 
 
 def twisted_L0(system, sv: StateVector) -> StateVector:
-    """The degree operator on the twisted sector, built from the mode sum."""
+    """The degree operator on the twisted sector: the vacuum weight plus k
+    times the mode sum L(0), whose pairing on the grid is gram / k^2."""
     if sv.sector != "T":
         raise ValueError("twisted_L0 acts on the twisted sector")
     sector = Sector.of(system, "T")
-    k, d = system.k, sector.lattice.rank
-    ginv = sector.lattice.gram_inverse()
     vac = sector.vacuum_weight
     out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
-    # zero-mode square with coefficient k/2, then the paired
-    # creation/annihilation modes with coefficient k per positive mode
-    pairs = [(0, 0, Fraction(k, 2))]
-    pairs += [(n, -n, Fraction(k)) for n in range(1, _max_level(sv.terms) + 1)]
-    for first, second, coeff in pairs:
-        for b in range(d):
-            inner = {}
-            _mode_into(sector, first, b, sv.terms, 1, inner)
-            if not inner:
-                continue
-            for a in range(d):
-                f = ginv[a][b]
-                if f:
-                    _mode_into(sector, second, a, inner, f * coeff, out)
+    _virasoro_into(sector, 0, sv.terms, _max_level(sv.terms), system.k, out)
     return StateVector._of(system, "T", out)
 
 

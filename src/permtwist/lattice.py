@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import CycField
+from .exact import CycField, _rational_inverse
 
 
 class LatticeError(ValueError):
@@ -300,24 +300,6 @@ def smith_normal_form(mat):
             u[t] = [-x for x in u[t]]
         t += 1
     return a, u, v
-
-
-def _rational_inverse(mat) -> list[list[Fraction]]:
-    """Inverse of an invertible integer or rational matrix by exact
-    Gauss-Jordan elimination, as rows of Fractions."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def _int_matrix_inverse(mat):

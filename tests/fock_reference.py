@@ -10,7 +10,8 @@ addition and scaling, the c_{mnr} series and the twisted vacuum weight are
 imported.  The pairing, the zero-mode eigenvalues and the grid check are
 written here from the Gram matrices of K and L.  `exp_delta_apply` divides
 each power by t with `StateVector.scaled` per exponent, as `XPolyOp.scaled`
-did.
+did.  `omega_state` writes the conformal vector out as the explicit
+(1/2) sum ginv[i][j] b_i(-1) b_j(-1), not as L(-2) applied to the vacuum.
 """
 
 from __future__ import annotations
@@ -132,6 +133,23 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
                     piece = apply_mode(system, other, b, piece)
                 if not piece.is_zero():
                     out = out + piece.scaled(f * half)
+    return out
+
+
+def omega_state(system, sector) -> StateVector:
+    """The conformal vector: half the dual-basis quadratic in modes (-1)."""
+    if sector == "T":
+        raise ValueError("conformal vector lives in an untwisted sector")
+    lat = system.L if sector == "L" else system.K
+    ginv = lat.gram_inverse()
+    n = lat.rank
+    out = zero_state(system, sector)
+    for i in range(n):
+        for j in range(n):
+            if ginv[i][j]:
+                mono = FockMono(((Fraction(-1), i), (Fraction(-1), j)), (0,) * n)
+                piece = StateVector(system, sector, {mono: system.field.one()})
+                out = out + piece.scaled(ginv[i][j] / 2)
     return out
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from permtwist.exact import Cyc, CycField, cyclotomic_polynomial, lemma_root_sum
+from permtwist.exact import (Cyc, CycField, _rational_inverse, cyclotomic_polynomial,
+                             lemma_root_sum)
 
 
 def test_cyclotomic_polynomials():
@@ -34,6 +35,32 @@ def test_field_axioms_random(n):
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert a * a.inv() == one
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rational_inverse_two_sided(n):
+    # P * Lower * Upper with zeros scattered in both factors and a row
+    # permutation P, so the elimination has to pivot
+    rng = random.Random(n)
+    for _ in range(20):
+        lower = [[Fraction(rng.choice([0, 0, 1, -2]), 3) if c < r else Fraction(int(c == r))
+                  for c in range(n)] for r in range(n)]
+        upper = [[Fraction(rng.choice([1, -1, 7]), rng.randint(1, 4)) if c == r
+                  else Fraction(rng.choice([0, 0, 2, -3])) if c > r else Fraction(0)
+                  for c in range(n)] for r in range(n)]
+        perm = rng.sample(range(n), n)
+        lu = _matmul(lower, upper)
+        mat = [lu[perm[r]] for r in range(n)]
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        inverse = _rational_inverse(mat)
+        assert _matmul(mat, inverse) == identity == _matmul(inverse, mat)
+        ints = [[int(x * 36) for x in row] for row in mat]    # 36 clears every denominator
+        assert _rational_inverse(ints) == [[x / 36 for x in row] for row in inverse]
+
+
+def _matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def test_inverse_of_zero_raises():

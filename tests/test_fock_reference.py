@@ -12,7 +12,7 @@ import pytest
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
 from permtwist.coeffs import delta_apply, exp_delta_apply
-from permtwist.fock import (apply_mode, apply_vector_mode, twisted_L0,
+from permtwist.fock import (apply_mode, apply_vector_mode, omega_state, twisted_L0,
                             virasoro_L, weight_basis, zero_state)
 from permtwist.isomap import generator_family
 from permtwist.lattice import Lattice
@@ -71,8 +71,13 @@ def test_apply_vector_mode_matches_reference(system, sector):
 
 def test_virasoro_L_matches_reference(system):
     for sv in _states(system, "K"):
-        for j in range(-3, 4):
+        for j in range(-4, 5):
             assert virasoro_L(system, j, sv) == reference.virasoro_L(system, j, sv)
+
+
+@pytest.mark.parametrize("sector", ["K", "L"])
+def test_omega_state_matches_reference(system, sector):
+    assert omega_state(system, sector) == reference.omega_state(system, sector)
 
 
 def test_twisted_L0_matches_reference(system):
