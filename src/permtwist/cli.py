@@ -178,6 +178,10 @@ def run_thm41(cfg: RunConfig) -> list[Report]:
 
 
 def run_iso(cfg: RunConfig) -> list[Report]:
+    for flag, value in (("--weight-cutoff", cfg.weight_cutoff),
+                        ("--mode-bound", cfg.mode_bound)):
+        if value < 0:
+            raise UsageError(f"{flag} {value} is negative")
     system = TwistSystem(cfg.lattice, cfg.k)
     basis = weight_basis(system, "T", cfg.weight_cutoff)
     modes = isomap.default_mode_set(system, cfg.mode_bound)

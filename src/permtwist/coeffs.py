@@ -7,6 +7,10 @@
 
 Everything is exact: exponentials are expanded by weight-graded nilpotence,
 never by order truncation.
+
+Each engine returns a plain table {exponent: StateVector} with no zero
+entry, its keys ints on a fixed step: e stands for x^e for Delta_x and
+exp(Delta_x), and t for x^{t/k} for E_f and its inverse.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import partial
 from .cocycle import TwistSystem
 from .exact import Cyc
 from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into,
-                   _quadratic_into, _virasoro_into, zero_state)
+                   _quadratic_into, _virasoro_into)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -193,59 +197,17 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
     return series
 
 
-class XPolyOp:
-    """A finite formal-variable polynomial with StateVector coefficients: the
-    public form of the internal tables {exponent: {FockMono: Cyc}}."""
-
-    def __init__(self, system, sector, terms=None):
-        self.system = system
-        self.sector = sector
-        self.terms: dict[Fraction, StateVector] = {}
-        if terms:
-            for e, sv in terms.items():
-                if not sv.is_zero():
-                    self.terms[Fraction(e)] = sv
-
-    def add_term(self, e, sv: StateVector):
-        e = Fraction(e)
-        if sv.is_zero():
-            return
-        cur = self.terms.get(e)
-        combined = sv if cur is None else cur + sv
-        if combined.is_zero():
-            self.terms.pop(e, None)
-        else:
-            self.terms[e] = combined
-
-    def scale_exponents(self, factor) -> "XPolyOp":
-        return XPolyOp(self.system, self.sector,
-                       {e * factor: sv for e, sv in self.terms.items()})
-
-    def coefficient(self, e) -> StateVector:
-        return self.terms.get(Fraction(e), zero_state(self.system, self.sector))
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return isinstance(other, XPolyOp) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"x^{e}*[{sv}]" for e, sv in self.items())
-
-
 # -- Delta_x -------------------------------------------------------------------
 
 
-def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> XPolyOp:
-    """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
+def delta_apply(system: TwistSystem, v: StateVector,
+                order: int | None = None) -> dict[int, StateVector]:
+    """Delta_x applied to a V_L state: {e: coefficient of x^e}, e <= -2."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
     acc: dict = {}
     _delta_into(Sector.of(system, "L"), v.terms, 1, 0, acc, order)
-    return _xpoly(system, "L", acc)
+    return _states(system, "L", acc)
 
 
 def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
@@ -272,10 +234,9 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
                             acc.setdefault(shift - m - n, {}), firsts)
 
 
-def _xpoly(system, sector, table: dict) -> XPolyOp:
-    """The x-polynomial of a table {exponent: {FockMono: Cyc}}."""
-    return XPolyOp(system, sector,
-                   {e: StateVector._of(system, sector, t) for e, t in table.items()})
+def _states(system, sector, table: dict) -> dict[int, StateVector]:
+    """The nonzero entries of a table {exponent: {FockMono: Cyc}} as states."""
+    return {e: StateVector._of(system, sector, t) for e, t in table.items() if t}
 
 
 def _exp_series(start: dict, step_into) -> dict:
@@ -294,69 +255,68 @@ def _exp_series(start: dict, step_into) -> dict:
     return {e: ts for e, ts in out.items() if ts}
 
 
-def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
-    """e^{Delta_x} v, exact by weight-graded nilpotence."""
+def exp_delta_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
+    """e^{Delta_x} v as {e: coefficient of x^e}, exact by weight-graded nilpotence."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    return _xpoly(system, "L", _exp_series({0: v.terms},
-                                           partial(_delta_into, Sector.of(system, "L"))))
+    return _states(system, "L", _exp_series({0: v.terms},
+                                            partial(_delta_into, Sector.of(system, "L"))))
 
 
 # -- E_f -----------------------------------------------------------------------
 
 
-def _scaling_into(sector: Sector, terms: dict, log_k_power: int, x_exp_factor: Fraction,
-                  shift, out: dict) -> None:
-    """Add k^(log_k_power * L(0)) x^(x_exp_factor * L(0)) applied to the V_K
-    state `terms`, moved by x^shift, into the table `out`; sector is the
-    descriptor of K."""
-    k = Fraction(sector.system.k)
+def _scaling_into(sector: Sector, terms: dict, power: int, shift: int, out: dict) -> None:
+    """Add (k x^{(k-1)/k})^(power * L(0)) applied to the V_K state `terms`,
+    moved by x^{shift/k}, into the table `out`; sector is the descriptor of K."""
+    k = sector.system.k
     for mono, c in terms.items():
         w = sector.mono_weight(mono)
         if w.denominator != 1:
             raise ValueError("non-integer weight in the base sector")
-        _accumulate(out.setdefault(shift + x_exp_factor * w, {}), mono,
-                    c * k ** int(log_k_power * w))
+        w = power * w.numerator
+        _accumulate(out.setdefault(shift + (k - 1) * w, {}), mono, c * Fraction(k) ** w)
 
 
-def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: int,
-                      exp_step: Fraction) -> dict:
-    """exp(sign * sum_j a_j x^(j*exp_step) L(j)) applied to a table."""
-    def step_into(terms, scale, e, acc):
+def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: int) -> dict:
+    """exp(sign * sum_j a_j x^{-j/k} L(j)) applied to a table."""
+    def step_into(terms, scale, t, acc):
         lev = _max_level(terms)
+        firsts: dict = {}   # b_b(first) applied to terms, shared by every L(j)
         for j, aj in enumerate(avals, start=1):
             if aj == 0 or j > lev + 2:
                 continue
             _virasoro_into(sector, j, terms, lev, aj * sign * scale,
-                           acc.setdefault(e + j * exp_step, {}))
+                           acc.setdefault(t - j, {}), firsts)
 
     return _exp_series(table, step_into)
 
 
 def _ef_data(system: TwistSystem, v: StateVector, J: int | None):
-    """The K descriptor, a_1..a_J (J defaults to the top weight of v) and the
-    x-exponent step -1/k of E_f."""
+    """The K descriptor and a_1..a_J, J defaulting to the top weight of v."""
     if v.sector != "K":
         raise ValueError("E_f acts on the base sector")
     sector = Sector.of(system, "K")
     if J is None:
         J = max([1] + [int(sector.mono_weight(mono)) for mono in v.terms])
-    return sector, a_coeffs(system.k, J), Fraction(-1, system.k)
+    return sector, a_coeffs(system.k, J)
 
 
-def ef_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPolyOp:
-    """E_f(x^(1/k)) v on the base sector; exponents lie in (1/k)Z."""
-    sector, avals, step = _ef_data(system, v, J)
+def ef_apply(system: TwistSystem, v: StateVector,
+             J: int | None = None) -> dict[int, StateVector]:
+    """E_f(x^(1/k)) v on the base sector as {t: coefficient of x^{t/k}}."""
+    sector, avals = _ef_data(system, v, J)
     scaled: dict = {}
-    _scaling_into(sector, v.terms, -1, Fraction(1 - system.k, system.k), Fraction(0), scaled)
-    return _xpoly(system, "K", _exp_virasoro_sum(sector, scaled, avals, +1, step))
+    _scaling_into(sector, v.terms, -1, 0, scaled)
+    return _states(system, "K", _exp_virasoro_sum(sector, scaled, avals, +1))
 
 
-def ef_inverse_apply(system: TwistSystem, v: StateVector, J: int | None = None) -> XPolyOp:
-    """E_f(x^(1/k))^(-1) v; two-sided inverse of ef_apply on finite states."""
-    sector, avals, step = _ef_data(system, v, J)
-    blown = _exp_virasoro_sum(sector, {Fraction(0): v.terms}, avals, -1, step)
+def ef_inverse_apply(system: TwistSystem, v: StateVector,
+                     J: int | None = None) -> dict[int, StateVector]:
+    """E_f(x^(1/k))^(-1) v as {t: coefficient of x^{t/k}}; the two-sided
+    inverse of ef_apply on finite states."""
+    sector, avals = _ef_data(system, v, J)
     out: dict = {}
-    for e, terms in blown.items():
-        _scaling_into(sector, terms, +1, Fraction(system.k - 1, system.k), e, out)
-    return _xpoly(system, "K", out)
+    for t, terms in _exp_virasoro_sum(sector, {0: v.terms}, avals, -1).items():
+        _scaling_into(sector, terms, +1, t, out)
+    return _states(system, "K", out)

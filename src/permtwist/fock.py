@@ -267,7 +267,7 @@ class Sector:
             key = (coords, n % k)
             proj = projected.get(key)
             if proj is None:
-                proj = projected[key] = twisted_coords(self.system, coords, Fraction(n, k))
+                proj = projected[key] = twisted_coords(self.system, coords, n)
             coords = proj
         for i, c in enumerate(coords):
             if c != 0:
@@ -401,14 +401,14 @@ def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     return StateVector._of(system, sv.sector, out)
 
 
-def twisted_coords(system, h_coords, n):
-    """First-block coordinates of the projected mode of an ambient L-vector.
+def twisted_coords(system, h_coords, kn: int):
+    """First-block coordinates of the projected mode at n = kn / k of an
+    ambient L-vector, kn the mode on the twisted grid.
 
     h^T(n) = sum_i c_i (b_i^1-projected)(n) with
     c_i = sum_p h_{p,i} eta^{kn(1-p)}.
     """
     k, d = system.k, system.d
-    kn = Sector.of(system, "T").grid(n)
     out = []
     for i in range(d):
         acc = system.field.zero()
@@ -421,7 +421,8 @@ def twisted_coords(system, h_coords, n):
 
 
 def apply_twisted_vector_mode(system, n, h_coords, sv: StateVector) -> StateVector:
-    return apply_vector_mode(system, n, twisted_coords(system, h_coords, n), sv)
+    kn = Sector.of(system, "T").grid(n)
+    return apply_vector_mode(system, n, twisted_coords(system, h_coords, kn), sv)
 
 
 # -- weights ---------------------------------------------------------------
@@ -455,7 +456,7 @@ def omega_state(system, sector) -> StateVector:
         raise ValueError("conformal vector lives in an untwisted sector")
     one = vacuum(system, sector)
     out = {}
-    _virasoro_into(Sector.of(system, sector), -2, one.terms, 0, 1, out)
+    _virasoro_into(Sector.of(system, sector), -2, one.terms, 0, 1, out, {})
     return StateVector._of(system, sector, out)
 
 
@@ -467,13 +468,13 @@ def slot_state(system, v: StateVector, slot: int) -> StateVector:
     """Embed a V_K state into V_L with all other tensor factors the vacuum."""
     if v.sector != "K":
         raise ValueError("slot embedding takes a V_K state")
-    k, d = system.k, system.d
+    d = system.d
     out = {}
     for mono, c in v.terms.items():
-        modes = tuple((n, slot * d + i) for n, i in mono.modes)
-        ground = system.slot_embed(mono.ground, slot)
-        out[FockMono(modes, ground)] = c
-    return StateVector(system, "L", out)
+        # the colour map i -> slot * d + i is increasing: the grid stays sorted
+        grid = tuple((t, slot * d + i) for t, i in mono.grid)
+        out[FockMono._sorted(grid, tuple(system.slot_embed(mono.ground, slot)), 1)] = c
+    return StateVector._of(system, "L", out)
 
 
 def relabel_slots(system, v: StateVector, perm) -> StateVector:
@@ -485,13 +486,13 @@ def relabel_slots(system, v: StateVector, perm) -> StateVector:
         raise ValueError("perm must be a permutation of the slots")
     out = {}
     for mono, c in v.terms.items():
-        modes = tuple((n, perm[i // d] * d + (i % d)) for n, i in mono.modes)
+        grid = tuple(sorted((t, perm[i // d] * d + i % d) for t, i in mono.grid))
         ground = [0] * (k * d)
         for p in range(k):
             for i in range(d):
                 ground[perm[p] * d + i] = mono.ground[p * d + i]
-        out[FockMono(modes, tuple(ground))] = c
-    return StateVector(system, "L", out)
+        out[FockMono._sorted(grid, tuple(ground), 1)] = c
+    return StateVector._of(system, "L", out)
 
 
 def nu_hat_state(system, v: StateVector, power: int = 1) -> StateVector:
@@ -500,14 +501,13 @@ def nu_hat_state(system, v: StateVector, power: int = 1) -> StateVector:
         raise ValueError("the lifted shift acts on V_L")
     k, d = system.k, system.d
     p = power % k
-    out = zero_state(system, "L")
+    out = {}
     for mono, c in v.terms.items():
-        modes = tuple((n, ((i // d - p) % k) * d + (i % d)) for n, i in mono.modes)
-        g = system.ext_from_base(mono.ground, SECTION_PLAIN)
-        g2 = system.nu_hat(g, p)
-        phase = system.eta0_pow(g2.phase)
-        out = out + StateVector.monomial(system, "L", modes, g2.base, c * phase)
-    return out
+        grid = tuple(sorted((t, ((i // d - p) % k) * d + i % d) for t, i in mono.grid))
+        g2 = system.nu_hat(system.ext_from_base(mono.ground, SECTION_PLAIN), p)
+        _accumulate(out, FockMono._sorted(grid, tuple(g2.base), 1),
+                    c * system.eta0_pow(g2.phase))
+    return StateVector._of(system, "L", out)
 
 
 # -- Virasoro ----------------------------------------------------------------
@@ -518,11 +518,12 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
     if sv.sector != "K":
         raise ValueError("virasoro_L acts on the base sector")
     out = {}
-    _virasoro_into(Sector.of(system, "K"), j, sv.terms, _max_level(sv.terms), 1, out)
+    _virasoro_into(Sector.of(system, "K"), j, sv.terms, _max_level(sv.terms), 1, out, {})
     return StateVector._of(system, "K", out)
 
 
-def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: dict) -> None:
+def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: dict,
+                   firsts: dict) -> None:
     """Add scale * L(j) applied to `terms`, of level <= lev, into out.
 
     L(j) is half the dual-basis quadratic summed over the modes (first,
@@ -530,8 +531,9 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: di
     acts first.  The sum over all splits of j meets each pair of distinct
     modes twice, and since ginv is symmetric the two terms agree, so each
     pair is visited once: at weight 1, or 1/2 when the two modes are equal.
-    A first mode above lev annihilates `terms`."""
-    firsts: dict = {}
+    A first mode above lev annihilates `terms`.  `firsts` is the memo of
+    `_quadratic_into`, which callers applying several L(j) to the same
+    `terms` share."""
     for first in range(-(-j // 2), lev + 1):
         second = j - first
         _quadratic_into(sector, sector.dual_form, first, second, terms,
@@ -544,7 +546,7 @@ def _quadratic_into(sector: Sector, form, first: int, second: int, terms: dict, 
 
     `form` lists the nonzero entries as (b, ((a, f), ...)), modes are in grid
     steps, and `firsts` memoizes b_b(first) applied to `terms` per (first, b),
-    for callers that reuse one first mode across several forms."""
+    for callers that reuse one first mode across several forms or calls."""
     for b, row in form:
         key = (first, b)
         inner = firsts.get(key)
@@ -564,7 +566,7 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
     sector = Sector.of(system, "T")
     vac = sector.vacuum_weight
     out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
-    _virasoro_into(sector, 0, sv.terms, _max_level(sv.terms), system.k, out)
+    _virasoro_into(sector, 0, sv.terms, _max_level(sv.terms), system.k, out, {})
     return StateVector._of(system, "T", out)
 
 

@@ -17,8 +17,7 @@ from .cocycle import TwistSystem
 from .exact import Cyc
 from .fock import FockMono, Sector, StateVector
 from .report import Report
-from .vertexops import (spacetime_twisted_modes, spacetime_twisted_windows,
-                        worldsheet_twisted_modes, worldsheet_twisted_windows)
+from .vertexops import spacetime_twisted_windows, worldsheet_twisted_windows
 
 
 def f_apply(system: TwistSystem, v: StateVector) -> StateVector:
@@ -91,8 +90,8 @@ def intertwine_check(system: TwistSystem, u: StateVector, v: StateVector,
     Each side is extracted for the whole mode window at once.
     """
     modes = [Fraction(n) for n in modes]
-    worldsheet = worldsheet_twisted_modes(system, u, modes, f_apply(system, v))
-    spacetime = spacetime_twisted_modes(system, u, modes, v)
+    worldsheet = next(worldsheet_twisted_windows(system, u, modes, [f_apply(system, v)]))
+    spacetime = next(spacetime_twisted_windows(system, u, modes, [v]))
     return _compare(system, worldsheet, spacetime, modes, label)
 
 

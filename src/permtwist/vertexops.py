@@ -15,9 +15,11 @@ and zero modes and the formal x-power of the ground label act first.
 Table exponents, like modes, are ints on the sector's grid: e stands for
 x^{e * step}.  The grid holds every exponent that arises.  Modes and the
 orders of derivative factors are on it by construction.  So are the
-offsets of exp(Delta_x) (integers) and of E_f (in (1/k)Z, and integers
-once the worldsheet side raises x to the k-th power).  The power of x a
-group element brings is <beta, g> in V_K and V_L, and
+offsets the coefficient engines of `coeffs` bring, whose tables are keyed
+on ints too: an exp(Delta_x) key e (x^e) is k * e on the twisted grid,
+and an E_f key t (x^{t/k}) is t both on the twisted grid and in V_K once
+the worldsheet side raises x to the k-th power.  The power of x a group
+element brings is <beta, g> in V_K and V_L, and
 <t,g>/k + <t,t>/2k - <beta,beta>/2 in T for t the block sum of beta,
 which lies in (1/k)Z because K and L are even.  The entry points convert
 modes and exponents at the boundary and reject any off the grid.
@@ -133,12 +135,11 @@ def _umono_factors(umono: FockMono):
             for n, idx in umono.grid]
 
 
-def _terms(sector: Sector, pieces):
+def _terms(pieces):
     """(offset, u-monomial, coefficient) for every monomial of every
     (offset, terms) piece of an x-polynomial of operators, the offset in
     the sector's grid steps."""
-    return [(sector.grid(offset, "exponent"), umono, c)
-            for offset, u in pieces for umono, c in u.items()]
+    return [(offset, umono, c) for offset, u in pieces for umono, c in u.items()]
 
 
 def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
@@ -214,23 +215,24 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
         raise ValueError("untwisted modes need matching untwisted sectors")
     sector = Sector.of(system, v.sector)
     e = -sector.grid(n) - 1
-    table = _series(sector, _terms(sector, [(0, u.terms)]), v, [e])
+    table = _series(sector, _terms([(0, u.terms)]), v, [e])
     return StateVector._of(system, v.sector, table.get(e, {}))
 
 
 def _spacetime_series(system: TwistSystem, pieces, states, targets):
-    """Coefficients at the target exponents (in steps of 1/k) of
-    sum x^offset Y^{st}(u, x) v over the (offset, u) in pieces, each u
-    corrected by exp(Delta_x) once; yields them for each v in states in
-    turn, as states."""
+    """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
+    over the (offset, u) in pieces, each u corrected by exp(Delta_x) once;
+    yields them for each v in states in turn, as states.  Offsets and
+    targets are in steps of 1/k."""
     states = list(states)
     if any(u.sector != "L" for _, u in pieces) or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
     sector = Sector.of(system, "T")
+    k = system.k
     terms = []
     for offset, u in pieces:
-        terms += _terms(sector, ((offset + e, u_e.terms)
-                                 for e, u_e in exp_delta_apply(system, u).terms.items()))
+        terms += _terms((offset + k * e, u_e.terms)
+                        for e, u_e in exp_delta_apply(system, u).items())
     for v in states:
         table = _series(sector, terms, v, targets)
         yield {e: StateVector._of(system, "T", table.get(e, {})) for e in targets}
@@ -244,8 +246,9 @@ def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
-    """Yields spacetime_twisted_modes of u on each of the states in turn, with
-    exp(Delta_x) u computed once for all of them."""
+    """Yields {n: u^{nu-hat}_n v} for every n in modes and each v in states in
+    turn, from one series of u on v, with exp(Delta_x) u computed once for
+    all of them."""
     k = system.k
     grid = [Sector.of(system, "T").grid(n) for n in modes]
     if not grid:
@@ -257,17 +260,11 @@ def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states
         yield {Fraction(t, k): series[-t - k] for t in grid}
 
 
-def spacetime_twisted_modes(system: TwistSystem, u: StateVector, modes,
-                            v: StateVector) -> dict[Fraction, StateVector]:
-    """{n: u^{nu-hat}_n v} for every n in modes, from one series of u on v."""
-    return next(spacetime_twisted_windows(system, u, modes, [v]))
-
-
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
                            v: StateVector) -> StateVector:
     """The mode u^{nu-hat}_n of the space-time twisted operator, applied to v."""
     n = Fraction(n)
-    return spacetime_twisted_modes(system, u, [n], v)[n]
+    return next(spacetime_twisted_windows(system, u, [n], [v]))[n]
 
 
 def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> StateVector:
@@ -278,11 +275,11 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
         raise ValueError("base_module_mode maps base states onto the twisted space")
     n = Sector.of(system, "K").grid(n)
     # u_n is the coefficient of x^{(-n-1)/k} (the exponent -n-1 on the
-    # twisted grid) in sum_e x^e Y^{st}(w_e, x), where
-    # E_f(x^{1/k})^{-1} u = sum_e x^e w_e
+    # twisted grid) in sum_t x^{t/k} Y^{st}(w_t, x), where
+    # E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
     exponent = -n - 1
-    pieces = [(e, slot_state(system, w_e, 0))
-              for e, w_e in ef_inverse_apply(system, u).terms.items()]
+    pieces = [(t, slot_state(system, w_t, 0))
+              for t, w_t in ef_inverse_apply(system, u).items()]
     return next(_spacetime_series(system, pieces, [v], [exponent]))[exponent]
 
 
@@ -299,14 +296,19 @@ def _split_slot(system, umono: FockMono):
     if len(slots) != 1:
         raise ValueError("state is not supported in a single tensor slot")
     p = slots.pop()
-    modes = tuple((nn, idx % d) for nn, idx in umono.modes)
-    ground = umono.ground[p * d:(p + 1) * d]
-    return p, FockMono(modes, ground)
+    # within one slot the colour map idx -> idx % d is increasing
+    grid = tuple((t, idx % d) for t, idx in umono.grid)
+    return p, FockMono._sorted(grid, umono.ground[p * d:(p + 1) * d], 1)
 
 
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
-    """Yields worldsheet_twisted_modes of u on each of the states in turn,
-    with E_f applied once per tensor slot of u for all of them."""
+    """Yields {n: u_n v} for the change-of-variables twisted operator, every n
+    in modes and each v in states in turn, from one series per tensor slot
+    of u, with E_f applied once per slot for all of them.
+
+    u must be a sum of one-slot states (a V_K state in one tensor factor,
+    vacua elsewhere); general tensor products are outside this entry point.
+    """
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
@@ -314,7 +316,7 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     k = system.k
     sector = Sector.of(system, "K")
     # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
-    # sum_e x^{ke} Y(w_e, x), where E_f(x^{1/k}) u = sum_e x^e w_e, rotated
+    # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) u = sum_s x^{s/k} w_s, rotated
     # by the slot's phase
     slots = []
     if grid:
@@ -324,8 +326,7 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
             by_slot.setdefault(p, {})[kmono] = cu
         for p, kterms in by_slot.items():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
-            slots.append((p, _terms(sector, ((k * e, w_e.terms)
-                                             for e, w_e in corrected.terms.items()))))
+            slots.append((p, _terms((s, w_s.terms) for s, w_s in corrected.items())))
     targets = [-t - k for t in grid]
     for v in states:
         out = {t: {} for t in grid}
@@ -338,20 +339,9 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
         yield {Fraction(t, k): StateVector._of(system, "K", acc) for t, acc in out.items()}
 
 
-def worldsheet_twisted_modes(system: TwistSystem, u: StateVector, modes,
-                             v: StateVector) -> dict[Fraction, StateVector]:
-    """{n: u_n v} for the change-of-variables twisted operator and every n in
-    modes, from one series per tensor slot of u.
-
-    u must be a sum of one-slot states (a V_K state in one tensor factor,
-    vacua elsewhere); general tensor products are outside this entry point.
-    """
-    return next(worldsheet_twisted_windows(system, u, modes, [v]))
-
-
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,
                             v: StateVector) -> StateVector:
     """The mode of the change-of-variables twisted operator, applied to v in V_K;
-    u as in worldsheet_twisted_modes."""
+    u as in worldsheet_twisted_windows."""
     n = Fraction(n)
-    return worldsheet_twisted_modes(system, u, [n], v)[n]
+    return next(worldsheet_twisted_windows(system, u, [n], [v]))[n]

@@ -243,7 +243,7 @@ def spacetime_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateVe
     dialect = _Dialect(system, "T")
     exponent = -Fraction(n) - 1
     result = zero_state(system, "T")
-    for e_delta, u_e in exp_delta_apply(system, u).terms.items():
+    for e_delta, u_e in exp_delta_apply(system, u).items():
         for umono, cu in u_e.terms.items():
             factors = _umono_factors(umono)
             beta = umono.ground
@@ -264,8 +264,9 @@ def worldsheet_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateV
         p, kmono = _split_slot(system, umono)
         base = StateVector(system, "K", {kmono: cu})
         phase = system.eta_pow(-p * int(n * k))
-        for e, w_e in ef_apply(system, base).terms.items():
-            piece = untwisted_mode(system, w_e, k * (n + 1 + e) - 1, v)
+        # the key t stands for x^{t/k}
+        for t, w_t in ef_apply(system, base).items():
+            piece = untwisted_mode(system, w_t, k * (n + 1) + t - 1, v)
             if not piece.is_zero():
                 result = result + piece.scaled(phase)
     return result

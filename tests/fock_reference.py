@@ -9,8 +9,9 @@ code with the package, which is what makes it useful in tests: only state
 addition and scaling, the c_{mnr} series and the twisted vacuum weight are
 imported.  The pairing, the zero-mode eigenvalues and the grid check are
 written here from the Gram matrices of K and L.  `exp_delta_apply` divides
-each power by t with `StateVector.scaled` per exponent, as `XPolyOp.scaled`
-did.  `omega_state` writes the conformal vector out as the explicit
+each power by t with `StateVector.scaled` per exponent.  Both return
+{exponent: StateVector} tables built one term at a time by `_add_term`.
+`omega_state` writes the conformal vector out as the explicit
 (1/2) sum ginv[i][j] b_i(-1) b_j(-1), not as L(-2) applied to the vacuum.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import XPolyOp, c_coeffs
+from permtwist.coeffs import c_coeffs
 from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight, zero_state
 
 
@@ -189,7 +190,17 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
 
 
 
-def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> XPolyOp:
+def _add_term(table: dict, e: int, sv: StateVector) -> None:
+    """Add sv at exponent e of a table {exponent: StateVector}, keeping no
+    zero entry."""
+    combined = table[e] + sv if e in table else sv
+    if combined.is_zero():
+        table.pop(e, None)
+    else:
+        table[e] = combined
+
+
+def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> dict:
     """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
@@ -198,7 +209,7 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
         order = 2 * lev + 2
     k, d = system.k, system.d
     ginv = system.K.gram_inverse()
-    out = XPolyOp(system, "L")
+    out: dict = {}
     for r in range(k):
         series = c_coeffs(system, r, order)
         for (m, n), c in series.coeffs.items():
@@ -220,26 +231,26 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
                         piece = apply_mode(system, Fraction(m), dst, piece)
                         if piece.is_zero():
                             continue
-                        out.add_term(Fraction(-m - n), piece.scaled(c * f))
+                        _add_term(out, -m - n, piece.scaled(c * f))
     return out
 
 
-def exp_delta_apply(system: TwistSystem, v: StateVector) -> XPolyOp:
+def exp_delta_apply(system: TwistSystem, v: StateVector) -> dict:
     """e^{Delta_x} v, exact by weight-graded nilpotence."""
-    out = XPolyOp(system, "L", {0: v})
-    current = XPolyOp(system, "L", {0: v})
+    out = {0: v} if not v.is_zero() else {}
+    current = dict(out)
     t = 1
-    while current.terms:
-        nxt = XPolyOp(system, "L")
-        for e, sv in current.terms.items():
+    while current:
+        nxt: dict = {}
+        for e, sv in current.items():
             piece = delta_apply(system, sv)
-            for e2, sv2 in piece.terms.items():
-                nxt.add_term(e + e2, sv2)
-        if not nxt.terms:
+            for e2, sv2 in piece.items():
+                _add_term(nxt, e + e2, sv2)
+        if not nxt:
             break
-        current = XPolyOp(system, "L", {e: sv.scaled(Fraction(1, t)) for e, sv in nxt.terms.items()})
-        for e, sv in current.terms.items():
-            out.add_term(e, sv)
+        current = {e: sv.scaled(Fraction(1, t)) for e, sv in nxt.items()}
+        for e, sv in current.items():
+            _add_term(out, e, sv)
         t += 1
     return out
 

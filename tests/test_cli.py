@@ -10,6 +10,8 @@ from permtwist import characters
 from permtwist.characters import FracQSeries
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
+from permtwist.cocycle import TwistSystem
+from permtwist.isomap import default_mode_set
 from permtwist.lattice import LatticeError
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
@@ -125,7 +127,7 @@ def test_chars_on_a_bound_with_empty_shells():
                  "--q-order", "3/8", "--format", "machine"]) == 0
 
 
-@pytest.mark.parametrize("flag, value", [("--mode-bound", "-1"), ("--weight-cutoff", "0")])
+@pytest.mark.parametrize("flag, value", [("--weight-cutoff", "0")])
 def test_iso_that_compares_nothing_fails(tmp_path, capsys, flag, value):
     path = write(tmp_path, "name = A1\nrank = 1\ngram = [[2]]\n")
     rc = main(["iso", "--lattice", path, "--k", "2", flag, value, "--format", "machine"])
@@ -133,6 +135,24 @@ def test_iso_that_compares_nothing_fails(tmp_path, capsys, flag, value):
     assert rc == 1
     assert len(lines) == 4
     assert all("status=fail" in line and "'0 modes checked'" in line for line in lines)
+
+
+@pytest.mark.parametrize("subcommand", ["iso", "verify-all"])
+@pytest.mark.parametrize("flag, value", [("--mode-bound", "-1"), ("--weight-cutoff", "-1"),
+                                         ("--mode-bound", "-1/3")])
+def test_negative_bound_is_a_usage_error(capsys, subcommand, flag, value):
+    argv = [subcommand, "--lattice", str(LATTICES / "a1.lat"), "--k", "2",
+            f"{flag}={value}", "--format", "machine"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} {value} is negative"]
+
+
+def test_off_grid_mode_bound_keeps_every_mode_within_it():
+    # |n| <= 1/2 on (1/3)Z: the modes -1/3, 0 and 1/3
+    system = TwistSystem(parse_lattice_file(str(LATTICES / "a1.lat")), 3)
+    assert default_mode_set(system, Fraction(1, 2)) == [Fraction(t, 3) for t in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])

@@ -14,9 +14,9 @@ from permtwist.fock import (apply_mode, apply_twisted_vector_mode,
 from permtwist.isomap import default_mode_set, f_apply, generator_family
 from permtwist.lattice import Lattice
 from permtwist.vertexops import (base_module_mode, spacetime_series_coefficient,
-                                 spacetime_twisted_mode, spacetime_twisted_modes,
+                                 spacetime_twisted_mode, spacetime_twisted_windows,
                                  untwisted_mode, worldsheet_twisted_mode,
-                                 worldsheet_twisted_modes)
+                                 worldsheet_twisted_windows)
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -260,13 +260,14 @@ def test_series_engine_matches_per_mode_reference(K, k, compared_want):
     assert any(any(next(iter(v.terms)).ground) for v in basis)
     states = basis + [sum(basis[1:], basis[0])]
     modes = default_mode_set(system, 1)
+    images = [f_apply(system, v) for v in states]
     compared, nonzero = 0, 0
     for _, u in generator_family(system):
-        for v in states:
-            fv = f_apply(system, v)
-            # a window may name a mode twice
-            spacetime = spacetime_twisted_modes(system, u, modes + modes[:1], v)
-            worldsheet = worldsheet_twisted_modes(system, u, modes + modes[:1], fv)
+        # a window may name a mode twice
+        windows = zip(states, images,
+                      spacetime_twisted_windows(system, u, modes + modes[:1], states),
+                      worldsheet_twisted_windows(system, u, modes + modes[:1], images))
+        for v, fv, spacetime, worldsheet in windows:
             for n in modes:
                 assert spacetime[n] == reference.spacetime_twisted_mode(system, u, n, v), n
                 assert worldsheet[n] == reference.worldsheet_twisted_mode(system, u, n, fv), n
