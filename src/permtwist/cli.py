@@ -8,6 +8,7 @@ exactly when every executed check passes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .lattice import Lattice, LatticeError
 from .report import Report
 
 SUBCOMMANDS = ("lemma", "coeffs", "chars", "thm41", "iso", "verify-all")
+FRACTION_FLAGS = ("--q-order", "--weight-cutoff", "--mode-bound")
 
 
 @dataclass
@@ -235,6 +237,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _join_negative_fractions(argv) -> list[str]:
+    """argparse reads a value such as -1/100 as an option, so a negative
+    fraction after a rational flag is fused with it: --q-order=-1/100."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in FRACTION_FLAGS and re.fullmatch(r"-\d+/\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="permtwist",
@@ -246,7 +260,7 @@ def main(argv=None) -> int:
     parser.add_argument("--weight-cutoff", type=_fraction, default=Fraction(2))
     parser.add_argument("--mode-bound", type=_fraction, default=Fraction(2))
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     if args.k < 1:
         print(f"error: --k must be a positive integer, got {args.k}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and cyclotomic fields.
 
-Rationals are `fractions.Fraction` (always stored reduced, positive
-denominator, courtesy of the stdlib).  Root-of-unity arithmetic happens in
-Q(zeta_n), whose elements are kept in canonical form modulo the n-th
-cyclotomic polynomial, so equality of field elements is coefficient
-comparison.  No floating point anywhere.
+Rationals are `fractions.Fraction`.  Root-of-unity arithmetic happens in
+Q(zeta_n): a `Cyc` stores one int numerator per power of zeta below the
+degree of the n-th cyclotomic polynomial, over one positive int
+denominator, with the gcd of the denominator and every numerator 1.  That
+form is canonical, so equality of field elements is tuple comparison.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import add
 
 Rat = Fraction
+_new = object.__new__
 
 
 def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
@@ -58,85 +62,111 @@ class CycField:
         cls._cache[n] = self
         self.n = n
         mod = cyclotomic_polynomial(n)
-        self.degree = len(mod) - 1
-        # x^degree = -(lower part of Phi_n), then x^(degree+t) by shifting.
-        self._mod_tail = tuple(Fraction(-c) for c in mod[:-1])
-        rows = [self._mod_tail]
-        for _ in range(self.degree - 2):
+        self.degree = deg = len(mod) - 1
+        self._zero_num = (0,) * deg
+        # Phi_n is monic: x^degree = -(lower part of Phi_n), then x^(degree+t)
+        # by shifting, all over Z
+        tail = tuple(-c for c in mod[:-1])
+        rows = [tail]
+        for _ in range(deg - 2):
             prev = rows[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
             top = prev[-1]
-            if top:
-                shifted = [s + top * m for s, m in zip(shifted, self._mod_tail)]
-            rows.append(tuple(shifted))
+            rows.append(tuple(s + top * m for s, m in zip((0,) + prev[:-1], tail)))
         self._red_rows = rows  # reduction of x^(degree+t), t = 0 .. degree-2
-        self._zeta_pows = None
+        pows = []
+        cur = (1,) + self._zero_num[1:]
+        for _ in range(n):
+            pows.append(cur)
+            cur = self._reduce((0,) + cur)
+        self._zeta_pows = pows
         return self
 
     def __repr__(self):
         return f"CycField({self.n})"
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coeffs) -> tuple[int, ...]:
+        """Int coefficients of a polynomial in zeta, of degree < 2 * degree,
+        reduced modulo Phi_n."""
         deg = self.degree
-        out = list(coeffs[:deg]) + [Fraction(0)] * max(0, deg - len(coeffs))
+        out = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
         for t in range(len(coeffs) - 1, deg - 1, -1):
             c = coeffs[t]
             if c:
-                row = self._red_rows[t - deg]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += c * rj
+                for j, rj in enumerate(self._red_rows[t - deg]):
+                    out[j] += c * rj
         return tuple(out)
 
     def zero(self) -> "Cyc":
-        return Cyc(self, (Fraction(0),) * self.degree)
+        return _cyc(self, self._zero_num, 1)
 
     def one(self) -> "Cyc":
-        return self.from_rat(1)
+        return _cyc(self, (1,) + self._zero_num[1:], 1)
 
     def from_rat(self, r) -> "Cyc":
-        c = [Fraction(0)] * self.degree
-        c[0] = Fraction(r)
-        return Cyc(self, tuple(c))
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        return _cyc(self, (r.numerator,) + self._zero_num[1:], r.denominator)
 
     def zeta(self, e: int = 1) -> "Cyc":
         """zeta_n^e, reduced."""
-        if self._zeta_pows is None:
-            pows = []
-            cur = [Fraction(0)] * self.degree
-            cur[0] = Fraction(1)
-            for _ in range(self.n):
-                pows.append(tuple(cur))
-                nxt = [Fraction(0)] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    nxt = self._reduce(nxt + [top])
-                cur = list(nxt)
-            self._zeta_pows = pows
-        return Cyc(self, self._zeta_pows[e % self.n])
+        return _cyc(self, self._zeta_pows[e % self.n], 1)
+
+
+def _cyc(field: CycField, num: tuple[int, ...], den: int) -> "Cyc":
+    """The Cyc num/den, from a numerator tuple and denominator already in
+    canonical form."""
+    x = _new(Cyc)
+    x.field = field
+    x._num = num
+    x._den = den
+    return x
+
+
+def _canonical(field: CycField, num: tuple[int, ...], den: int) -> "Cyc":
+    """The Cyc num/den for any int numerators and a positive denominator."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([a // g for a in num])
+        den //= g
+    return _cyc(field, num, den)
 
 
 class Cyc:
-    """An element of Q(zeta_n) in canonical reduced form."""
+    """An element of Q(zeta_n) in canonical reduced form: int numerators
+    `_num`, one per power of zeta, over one positive int denominator `_den`,
+    with gcd(_den, *_num) == 1 (so zero is all zeros over 1).
 
-    __slots__ = ("field", "c")
+    `Cyc(field, coeffs)` takes one rational (int or Fraction) per power of
+    zeta, reduced modulo Phi_n; `c` gives them back as Fractions.
+    """
 
-    def __init__(self, field: CycField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "_num", "_den")
+
+    def __init__(self, field: CycField, coeffs):
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(Fraction(a).denominator for a in coeffs))
         self.field = field
-        self.c = coeffs
+        self._num = tuple(int(a * den) for a in coeffs)
+        self._den = den
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coefficient of each power of zeta, as Fractions."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational number: {self}")
-        return self.c[0]
+        return Fraction(self._num[0], self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -153,50 +183,57 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.field, tuple(a + b for a, b in zip(self.c, o.c)))
+        d, e = self._den, o._den
+        if d == e:
+            num = tuple(map(add, self._num, o._num))
+        else:
+            num = tuple([a * e + b * d for a, b in zip(self._num, o._num)])
+            d *= e
+        return _canonical(self.field, num, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.field, tuple(-a for a in self.c))
+        return _cyc(self.field, tuple([-a for a in self._num]), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.field, tuple(a - b for a, b in zip(self.c, o.c)))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, Cyc):
-            if other.field is not self.field:
+            if other.field is not field:
                 raise ValueError("mixed cyclotomic orders")
-            a, b = self.c, other.c
-            # a rational factor only scales the other's coefficients
+            a, b = self._num, other._num
+            den = self._den * other._den
+            # a rational factor only scales the other's numerators
             if not any(b[1:]):
                 s = b[0]
             elif not any(a[1:]):
                 a, s = b, a[0]
             else:
-                prod = [Fraction(0)] * (2 * self.field.degree - 1)
+                prod = [0] * (2 * field.degree - 1)
                 for i, ai in enumerate(a):
                     if ai:
                         for j, bj in enumerate(b):
-                            if bj:
-                                prod[i + j] += ai * bj
-                return Cyc(self.field, self.field._reduce(prod))
+                            prod[i + j] += ai * bj
+                return _canonical(field, field._reduce(prod), den)
         elif isinstance(other, (int, Fraction)):
-            a, s = self.c, other
+            a, s, den = self._num, other.numerator, self._den * other.denominator
         else:
             return NotImplemented
         if not s:
-            return self.field.zero()
-        return Cyc(self.field, tuple(x * s if x else x for x in a))
+            return field.zero()
+        return _canonical(field, tuple([x * s for x in a]), den)
 
     __rmul__ = __mul__
 
@@ -205,13 +242,15 @@ class Cyc:
         multiplication by self, whose column j is self * zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        num, den = self._num, self._den
         if self.is_rational():
-            return self.field.from_rat(1 / self.c[0])
-        # column j + 1 is zeta times column j: shifted up one power and reduced
-        cols = [self.c]
+            return self.field.from_rat(Fraction(den, num[0]))
+        # column j + 1 is zeta times column j: shifted up one power and
+        # reduced; the matrix of num is den times that of self
+        cols = [num]
         for _ in range(self.field.degree - 1):
-            cols.append(self.field._reduce((Fraction(0),) + cols[-1]))
-        return Cyc(self.field, tuple(row[0] for row in _rational_inverse(list(zip(*cols)))))
+            cols.append(self.field._reduce((0,) + cols[-1]))
+        return Cyc(self.field, [row[0] * den for row in _rational_inverse(list(zip(*cols)))])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -241,15 +280,18 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c[0] == other
+            num = self._num
+            return (num[0] == other.numerator and self._den == other.denominator
+                    and not any(num[1:]))
         if isinstance(other, Cyc):
-            return self.field is other.field and self.c == other.c
+            return (self.field is other.field and self._den == other._den
+                    and self._num == other._num)
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.c[0])
-        return hash((self.field.n, self.c))
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self.field.n, self._num, self._den))
 
     def __repr__(self):
         if self.is_zero():

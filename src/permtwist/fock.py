@@ -332,8 +332,6 @@ def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None
     only cancellation inside `out` can produce a zero, which is dropped on
     the spot.
     """
-    if isinstance(scale, Cyc) and scale.is_rational():
-        scale = scale.c[0]
     den = sector.den
     if n < 0:
         key = (n, i)

@@ -149,6 +149,33 @@ def test_negative_bound_is_a_usage_error(capsys, subcommand, flag, value):
     assert captured.err.splitlines() == [f"error: {flag} {value} is negative"]
 
 
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("subcommand, flag, value, message", [
+    ("iso", "--weight-cutoff", "-1/2", "error: --weight-cutoff -1/2 is negative"),
+    ("verify-all", "--mode-bound", "-1/3", "error: --mode-bound -1/3 is negative"),
+    ("thm41", "--q-order", "-1/20",
+     "error: --q-order -1/20 is below the leading exponent -1/24 of the character"),
+])
+def test_negative_fraction_is_read_as_the_flag_value(capsys, joined, subcommand, flag, value,
+                                                      message):
+    # argparse alone reads a space-separated -1/2 as an option, not a value
+    pair = [f"{flag}={value}"] if joined else [flag, value]
+    argv = [subcommand, "--lattice", str(LATTICES / "a1.lat"), "--k", "2", *pair]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_negative_q_order_after_a_space_runs(capsys):
+    outputs = []
+    for pair in (["--q-order", "-1/100"], ["--q-order=-1/100"]):
+        assert main(["thm41", "--lattice", str(LATTICES / "a1.lat"), *pair,
+                     "--format", "machine"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "order=-1/100" in outputs[0]
+
+
 def test_off_grid_mode_bound_keeps_every_mode_within_it():
     # |n| <= 1/2 on (1/3)Z: the modes -1/3, 0 and 1/3
     system = TwistSystem(parse_lattice_file(str(LATTICES / "a1.lat")), 3)
