@@ -20,8 +20,10 @@ to the second colour, Delta_x in `coeffs`.
 
 A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.
-Twisted mode index i stands for the projected first-block generator built
-from the i-th basis vector of K; its residue is determined by the mode.
+In T the colour i at the mode t/k is the first-block generator b_i
+projected onto the eta^t-eigenspace of the shift.  A vector h of L acts
+there through its projection h_(r), r = t mod k, and `Sector.vector` writes
+each h_(r) in those generators once, so no mode action projects.
 
 Modes are stored on their sector's grid: the mode t * step is the int t.
 The twisted mode b(t/k) and the base mode b(t) under the isomorphism F
@@ -256,22 +258,31 @@ class Sector:
 
     # -- hooks of the vertex-operator engine -------------------------------------
 
-    def mode_into(self, n: int, coords, terms: dict, scale, out: dict,
-                  projected: dict) -> None:
+    def vector(self, coords) -> tuple:
+        """A vector h given by mode-basis coordinates, split by residue: entry
+        r lists the (colour, coefficient) pairs with a nonzero coefficient
+        of h at the modes n * step with n = r mod den.
+
+        In T the coordinates are ambient L coordinates and entry r holds
+        sum_p h_{p,i} eta^{-rp}: k times the first block of the projection
+        h_(r) onto the eta^r-eigenspace of the shift.  In K and L the one
+        entry holds the nonzero coordinates."""
+        if not self.twisted:
+            return (tuple((i, c) for i, c in enumerate(coords) if c != 0),)
+        s = self.system
+        k, d = s.k, s.d
+        split = []
+        for r in range(k):
+            sums = [sum((s.eta_pow(-r * p) * coords[p * d + i] for p in range(k)
+                         if coords[p * d + i] != 0), s.field.zero()) for i in range(d)]
+            split.append(tuple((i, c) for i, c in enumerate(sums) if not c.is_zero()))
+        return tuple(split)
+
+    def mode_into(self, n: int, vec, terms: dict, scale, out: dict) -> None:
         """Add scale * h(n * step) applied to `terms` into the accumulator
-        `out`, for h given by mode-basis coordinates.  In T they are ambient L
-        coordinates, projected once per (coords, n mod k) into `projected`, a
-        dict the caller owns."""
-        if self.twisted:
-            k = self.system.k
-            key = (coords, n % k)
-            proj = projected.get(key)
-            if proj is None:
-                proj = projected[key] = twisted_coords(self.system, coords, n)
-            coords = proj
-        for i, c in enumerate(coords):
-            if c != 0:
-                _mode_into(self, n, i, terms, scale * c, out)
+        `out`, for `vec` the split `Sector.vector` of h."""
+        for i, c in vec[n % self.den]:
+            _mode_into(self, n, i, terms, c * scale, out)
 
     def x_exponent(self, beta, ground) -> int:
         """The power of x the group element over beta brings on a ground label,
@@ -399,28 +410,15 @@ def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     return StateVector._of(system, sv.sector, out)
 
 
-def twisted_coords(system, h_coords, kn: int):
-    """First-block coordinates of the projected mode at n = kn / k of an
-    ambient L-vector, kn the mode on the twisted grid.
-
-    h^T(n) = sum_i c_i (b_i^1-projected)(n) with
-    c_i = sum_p h_{p,i} eta^{kn(1-p)}.
-    """
-    k, d = system.k, system.d
-    out = []
-    for i in range(d):
-        acc = system.field.zero()
-        for p in range(k):
-            x = h_coords[p * d + i]
-            if x != 0:
-                acc = acc + system.eta_pow(kn * (1 - (p + 1))) * x
-        out.append(acc)
-    return out
-
-
 def apply_twisted_vector_mode(system, n, h_coords, sv: StateVector) -> StateVector:
-    kn = Sector.of(system, "T").grid(n)
-    return apply_vector_mode(system, n, twisted_coords(system, h_coords, kn), sv)
+    """Apply h(n) on the twisted space for h given by ambient L coordinates:
+    the projection of h onto the eigenspace that n selects."""
+    if sv.sector != "T":
+        raise ValueError("apply_twisted_vector_mode acts on the twisted sector")
+    sector = Sector.of(system, "T")
+    out = {}
+    sector.mode_into(sector.grid(n), sector.vector(h_coords), sv.terms, 1, out)
+    return StateVector._of(system, "T", out)
 
 
 # -- weights ---------------------------------------------------------------

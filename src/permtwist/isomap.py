@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cocycle import TwistSystem
-from .exact import Cyc
-from .fock import FockMono, Sector, StateVector
+from .fock import (FockMono, Sector, StateVector, apply_mode, ground_state, omega_state,
+                   slot_state, vacuum)
 from .report import Report
 from .vertexops import spacetime_twisted_windows, worldsheet_twisted_windows
 
@@ -59,27 +59,20 @@ class ConjugatedMode:
 def general_mode_image(system: TwistSystem, alphas, n) -> ConjugatedMode:
     """The conjugated image of the twisted current mode of (alpha_1,...,alpha_k).
 
-    Zero off the integer grid; on it, (1/k) sum_j eta^{-(j-1)kn} alpha_j(kn).
+    (1/k) sum_j eta^{-(j-1)kn} alpha_j(kn), read off `Sector.vector` of the
+    ambient vector as one entry (coefficient, unit vector) per colour of K
+    whose coefficient is nonzero.
     """
-    if len(alphas) != system.k:
+    k, d = system.k, system.d
+    if len(alphas) != k or any(len(alpha) != d for alpha in alphas):
         raise ValueError("need one K-vector per tensor slot")
-    kn = Fraction(Sector.of(system, "T").grid(n))
-    inv_k = Fraction(1, system.k)
-    entries = []
-    for j, alpha in enumerate(alphas, start=1):
-        if not any(alpha):
-            continue
-        phase = system.eta_pow(-(j - 1) * int(kn)) * inv_k
-        entries.append((phase, tuple(alpha)))
-    # merge parallel vectors
-    merged: dict[tuple, Cyc] = {}
-    for coeff, vec in entries:
-        prev = merged.get(vec)
-        merged[vec] = coeff if prev is None else prev + coeff
-    out = ConjugatedMode(mode=kn)
-    for vec, coeff in merged.items():
-        if not coeff.is_zero():
-            out.entries.append((coeff, vec))
+    sector = Sector.of(system, "T")
+    kn = sector.grid(n)
+    vec = sector.vector(tuple(x for alpha in alphas for x in alpha))
+    inv_k = Fraction(1, k)
+    out = ConjugatedMode(mode=Fraction(kn))
+    for i, c in vec[kn % k]:
+        out.entries.append((c * inv_k, tuple(int(j == i) for j in range(d))))
     return out
 
 
@@ -155,7 +148,6 @@ def default_mode_set(system: TwistSystem, bound) -> list[Fraction]:
 
 def generator_family(system: TwistSystem, alpha=None) -> list[tuple[str, StateVector]]:
     """The intertwining test generators: slot currents, omega, a lattice state."""
-    from .fock import apply_mode, ground_state, omega_state, slot_state, vacuum
     if alpha is None:
         alpha = tuple([1] + [0] * (system.d - 1))
     out = []

@@ -28,6 +28,7 @@ modes and exponents at the boundary and reject any off the grid.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cocycle import TwistSystem
 from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
@@ -35,14 +36,11 @@ from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
 from .fock import FockMono, Sector, StateVector, _accumulate, _merge_into, slot_state
 
 
-def _dcoeff(m: int, nt: int, den: int, memo: dict) -> Fraction:
-    """Coefficient of the mode at m / den in the (nt-1)-fold derivative
-    factor, through `memo`, a dict local to one series."""
-    c = memo.get((m, nt))
-    if c is None:
-        sign = -1 if (nt - 1) % 2 else 1
-        c = memo[m, nt] = sign * rational_binomial(Fraction(m, den) + nt - 1, nt - 1)
-    return c
+@cache
+def _dcoeff(m: int, nt: int, den: int) -> Fraction:
+    """Coefficient of the mode at m / den in the (nt-1)-fold derivative factor."""
+    sign = -1 if (nt - 1) % 2 else 1
+    return sign * rational_binomial(Fraction(m, den) + nt - 1, nt - 1)
 
 
 def _positive_levels(terms: dict):
@@ -52,23 +50,24 @@ def _positive_levels(terms: dict):
 # -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
 
 
-def _table_apply(sector: Sector, table: dict, moves, projected: dict) -> dict:
+def _table_apply(sector: Sector, table: dict, moves) -> dict:
     """Apply mode moves to an exponent-keyed table.
 
-    For every entry (e, terms) and every (n, h, c, shift) in moves(e, terms),
-    c * h(n) terms is added at exponent e + shift, through Sector.mode_into.
+    For every entry (e, terms) and every (n, vec, c, shift) in moves(e, terms),
+    c * h(n) terms is added at exponent e + shift, through Sector.mode_into,
+    for vec the `Sector.vector` of h.
     """
     out: dict = {}
     for e, terms in table.items():
-        for n, coords, c, shift in moves(e, terms):
+        for n, vec, c, shift in moves(e, terms):
             if c != 0:
-                sector.mode_into(n, coords, terms, c, out.setdefault(e + shift, {}), projected)
+                sector.mode_into(n, vec, terms, c, out.setdefault(e + shift, {}))
     return {e: t for e, t in out.items() if t}
 
 
-def _exp_table(sector: Sector, table: dict, beta, sign: int, projected: dict,
-               top=None) -> dict:
-    """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table.
+def _exp_table(sector: Sector, table: dict, beta, sign: int, top=None) -> dict:
+    """exp(sign * sum_{m>0} beta(-sign*m) x^{sign*m} / m) on a table, for
+    beta given as its `Sector.vector`.
 
     sign = -1 is the annihilation exponential, over the levels present in
     the table; sign = +1 the creation exponential, kept up to x^top.  Levels
@@ -85,22 +84,22 @@ def _exp_table(sector: Sector, table: dict, beta, sign: int, projected: dict,
         def step_into(terms, scale, e, acc, m=m, weight=weight):
             if top is None or e + sign * m <= top:
                 sector.mode_into(-sign * m, beta, terms, scale * weight,
-                                 acc.setdefault(e + sign * m, {}), projected)
+                                 acc.setdefault(e + sign * m, {}))
         table = _exp_series(table, step_into)
     return table
 
 
-def _annihilation_moves(nt: int, coords, den: int, dcoeffs: dict):
+def _annihilation_moves(nt: int, vec, den: int):
     """The zero and annihilation modes of a derivative factor."""
     shift = nt * den
 
     def moves(e, terms):
         for m in [0] + _positive_levels(terms):
-            yield m, coords, _dcoeff(m, nt, den, dcoeffs), -m - shift
+            yield m, vec, _dcoeff(m, nt, den), -m - shift
     return moves
 
 
-def _creation_moves(nt: int, coords, den: int, room: int, dcoeffs: dict, land=None):
+def _creation_moves(nt: int, vec, den: int, room: int, land=None):
     """The creation modes of a derivative factor landing at exponents <= room,
     and in `land` when it is given."""
     shift = nt * den
@@ -108,7 +107,7 @@ def _creation_moves(nt: int, coords, den: int, room: int, dcoeffs: dict, land=No
     def moves(e, terms):
         for s in range(1, room - e + shift + 1):
             if land is None or e + s - shift in land:
-                yield -s, coords, _dcoeff(-s, nt, den, dcoeffs), s - shift
+                yield -s, vec, _dcoeff(-s, nt, den), s - shift
     return moves
 
 
@@ -128,10 +127,10 @@ def _ground_shift(sector: Sector, table: dict, beta) -> dict:
 # -- the series engine --------------------------------------------------------------
 
 
-def _umono_factors(umono: FockMono):
-    """Derivative factors (order, coordinate hook) for an untwisted u-monomial."""
+def _umono_factors(sector: Sector, umono: FockMono):
+    """Derivative factors (order, `Sector.vector`) for an untwisted u-monomial."""
     rank = len(umono.ground)
-    return [(-n, tuple(int(j == idx) for j in range(rank)))
+    return [(-n, sector.vector(tuple(int(j == idx) for j in range(rank))))
             for n, idx in umono.grid]
 
 
@@ -157,12 +156,11 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     targets = frozenset(targets)
     top = max(targets)
     pending: dict = {}      # ground label of u -> table before its creation exponential
-    projected: dict = {}    # for Sector.mode_into, shared by every move of the series
-    dcoeffs: dict = {}      # for _dcoeff
     for offset, umono, cu in terms:
         beta = umono.ground
         has_group = any(beta)
-        factors = _umono_factors(umono)
+        bvec = sector.vector(beta) if has_group else None
+        factors = _umono_factors(sector, umono)
         r = len(factors)
         scalar = cu * sector.prefactor(beta)
         acc = pending.setdefault(beta, {})
@@ -176,13 +174,11 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                 for t in range(r):
                     if not mask >> t & 1 and table:
                         table = _table_apply(sector, table,
-                                             _annihilation_moves(*factors[t], den, dcoeffs),
-                                             projected)
+                                             _annihilation_moves(*factors[t], den))
                 if has_group and table:
-                    table = _ground_shift(sector, _exp_table(sector, table, beta, -1, projected),
-                                          beta)
+                    table = _ground_shift(sector, _exp_table(sector, table, bvec, -1), beta)
                 deferred = [factors[t] for t in range(r) if mask >> t & 1]
-                for idx, (nt, coords) in enumerate(deferred):
+                for idx, (nt, vec) in enumerate(deferred):
                     # leave room for the least the later factors must add;
                     # with no creation exponential to follow, the last
                     # factor must land on a target
@@ -190,8 +186,7 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                     room = top - sum(1 - nt2 * den for nt2, _ in later)
                     land = None if later or has_group else targets
                     table = _table_apply(sector, table,
-                                         _creation_moves(nt, coords, den, room, dcoeffs, land),
-                                         projected)
+                                         _creation_moves(nt, vec, den, room, land))
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)
@@ -199,7 +194,7 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     for beta, table in pending.items():
         table = {e: ts for e, ts in table.items() if ts}
         if any(beta) and table:
-            table = _exp_table(sector, table, beta, +1, projected, top)
+            table = _exp_table(sector, table, sector.vector(beta), +1, top)
         for e, ts in table.items():
             if e in targets:
                 _merge_into(out.setdefault(e, {}), ts)
@@ -286,7 +281,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
 def _split_slot(system, umono: FockMono):
     """The tensor slot of a one-slot V_L monomial and its V_K image."""
     k, d = system.k, system.d
-    slots = {idx // d for _, idx in umono.modes}
+    slots = {idx // d for _, idx in umono.grid}
     for p in range(k):
         block = umono.ground[p * d:(p + 1) * d]
         if any(block):

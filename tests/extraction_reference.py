@@ -14,8 +14,7 @@ from math import factorial
 
 from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
 from permtwist.coeffs import ef_apply, exp_delta_apply
-from permtwist.fock import (FockMono, StateVector, apply_twisted_vector_mode,
-                            apply_vector_mode, zero_state)
+from permtwist.fock import FockMono, StateVector, apply_vector_mode, zero_state
 from permtwist.vertexops import _split_slot
 
 
@@ -49,8 +48,24 @@ class _Dialect:
 
     def vec_mode(self, n, coords, sv):
         if self.sector == "T":
-            return apply_twisted_vector_mode(self.system, n, coords, sv)
+            coords = self.first_block(n, coords)
         return apply_vector_mode(self.system, n, coords, sv)
+
+    def first_block(self, n, coords):
+        """The first-block coordinates of the ambient L-vector `coords` at the
+        twisted mode n: h(n) = sum_i c_i b_i(n) with
+        c_i = sum_j h_{j,i} eta^{-(j-1)kn} over the slots j = 1..k, where
+        eta = zeta_{2k}^2."""
+        s = self.system
+        k, d = s.k, s.d
+        kn = int(n * k)
+        out = []
+        for i in range(d):
+            c = s.field.zero()
+            for j in range(1, k + 1):
+                c = c + s.field.zeta(-2 * (j - 1) * kn) * coords[(j - 1) * d + i]
+            out.append(c)
+        return out
 
     def x_exponent(self, beta, ground) -> Fraction:
         s = self.system

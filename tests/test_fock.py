@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (FockMono, StateVector, apply_mode, apply_twisted_vector_mode,
-                            ground_state, nu_hat_state, omega_state,
+from permtwist.fock import (FockMono, Sector, StateVector, apply_mode,
+                            apply_twisted_vector_mode, ground_state, nu_hat_state, omega_state,
                             relabel_slots, slot_state, twisted_L0,
                             twisted_state_counts, twisted_vacuum_weight,
                             vacuum, virasoro_L, weight, weight_basis,
@@ -49,6 +49,29 @@ def test_twisted_bracket_matches_projection_pairing(k, K):
                 assert got == vacuum(s, "T").scaled(pairing * n)
                 # the pairing collapses to gram/k
                 assert pairing == Fraction(K.gram[i][j], k)
+
+
+@pytest.mark.parametrize("K, k", [pytest.param(K, k, id=f"{K.name}-{k}")
+                                  for K in (A1, A2) for k in (2, 3)])
+def test_sector_vector_matches_eigenprojection(K, k):
+    # oracle: entry r in T is k times the first block of the eta^r-eigenprojection
+    s = TwistSystem(K, k)
+    d = K.rank
+    rng = random.Random(10 * k + d)
+    twisted = Sector.of(s, "T")
+    for _ in range(6):
+        h = tuple(rng.randint(-2, 2) for _ in range(k * d))
+        vec = twisted.vector(h)
+        assert len(vec) == k
+        for r in range(k):
+            proj = eigenprojection(s.shift, s.field, h, r)
+            want = [(i, proj[i] * k) for i in range(d) if not proj[i].is_zero()]
+            # no zero coefficient is listed
+            assert list(vec[r]) == want
+        # K and L: one residue holding the nonzero coordinates
+        for name, coords in (("K", h[:d]), ("L", h)):
+            assert Sector.of(s, name).vector(coords) == (
+                tuple((i, c) for i, c in enumerate(coords) if c),)
 
 
 def test_twisted_bracket_spec_example():

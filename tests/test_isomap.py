@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import extraction_reference as reference
 from permtwist import coeffs, vertexops
 from permtwist.cli import RunConfig, run_iso
 from permtwist.cocycle import TwistSystem
@@ -17,6 +18,7 @@ from permtwist.isomap import (default_mode_set, f_apply, f_inverse_apply,
 from permtwist.lattice import Lattice
 
 A1 = Lattice([[2]], "A1")
+A2 = Lattice([[2, 1], [1, 2]], "A2")
 
 
 @pytest.fixture(scope="module", params=[2, 3])
@@ -106,18 +108,33 @@ def _apply_image(system, image, v):
 
 
 def test_general_mode_image_linearity_and_equivariance(system):
-    k = system.k
+    _check_mode_image_linearity_and_equivariance(system)
+
+
+def test_general_mode_image_linearity_and_equivariance_a2():
+    # d = 2: one entry per colour of K, not per slot
+    _check_mode_image_linearity_and_equivariance(TwistSystem(A2, 3))
+
+
+def _check_mode_image_linearity_and_equivariance(system):
+    k, d = system.k, system.d
     rng = random.Random(k)
     vac = vacuum(system, "K")
-    target = apply_mode(system, -1, 0, vac)
+    target = apply_mode(system, -1, d - 1, vac)
     for _ in range(8):
-        tup_a = [tuple([rng.randint(-2, 2)]) for _ in range(k)]
-        tup_b = [tuple([rng.randint(-2, 2)]) for _ in range(k)]
+        tup_a = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        tup_b = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
         tup_ab = [tuple(x + y for x, y in zip(a, b)) for a, b in zip(tup_a, tup_b)]
         n = Fraction(rng.randint(-2 * k, 2 * k), k)
         im_a = general_mode_image(system, tup_a, n)
         im_b = general_mode_image(system, tup_b, n)
         im_ab = general_mode_image(system, tup_ab, n)
+        for im in (im_a, im_b, im_ab):
+            # distinct unit vectors, no zero coefficient
+            vecs = [vec for _, vec in im.entries]
+            assert len(set(vecs)) == len(vecs)
+            assert all(sorted(vec) == [0] * (d - 1) + [1] for vec in vecs)
+            assert not any(c.is_zero() for c, _ in im.entries)
         for probe in (vac, target):
             assert (_apply_image(system, im_ab, probe)
                     == _apply_image(system, im_a, probe) + _apply_image(system, im_b, probe))
@@ -126,6 +143,12 @@ def test_general_mode_image_linearity_and_equivariance(system):
         for probe in (vac, target):
             assert (_apply_image(system, rotated, probe)
                     == _apply_image(system, im_a, probe).scaled(system.eta_pow(int(n * k))))
+        # F h^T(n) = image F, h^T(n) through the reference's own projection
+        h = tuple(x for alpha in tup_a for x in alpha)
+        dialect = reference._Dialect(system, "T")
+        for v in weight_basis(system, "T", 1):
+            assert (f_apply(system, dialect.vec_mode(n, h, v))
+                    == _apply_image(system, im_a, f_apply(system, v)))
 
 
 def test_intertwining_low_weight(system):
