@@ -8,6 +8,7 @@ exactly when every executed check passes.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -78,7 +79,6 @@ def parse_lattice_file(path: str) -> Lattice:
         rank = int(fields["rank"])
     except ValueError:
         raise LatticeFileError(f"{path}: rank must be an integer") from None
-    import json
     try:
         gram = json.loads(fields["gram"])
     except json.JSONDecodeError as exc:

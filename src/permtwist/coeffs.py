@@ -292,30 +292,28 @@ def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: 
     return _exp_series(table, step_into)
 
 
-def _ef_data(system: TwistSystem, v: StateVector, J: int | None):
-    """The K descriptor and a_1..a_J, J defaulting to the top weight of v."""
+def _ef_data(system: TwistSystem, v: StateVector):
+    """The K descriptor and the a_j up to the top weight of v: every L(j)
+    above it kills v."""
     if v.sector != "K":
         raise ValueError("E_f acts on the base sector")
     sector = Sector.of(system, "K")
-    if J is None:
-        J = max([1] + [int(sector.mono_weight(mono)) for mono in v.terms])
-    return sector, a_coeffs(system.k, J)
+    top = max([1] + [int(sector.mono_weight(mono)) for mono in v.terms])
+    return sector, a_coeffs(system.k, top)
 
 
-def ef_apply(system: TwistSystem, v: StateVector,
-             J: int | None = None) -> dict[int, StateVector]:
+def ef_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
     """E_f(x^(1/k)) v on the base sector as {t: coefficient of x^{t/k}}."""
-    sector, avals = _ef_data(system, v, J)
+    sector, avals = _ef_data(system, v)
     scaled: dict = {}
     _scaling_into(sector, v.terms, -1, 0, scaled)
     return _states(system, "K", _exp_virasoro_sum(sector, scaled, avals, +1))
 
 
-def ef_inverse_apply(system: TwistSystem, v: StateVector,
-                     J: int | None = None) -> dict[int, StateVector]:
+def ef_inverse_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
     """E_f(x^(1/k))^(-1) v as {t: coefficient of x^{t/k}}; the two-sided
     inverse of ef_apply on finite states."""
-    sector, avals = _ef_data(system, v, J)
+    sector, avals = _ef_data(system, v)
     out: dict = {}
     for t, terms in _exp_virasoro_sum(sector, {0: v.terms}, avals, -1).items():
         _scaling_into(sector, terms, +1, t, out)

@@ -8,6 +8,7 @@ lists are provably complete.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -191,7 +192,6 @@ class Lattice:
         ginv = self.gram_inverse()
         reps = []
         counters = [range(s[i][i]) for i in range(n)]
-        import itertools
         for ys in itertools.product(*counters):
             x = [sum(uinv[i][j] * ys[j] for j in range(n)) for i in range(n)]
             vec = tuple(sum(ginv[i][j] * x[j] for j in range(n)) for i in range(n))

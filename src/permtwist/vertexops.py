@@ -3,11 +3,16 @@
 One engine builds, for a pair (u, v), every coefficient of x^e in the
 operator series of u applied to v, for all exponents e up to the largest one
 requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
-zero coefficient.  Callers read off the modes they need: the window entry
-points ask for many at once, and the single-mode entry points are one-target
-calls into the same engine.  Only the entry points wrap table entries as
-states.  The computation enumerates the finitely many normal-ordered
-contributions, so every result is exact.
+zero coefficient.  The operator comes prepared (`_prepare`): each
+u-monomial's derivative factors and ground label are split by
+`Sector.vector` and its prefactor is taken once per generator, not once per
+state.  One window loop (`_windows`) serves the space-time, worldsheet and
+base-module families: it takes the operator as tensor slots (p, prepared
+terms), runs one series per slot and state, rotates slot p by eta^{-pt}
+and reads off the requested modes.  The twisted single-mode entry points
+are one-mode windows, and `untwisted_mode` is one one-target series.  Only
+the entry points wrap table entries as states.  The computation enumerates
+the finitely many normal-ordered contributions, so every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -50,18 +55,20 @@ def _positive_levels(terms: dict):
 # -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
 
 
-def _table_apply(sector: Sector, table: dict, moves) -> dict:
-    """Apply mode moves to an exponent-keyed table.
+def _factor_apply(sector: Sector, table: dict, nt: int, vec, modes) -> dict:
+    """A derivative factor of order nt on an exponent-keyed table.
 
-    For every entry (e, terms) and every (n, vec, c, shift) in moves(e, terms),
-    c * h(n) terms is added at exponent e + shift, through Sector.mode_into,
-    for vec the `Sector.vector` of h.
+    For every entry (e, terms) and every m in modes(e, terms),
+    _dcoeff(m) * h(m) terms lands at exponent e - m - nt * den, through
+    Sector.mode_into, for vec the `Sector.vector` of h.
     """
+    den = sector.den
     out: dict = {}
     for e, terms in table.items():
-        for n, vec, c, shift in moves(e, terms):
+        for m in modes(e, terms):
+            c = _dcoeff(m, nt, den)
             if c != 0:
-                sector.mode_into(n, vec, terms, c, out.setdefault(e + shift, {}))
+                sector.mode_into(m, vec, terms, c, out.setdefault(e - m - nt * den, {}))
     return {e: t for e, t in out.items() if t}
 
 
@@ -89,28 +96,6 @@ def _exp_table(sector: Sector, table: dict, beta, sign: int, top=None) -> dict:
     return table
 
 
-def _annihilation_moves(nt: int, vec, den: int):
-    """The zero and annihilation modes of a derivative factor."""
-    shift = nt * den
-
-    def moves(e, terms):
-        for m in [0] + _positive_levels(terms):
-            yield m, vec, _dcoeff(m, nt, den), -m - shift
-    return moves
-
-
-def _creation_moves(nt: int, vec, den: int, room: int, land=None):
-    """The creation modes of a derivative factor landing at exponents <= room,
-    and in `land` when it is given."""
-    shift = nt * den
-
-    def moves(e, terms):
-        for s in range(1, room - e + shift + 1):
-            if land is None or e + s - shift in land:
-                yield -s, vec, _dcoeff(-s, nt, den), s - shift
-    return moves
-
-
 def _ground_shift(sector: Sector, table: dict, beta) -> dict:
     """The group element over beta on every entry of a table."""
     out = {}
@@ -127,24 +112,27 @@ def _ground_shift(sector: Sector, table: dict, beta) -> dict:
 # -- the series engine --------------------------------------------------------------
 
 
-def _umono_factors(sector: Sector, umono: FockMono):
-    """Derivative factors (order, `Sector.vector`) for an untwisted u-monomial."""
-    rank = len(umono.ground)
-    return [(-n, sector.vector(tuple(int(j == idx) for j in range(rank))))
-            for n, idx in umono.grid]
-
-
-def _terms(pieces):
-    """(offset, u-monomial, coefficient) for every monomial of every
-    (offset, terms) piece of an x-polynomial of operators, the offset in
-    the sector's grid steps."""
-    return [(offset, umono, c) for offset, u in pieces for umono, c in u.items()]
+def _prepare(sector: Sector, pieces) -> list:
+    """The operator sum x^offset u over the (offset, terms of u) in pieces,
+    offsets in the sector's grid steps, as `_series` reads it: one
+    (offset, beta, `Sector.vector` of beta or None, factors, coefficient
+    times the prefactor of beta) per u-monomial over the ground label beta,
+    its derivative factors given as (order, `Sector.vector`)."""
+    out = []
+    for offset, terms in pieces:
+        for umono, c in terms.items():
+            beta = umono.ground
+            factors = tuple((-n, sector.vector(tuple(int(j == idx) for j in range(len(beta)))))
+                            for n, idx in umono.grid)
+            bvec = sector.vector(beta) if any(beta) else None
+            out.append((offset, beta, bvec, factors, c * sector.prefactor(beta)))
+    return out
 
 
 def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
-    """Coefficients of x^e, e in targets, of sum c x^offset Y(umono, x) v over
-    the (offset, umono, c) in terms, as a table; a target whose coefficient
-    is zero has no entry.  Exponents and offsets are in grid steps.
+    """Coefficients of x^e, e in targets, of the prepared operator sum (see
+    `_prepare`) applied to v, as a table; a target whose coefficient is zero
+    has no entry.  Exponents and offsets are in grid steps.
 
     Per (u-monomial, v-monomial) pair and per choice of which derivative
     factors create (the mask), the annihilation side runs once and the
@@ -155,27 +143,23 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     den = sector.den
     targets = frozenset(targets)
     top = max(targets)
-    pending: dict = {}      # ground label of u -> table before its creation exponential
-    for offset, umono, cu in terms:
-        beta = umono.ground
-        has_group = any(beta)
-        bvec = sector.vector(beta) if has_group else None
-        factors = _umono_factors(sector, umono)
+    # ground label of u -> (its vector, table before its creation exponential)
+    pending: dict = {}
+    for offset, beta, bvec, factors, scalar in terms:
         r = len(factors)
-        scalar = cu * sector.prefactor(beta)
-        acc = pending.setdefault(beta, {})
+        acc = pending.setdefault(beta, (bvec, {}))[1]
         for vmono, cv in v.terms.items():
             base_exp = offset
-            if has_group:
+            if bvec:
                 base_exp += sector.x_exponent(beta, vmono.ground)
             base = {vmono: scalar * cv}
             for mask in range(1 << r):
                 table = {base_exp: base}
                 for t in range(r):
                     if not mask >> t & 1 and table:
-                        table = _table_apply(sector, table,
-                                             _annihilation_moves(*factors[t], den))
-                if has_group and table:
+                        table = _factor_apply(sector, table, *factors[t],
+                                              lambda e, ts: [0] + _positive_levels(ts))
+                if bvec and table:
                     table = _ground_shift(sector, _exp_table(sector, table, bvec, -1), beta)
                 deferred = [factors[t] for t in range(r) if mask >> t & 1]
                 for idx, (nt, vec) in enumerate(deferred):
@@ -184,21 +168,50 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                     # factor must land on a target
                     later = deferred[idx + 1:]
                     room = top - sum(1 - nt2 * den for nt2, _ in later)
-                    land = None if later or has_group else targets
-                    table = _table_apply(sector, table,
-                                         _creation_moves(nt, vec, den, room, land))
+                    land = None if later or bvec else targets
+                    shift = nt * den
+                    table = _factor_apply(
+                        sector, table, nt, vec,
+                        lambda e, ts: [-s for s in range(1, room - e + shift + 1)
+                                       if land is None or e + s - shift in land])
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)
     out: dict = {}
-    for beta, table in pending.items():
+    for bvec, table in pending.values():
         table = {e: ts for e, ts in table.items() if ts}
-        if any(beta) and table:
-            table = _exp_table(sector, table, sector.vector(beta), +1, top)
+        if bvec and table:
+            table = _exp_table(sector, table, bvec, +1, top)
         for e, ts in table.items():
             if e in targets:
                 _merge_into(out.setdefault(e, {}), ts)
     return {e: ts for e, ts in out.items() if ts}
+
+
+def _windows(system: TwistSystem, name: str, slots, modes, states):
+    """Yields {n: state} for every twisted mode n in modes and each v in
+    states in turn: n = t/k is read off x^{-t-k} in
+    sum_p eta^{-pt} (prepared terms of slot p) v, over the (p, prepared
+    terms) in slots, from one `_series` per slot and state.  Exponents of
+    the slots' terms are in grid steps of the sector `name`, 1/k in T and
+    1 in V_K once the worldsheet side raises x to the k-th power."""
+    k = system.k
+    grid = [Sector.of(system, "T").grid(n) for n in modes]
+    targets = [-t - k for t in grid]
+    sector = Sector.of(system, name)
+    for v in states:
+        out = {t: {} for t in grid}
+        for p, terms in slots:
+            series = _series(sector, terms, v, targets)
+            for t, acc in out.items():
+                ts = series.get(-t - k, {})
+                if p:
+                    phase = system.eta_pow(-p * t)
+                    for mono, c in ts.items():
+                        _accumulate(acc, mono, c * phase)
+                else:
+                    _merge_into(acc, ts)
+        yield {Fraction(t, k): StateVector._of(system, name, acc) for t, acc in out.items()}
 
 
 # -- the three operator families --------------------------------------------------
@@ -210,49 +223,38 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
         raise ValueError("untwisted modes need matching untwisted sectors")
     sector = Sector.of(system, v.sector)
     e = -sector.grid(n) - 1
-    table = _series(sector, _terms([(0, u.terms)]), v, [e])
+    table = _series(sector, _prepare(sector, [(0, u.terms)]), v, [e])
     return StateVector._of(system, v.sector, table.get(e, {}))
 
 
-def _spacetime_series(system: TwistSystem, pieces, states, targets):
-    """Coefficients at the target exponents of sum x^offset Y^{st}(u, x) v
-    over the (offset, u) in pieces, each u corrected by exp(Delta_x) once;
-    yields them for each v in states in turn, as states.  Offsets and
-    targets are in steps of 1/k."""
-    states = list(states)
-    if any(u.sector != "L" for _, u in pieces) or any(v.sector != "T" for v in states):
-        raise ValueError("space-time operator maps V_L states into the twisted sector")
-    sector = Sector.of(system, "T")
+def _spacetime_terms(system: TwistSystem, pieces) -> list:
+    """sum x^offset exp(Delta_x) u over the (offset, u) in pieces, prepared
+    on the twisted grid, with exp(Delta_x) run once per piece.  Offsets are
+    in steps of 1/k."""
     k = system.k
-    terms = []
-    for offset, u in pieces:
-        terms += _terms((offset + k * e, u_e.terms)
-                        for e, u_e in exp_delta_apply(system, u).items())
-    for v in states:
-        table = _series(sector, terms, v, targets)
-        yield {e: StateVector._of(system, "T", table.get(e, {})) for e in targets}
+    return _prepare(Sector.of(system, "T"),
+                    [(offset + k * e, u_e.terms) for offset, u in pieces
+                     for e, u_e in exp_delta_apply(system, u).items()])
 
 
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
-    e = Sector.of(system, "T").grid(exponent, "exponent")
-    return next(_spacetime_series(system, [(0, u)], [v], [e]))[e]
+    # the coefficient of x^e is the mode -e-1
+    mode = -Fraction(Sector.of(system, "T").grid(exponent, "exponent"), system.k) - 1
+    return next(spacetime_twisted_windows(system, u, [mode], [v]))[mode]
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """Yields {n: u^{nu-hat}_n v} for every n in modes and each v in states in
     turn, from one series of u on v, with exp(Delta_x) u computed once for
     all of them."""
-    k = system.k
-    grid = [Sector.of(system, "T").grid(n) for n in modes]
-    if not grid:
-        for _ in states:
-            yield {}
-        return
-    # the mode t/k is the coefficient of x^{-t/k-1}, the exponent -t-k on the grid
-    for series in _spacetime_series(system, [(0, u)], states, [-t - k for t in grid]):
-        yield {Fraction(t, k): series[-t - k] for t in grid}
+    states = list(states)
+    if u.sector != "L" or any(v.sector != "T" for v in states):
+        raise ValueError("space-time operator maps V_L states into the twisted sector")
+    modes = list(modes)
+    slots = [(0, _spacetime_terms(system, [(0, u)]))] if modes else []
+    yield from _windows(system, "T", slots, modes, states)
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
@@ -268,14 +270,13 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     in the first slot and raising the variable to the k-th power."""
     if u.sector != "K" or v.sector != "T":
         raise ValueError("base_module_mode maps base states onto the twisted space")
-    n = Sector.of(system, "K").grid(n)
-    # u_n is the coefficient of x^{(-n-1)/k} (the exponent -n-1 on the
-    # twisted grid) in sum_t x^{t/k} Y^{st}(w_t, x), where
-    # E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
-    exponent = -n - 1
+    # u_n is the coefficient of x^{(-n-1)/k}, the twisted mode (n+1)/k - 1,
+    # in sum_t x^{t/k} Y^{st}(w_t, x), where E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
+    mode = Fraction(Sector.of(system, "K").grid(n) + 1, system.k) - 1
     pieces = [(t, slot_state(system, w_t, 0))
               for t, w_t in ef_inverse_apply(system, u).items()]
-    return next(_spacetime_series(system, pieces, [v], [exponent]))[exponent]
+    return next(_windows(system, "T", [(0, _spacetime_terms(system, pieces))],
+                         [mode], [v]))[mode]
 
 
 def _split_slot(system, umono: FockMono):
@@ -307,31 +308,22 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    grid = [Sector.of(system, "T").grid(n) for n in modes]
-    k = system.k
+    modes = list(modes)
     sector = Sector.of(system, "K")
     # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
     # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) u = sum_s x^{s/k} w_s, rotated
     # by the slot's phase
     slots = []
-    if grid:
+    if modes:
         by_slot: dict[int, dict] = {}
         for umono, cu in u.terms.items():
             p, kmono = _split_slot(system, umono)
             by_slot.setdefault(p, {})[kmono] = cu
         for p, kterms in by_slot.items():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
-            slots.append((p, _terms((s, w_s.terms) for s, w_s in corrected.items())))
-    targets = [-t - k for t in grid]
-    for v in states:
-        out = {t: {} for t in grid}
-        for p, terms in slots:
-            series = _series(sector, terms, v, targets)
-            for t, acc in out.items():
-                phase = system.eta_pow(-p * t)
-                for mono, c in series.get(-t - k, {}).items():
-                    _accumulate(acc, mono, c * phase)
-        yield {Fraction(t, k): StateVector._of(system, "K", acc) for t, acc in out.items()}
+            pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
+            slots.append((p, _prepare(sector, pieces)))
+    yield from _windows(system, "K", slots, modes, states)
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,

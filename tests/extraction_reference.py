@@ -15,7 +15,6 @@ from math import factorial
 from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
 from permtwist.coeffs import ef_apply, exp_delta_apply
 from permtwist.fock import FockMono, StateVector, apply_vector_mode, zero_state
-from permtwist.vertexops import _split_slot
 
 
 def _dcoeff(m: Fraction, nt: int) -> Fraction:
@@ -29,6 +28,23 @@ def _dcoeff(m: Fraction, nt: int) -> Fraction:
 
 def _positive_levels(sv: StateVector):
     return sorted({-n for mono in sv.terms for n, _ in mono.modes})
+
+
+def _slot_monomial(system, umono: FockMono):
+    """(p, V_K monomial) for a V_L monomial that lives in the tensor slot p
+    alone: ambient colour p*d + i is colour i of slot p, and block p of the
+    ground label is the V_K ground label."""
+    k, d = system.k, system.d
+    used = []
+    for p in range(k):
+        colours = range(p * d, (p + 1) * d)
+        if any(umono.ground[c] for c in colours) or any(i in colours for _, i in umono.modes):
+            used.append(p)
+    if len(used) > 1:
+        raise ValueError("state is not supported in a single tensor slot")
+    p = used[0] if used else 0
+    modes = [(n, i - p * d) for n, i in umono.modes]
+    return p, FockMono(modes, umono.ground[p * d:(p + 1) * d])
 
 
 def _umono_factors(umono: FockMono):
@@ -276,7 +292,7 @@ def worldsheet_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateV
     k = system.k
     result = zero_state(system, "K")
     for umono, cu in u.terms.items():
-        p, kmono = _split_slot(system, umono)
+        p, kmono = _slot_monomial(system, umono)
         base = StateVector(system, "K", {kmono: cu})
         phase = system.eta_pow(-p * int(n * k))
         # the key t stands for x^{t/k}

@@ -9,7 +9,7 @@ import extraction_reference as reference
 from permtwist import coeffs, vertexops
 from permtwist.cli import RunConfig, run_iso
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (apply_mode, apply_vector_mode, ground_state,
+from permtwist.fock import (Sector, apply_mode, apply_vector_mode, ground_state,
                             relabel_slots, slot_state, vacuum, weight,
                             weight_basis, zero_state)
 from permtwist.isomap import (default_mode_set, f_apply, f_inverse_apply,
@@ -190,6 +190,31 @@ def test_iso_computes_each_generator_series_once(monkeypatch):
     assert all(r.passed for r in reports)
     assert len(weight_basis(system, "T", 1)) > 1
     assert calls == {"exp_delta_apply": len(generators), "ef_apply": slots}
+
+
+def test_iso_prepares_each_generator_once(monkeypatch):
+    # every Heisenberg vector of a generator's series is split once per
+    # generator, so the count does not grow with the basis
+    counts = []
+    original = Sector.vector
+    for cutoff in (1, 2):
+        calls = 0
+
+        def counted(self, coords):
+            nonlocal calls
+            calls += 1
+            return original(self, coords)
+
+        monkeypatch.setattr(Sector, "vector", counted)
+        system = TwistSystem(A1, 2)
+        basis = weight_basis(system, "T", cutoff)
+        reports = intertwine_generators(system, basis, default_mode_set(system, 1))
+        monkeypatch.setattr(Sector, "vector", original)
+        assert all(r.passed for r in reports)
+        counts.append((len(basis), calls))
+    (small, first), (large, second) = counts
+    assert small < large
+    assert first == second > 0
 
 
 def test_intertwining_under_slot_relabeling(system):

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 import extraction_reference as reference
+from permtwist import vertexops
 from permtwist.cocycle import SECTION_PLAIN, TwistSystem
 from permtwist.fock import (apply_mode, apply_twisted_vector_mode,
                             apply_vector_mode, ground_state, nu_hat_state,
@@ -230,6 +231,33 @@ def test_worldsheet_identity(sys3):
             n = Fraction(num, 3)
             got = worldsheet_twisted_mode(sys3, vac_l, n, v)
             assert got == (v if n == -1 else zero_state(sys3, "K"))
+
+
+def test_empty_windows_compute_no_series(sys2, monkeypatch):
+    calls = {"exp_delta_apply": 0, "ef_apply": 0}
+
+    def counted(name):
+        original = getattr(vertexops, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vertexops, name, counted(name))
+    u = slot_state(sys2, apply_mode(sys2, -1, 0, vacuum(sys2, "K")), 1)
+    twisted = weight_basis(sys2, "T", 1)
+    base = weight_basis(sys2, "K", 1)
+    assert list(spacetime_twisted_windows(sys2, u, [], twisted)) == [{}] * len(twisted)
+    assert list(worldsheet_twisted_windows(sys2, u, [], base)) == [{}] * len(base)
+    assert calls == {"exp_delta_apply": 0, "ef_apply": 0}
+
+
+def test_series_coefficient_rejects_off_grid_exponent(sys2):
+    u = slot_state(sys2, apply_mode(sys2, -1, 0, vacuum(sys2, "K")), 0)
+    with pytest.raises(ValueError, match="exponent"):
+        spacetime_series_coefficient(sys2, u, Fraction(1, 3), vacuum(sys2, "T"))
 
 
 def test_worldsheet_rejects_mixed_slots(sys2):
