@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .cocycle import TwistSystem
-from .exact import Cyc
+from .exact import Cyc, lemma_root_sum
 from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into,
                    _quadratic_into, _virasoro_into)
 
@@ -133,11 +133,7 @@ def c_coeffs(system: TwistSystem, r: int, order: int) -> BiSeries:
 def c110_closed_form(system: TwistSystem) -> Fraction:
     """c_{110} through the root-sum route: -(1/2k^2) sum eta^{-j}/(1-eta^{-j})^2."""
     k = system.k
-    total = system.field.zero()
-    for j in range(1, k):
-        z = system.eta_pow(-j)
-        total = total + z * ((system.field.one() - z) ** (-2))
-    return (total * Fraction(-1, 2 * k * k)).as_rational()
+    return (lemma_root_sum(k) * Fraction(-1, 2 * k * k)).as_rational()
 
 
 def a_coeffs(k: int, J: int) -> list[Fraction]:
@@ -200,24 +196,20 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 # -- Delta_x -------------------------------------------------------------------
 
 
-def delta_apply(system: TwistSystem, v: StateVector,
-                order: int | None = None) -> dict[int, StateVector]:
+def delta_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
     """Delta_x applied to a V_L state: {e: coefficient of x^e}, e <= -2."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
     acc: dict = {}
-    _delta_into(Sector.of(system, "L"), v.terms, 1, 0, acc, order)
+    _delta_into(Sector.of(system, "L"), v.terms, 1, 0, acc)
     return _states(system, "L", acc)
 
 
-def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
-                order: int | None = None) -> None:
+def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
     accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
     sector is the descriptor of L."""
     lev = _max_level(terms)
-    if order is None:
-        order = 2 * lev + 2
     system = sector.system
     k, d = system.k, system.d
     # b_b(n) v does not depend on r, m or the second colour: each is applied once
@@ -227,7 +219,7 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict,
         # moves the second colour p * d + i to block p + r
         form = tuple((b, tuple((((a // d + r) % k) * d + a % d, f) for a, f in row))
                      for b, row in sector.dual_form)
-        for (m, n), c in c_coeffs(system, r, order).coeffs.items():
+        for (m, n), c in c_coeffs(system, r, 2 * lev + 2).coeffs.items():
             if m > lev or n > lev or (m == 0 and n == 0):
                 continue
             _quadratic_into(sector, form, n, m, terms, c * scale,

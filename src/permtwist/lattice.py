@@ -1,9 +1,13 @@
 """Even positive-definite lattices and the cyclic block isometry.
 
 Lattice vectors are plain integer tuples (coordinates in the defining
-basis); ambient vectors are tuples of Fraction or Cyc scalars.  Short-vector
-enumeration runs on an exact rational LDL^T decomposition, so the vector
-lists are provably complete.
+basis); ambient vectors are tuples of Fraction or Cyc scalars.  Each Gram
+matrix G is factored once, on ints, by fraction-free (Bareiss) elimination
+without pivoting: upper-triangular rows U with U[i][i] = D_{i+1}, the leading
+minors (D_0 = 1), and G = U^T diag(1/(D_i D_{i+1})) U.  The pivots give the
+definiteness check (Sylvester's criterion) and det; short-vector enumeration
+descends on the scaled ints of that factorization, so the vector lists are
+provably complete.  Dual cosets come from the Smith normal form of G.
 """
 
 from __future__ import annotations
@@ -19,35 +23,35 @@ class LatticeError(ValueError):
     pass
 
 
-def _det_int(rows) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
+def _bareiss_rows(gram) -> list[tuple[int, ...]]:
+    """The int rows U of the fraction-free elimination of gram, no pivoting.
+
+    U[i][i] is the leading minor D_{i+1}; the first that is not positive is
+    refused (Sylvester's criterion) before anything divides by it.
+    """
+    a = [list(row) for row in gram]
+    n, prev = len(a), 1
+    for i in range(n):
+        pivot = a[i][i]
+        if pivot <= 0:
+            raise LatticeError(f"lattice not positive definite (minor {i + 1})")
         for r in range(i + 1, n):
             for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+                a[r][c] = (a[r][c] * pivot - a[r][i] * a[i][c]) // prev
             a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
+        prev = pivot
+    return [tuple(row) for row in a]
 
 
 class Lattice:
     """A positive-definite even lattice given by its Gram matrix."""
 
     def __init__(self, gram, name: str = ""):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple(tuple(row) for row in gram)
+        for row in gram:
+            for x in row:
+                if not isinstance(x, int):
+                    raise LatticeError(f"gram entry {x!r} is not an integer")
         n = len(gram)
         if n == 0:
             raise LatticeError("lattice must have positive rank")
@@ -60,14 +64,15 @@ class Lattice:
         for i in range(n):
             if gram[i][i] % 2 != 0:
                 raise LatticeError("lattice not even")
-        for m in range(1, n + 1):
-            minor = _det_int([row[:m] for row in gram[:m]])
-            if minor <= 0:
-                raise LatticeError(f"lattice not positive definite (minor {m})")
+        self._rows = _bareiss_rows(gram)
+        # s <a, a> = sum_i w_i (U a)_i^2 with w_i = s / (D_i D_{i+1}), all ints
+        minors = [1] + [row[i] for i, row in enumerate(self._rows)]
+        pairs = [minors[i] * minors[i + 1] for i in range(n)]
+        self._scale = math.lcm(*pairs)
+        self._weights = [self._scale // p for p in pairs]
         self.gram = gram
         self.rank = n
         self.name = name
-        self._ldl = None
         self._gram_inv = None
 
     def __repr__(self):
@@ -103,7 +108,7 @@ class Lattice:
 
     @property
     def det(self) -> int:
-        return _det_int(self.gram)
+        return self._rows[-1][-1]
 
     def gram_inverse(self):
         """Inverse Gram matrix over Q (rows of the dual basis)."""
@@ -127,35 +132,23 @@ class Lattice:
 
     # -- enumeration -------------------------------------------------------
 
-    def _ldl_decomposition(self):
-        # gram = C^T diag(D) C with C upper unitriangular, all entries rational
-        if self._ldl is None:
-            n = self.rank
-            a = [[Fraction(x) for x in row] for row in self.gram]
-            dvals = [Fraction(0)] * n
-            cmat = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-            for i in range(n):
-                dvals[i] = a[i][i]
-                for j in range(i + 1, n):
-                    cmat[i][j] = a[i][j] / a[i][i]
-                for r in range(i + 1, n):
-                    for c in range(i + 1, n):
-                        a[r][c] -= a[i][r] * a[i][c] / a[i][i]
-            self._ldl = (dvals, cmat)
-        return self._ldl
-
     def enumerate_up_to_norm(self, bound, center=None) -> list[tuple[int, ...]]:
         """All alpha with <alpha + center, alpha + center> <= 2*bound (center
         a rational vector, None for 0), in lexicographic order."""
         bound = Fraction(bound)
         if bound < 0:
             raise LatticeError("bound must be nonnegative")
-        limit = 2 * bound
-        dvals, cmat = self._ldl_decomposition()
-        n = self.rank
-        # (C center)_i joins the shift c of coordinate i in the descent
-        offsets = [0] * n if center is None else [
-            sum(cmat[i][j] * center[j] for j in range(i, n)) for i in range(n)]
+        rows, weights, n = self._rows, self._weights, self.rank
+        # z = q U (alpha + center) is an int vector (q the centre's common
+        # denominator) and s q^2 <v, v> = sum_i w_i z_i^2
+        if center is None:
+            q, offsets = 1, [0] * n
+        else:
+            center = [Fraction(x) for x in center]
+            q = math.lcm(*(x.denominator for x in center))
+            lifted = [x.numerator * (q // x.denominator) for x in center]
+            offsets = [sum(rows[i][j] * lifted[j] for j in range(i, n)) for i in range(n)]
+        steps = [q * rows[i][i] for i in range(n)]
         found = []
         coords = [0] * n
 
@@ -163,18 +156,17 @@ class Lattice:
             if i < 0:
                 found.append(tuple(coords))
                 return
-            # (x_i + c)^2 * D_i <= remaining
-            c = sum((cmat[i][j] * coords[j] for j in range(i + 1, n)), offsets[i])
-            r = remaining / dvals[i]
-            lo = _ceil_neg_sqrt_shift(r, c)
-            hi = _floor_sqrt_shift(r, c)
-            for x in range(lo, hi + 1):
+            # z_i = step * x + t, and w_i z_i^2 <= remaining iff |z_i| <= h
+            row, step = rows[i], steps[i]
+            t = offsets[i] + q * sum(row[j] * coords[j] for j in range(i + 1, n))
+            h = math.isqrt(remaining // weights[i])
+            for x in range(-((h + t) // step), (h - t) // step + 1):
                 coords[i] = x
-                used = dvals[i] * (x + c) ** 2
-                descend(i - 1, remaining - used)
+                z = step * x + t
+                descend(i - 1, remaining - weights[i] * z * z)
             coords[i] = 0
 
-        descend(n - 1, limit)
+        descend(n - 1, math.floor(bound * (2 * self._scale * q * q)))
         found.sort()
         return found
 
@@ -183,50 +175,17 @@ class Lattice:
     def dual_coset_reps(self) -> list[tuple[Fraction, ...]]:
         """One representative per class of (dual lattice)/(lattice); 0 first.
 
-        Computed via the Smith normal form of the Gram matrix; coordinates
-        are rational, in the defining basis.
+        With U G V = S the Smith normal form, G^-1 U^-1 y = V S^-1 y for
+        0 <= y_i < S_ii; coordinates are rational, in the defining basis.
         """
-        s, u, v = smith_normal_form(self.gram)
+        s, _, v = smith_normal_form(self.gram)
         n = self.rank
-        uinv = _int_matrix_inverse(u)
-        ginv = self.gram_inverse()
         reps = []
-        counters = [range(s[i][i]) for i in range(n)]
-        for ys in itertools.product(*counters):
-            x = [sum(uinv[i][j] * ys[j] for j in range(n)) for i in range(n)]
-            vec = tuple(sum(ginv[i][j] * x[j] for j in range(n)) for i in range(n))
-            reps.append(vec)
+        for ys in itertools.product(*(range(s[i][i]) for i in range(n))):
+            scaled = [Fraction(y, s[j][j]) for j, y in enumerate(ys)]
+            reps.append(tuple(sum(v[i][j] * scaled[j] for j in range(n)) for i in range(n)))
         reps.sort(key=lambda t: (t != tuple(Fraction(0) for _ in range(n)), t))
         return reps
-
-
-def _floor_sqrt_shift(r: Fraction, c: Fraction) -> int:
-    """Largest integer x with (x + c)^2 <= r (r >= 0).
-
-    When no integer qualifies, the result lies below -c - sqrt(r), so the
-    range up to it from _ceil_neg_sqrt_shift is empty.
-    """
-    if r < 0:
-        return -1 if c >= 0 else int(math.floor(-c)) - 1
-    # start near floor(sqrt(r) - c) and correct with exact checks, in
-    # integers: with y = (x + c) * cd, (x + c)^2 <= r iff y^2 * den <= num * cd^2
-    num, den = r.numerator, r.denominator
-    cn, cd = c.numerator, c.denominator
-    approx = math.isqrt(num * den) // den
-    x = approx - math.ceil(c) + 1
-    y, top = x * cd + cn, num * cd * cd
-    while y * y * den <= top:
-        x, y = x + 1, y + cd
-    while y * y * den > top:
-        if y < 0:
-            return x
-        x, y = x - 1, y - cd
-    return x
-
-
-def _ceil_neg_sqrt_shift(r: Fraction, c: Fraction) -> int:
-    """Smallest integer x with (x + c)^2 <= r (r >= 0)."""
-    return -_floor_sqrt_shift(r, -c)
 
 
 def smith_normal_form(mat):
@@ -300,14 +259,6 @@ def smith_normal_form(mat):
             u[t] = [-x for x in u[t]]
         t += 1
     return a, u, v
-
-
-def _int_matrix_inverse(mat):
-    """Inverse of a unimodular integer matrix, exact, as integer rows."""
-    out = _rational_inverse(mat)
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ArithmeticError("matrix not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 def integer_span_contains(basis_rows, vec) -> bool:

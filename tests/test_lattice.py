@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,14 @@ def test_validation_errors():
         Lattice([[2, 3], [3, 2]])
     with pytest.raises(LatticeError, match="not symmetric"):
         Lattice([[2, 1], [0, 2]])
+
+
+@pytest.mark.parametrize("entry, shown", [(2.5, "2.5"), (Fraction(5, 2), "Fraction(5, 2)"),
+                                          ("2", "'2'")])
+def test_non_integer_gram_entry_is_refused(entry, shown):
+    # int() would read each of these as A1
+    with pytest.raises(LatticeError, match=re.escape(f"gram entry {shown} is not an integer")):
+        Lattice([[entry]])
 
 
 def test_inner_examples():
