@@ -6,7 +6,9 @@
   inverse (worldsheet side).
 
 Everything is exact: exponentials are expanded by weight-graded nilpotence,
-never by order truncation.
+never by order truncation.  Each engine reads its degree off the state: an
+operator that lowers the Heisenberg level by j kills every state of level
+below j.  The c_{mnr} and a_j are memoized on their integer arguments.
 
 Each engine returns a plain table {exponent: StateVector} with no zero
 entry, its keys ints on a fixed step: e stands for x^e for Delta_x and
@@ -16,10 +18,10 @@ exp(Delta_x), and t for x^{t/k} for E_f and its inverse.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .cocycle import TwistSystem
-from .exact import Cyc, lemma_root_sum
+from .exact import Cyc, CycField, lemma_root_sum
 from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into,
                    _quadratic_into, _virasoro_into)
 
@@ -102,32 +104,24 @@ def _log_one_plus(u: BiSeries) -> BiSeries:
 
 def c_coeffs(system: TwistSystem, r: int, order: int) -> BiSeries:
     """The coefficients c_{mnr} as a bivariate series to total degree `order`."""
-    k = system.k
-    r = r % k if k > 1 else 0
-    cache = getattr(system, "_c_series_cache", None)
-    if cache is None:
-        cache = system._c_series_cache = {}
-    key = (r, order)
-    if key in cache:
-        return cache[key]
-    field = system.field
-    if k == 1:
-        out = BiSeries(field, order)
-        cache[key] = out
-        return out
-    if r != 0:
-        ax = _binomial_series_1k(field, k, order, 0)
-        by = _binomial_series_1k(field, k, order, 1)
-        eta_r = system.eta_pow(-r)
-        denom = (field.one() - eta_r).inv()
-        u = (ax + by.scaled(-eta_r)).scaled(denom)
-        out = _log_one_plus(u).scaled(Fraction(1, 2))
-    else:
+    return _c_series(system.k, r % system.k, order)
+
+
+@cache
+def _c_series(k: int, r: int, order: int) -> BiSeries:
+    """c_coeffs for the residue 0 <= r < k, over Q(eta) with eta = zeta_{2k}^2."""
+    field = CycField(2 * k)
+    if r == 0:
         out = BiSeries(field, order)
         for j in range(1, k):
-            out = out + c_coeffs(system, j, order).scaled(-1)
-    cache[key] = out
-    return out
+            out = out + _c_series(k, j, order).scaled(-1)
+        return out
+    ax = _binomial_series_1k(field, k, order, 0)
+    by = _binomial_series_1k(field, k, order, 1)
+    eta_r = field.zeta(-2 * r)
+    denom = (field.one() - eta_r).inv()
+    u = (ax + by.scaled(-eta_r)).scaled(denom)
+    return _log_one_plus(u).scaled(Fraction(1, 2))
 
 
 def c110_closed_form(system: TwistSystem) -> Fraction:
@@ -148,8 +142,14 @@ def a_coeffs(k: int, J: int) -> list[Fraction]:
     """
     if J < 1:
         raise ValueError("J must be at least 1")
+    return list(_a_series(k, J))
+
+
+@cache
+def _a_series(k: int, J: int) -> tuple[Fraction, ...]:
+    """a_coeffs(k, J) as a tuple."""
     if k == 1:
-        return [Fraction(0)] * J
+        return (Fraction(0),) * J
     deg = J + 2
     f = [Fraction(0)] + [rational_binomial(k, t) / k for t in range(1, deg + 1)]
     fprime = [(t + 1) * f[t + 1] for t in range(deg)]
@@ -163,7 +163,7 @@ def a_coeffs(k: int, J: int) -> list[Fraction]:
             vm = -sum(v * defect[m + 1] for v, defect in solved) / ((m - 2) * f[2])
         solved.append((vm, [p - (fprime[t - m] if t >= m else 0)
                             for t, p in enumerate(power)]))
-    return [-v for v, _ in solved]
+    return tuple(-v for v, _ in solved)
 
 
 def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
@@ -208,7 +208,10 @@ def delta_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
 def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
     accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
-    sector is the descriptor of L."""
+    sector is the descriptor of L.
+
+    b(m) b(n) lowers the level by m + n, so on `terms` of level lev only the
+    c_{mnr} with m + n <= lev act: the c-series is taken to degree lev."""
     lev = _max_level(terms)
     system = sector.system
     k, d = system.k, system.d
@@ -219,9 +222,7 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> No
         # moves the second colour p * d + i to block p + r
         form = tuple((b, tuple((((a // d + r) % k) * d + a % d, f) for a, f in row))
                      for b, row in sector.dual_form)
-        for (m, n), c in c_coeffs(system, r, 2 * lev + 2).coeffs.items():
-            if m > lev or n > lev or (m == 0 and n == 0):
-                continue
+        for (m, n), c in c_coeffs(system, r, lev).coeffs.items():
             _quadratic_into(sector, form, n, m, terms, c * scale,
                             acc.setdefault(shift - m - n, {}), firsts)
 
@@ -270,13 +271,14 @@ def _scaling_into(sector: Sector, terms: dict, power: int, shift: int, out: dict
         _accumulate(out.setdefault(shift + (k - 1) * w, {}), mono, c * Fraction(k) ** w)
 
 
-def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: int) -> dict:
-    """exp(sign * sum_j a_j x^{-j/k} L(j)) applied to a table."""
+def _exp_virasoro_sum(sector: Sector, table: dict, avals: tuple, sign: int) -> dict:
+    """exp(sign * sum_j a_j x^{-j/k} L(j)) applied to a table; L(j) lowers
+    the level by j, so it acts only on terms of level at least j."""
     def step_into(terms, scale, t, acc):
         lev = _max_level(terms)
         firsts: dict = {}   # b_b(first) applied to terms, shared by every L(j)
         for j, aj in enumerate(avals, start=1):
-            if aj == 0 or j > lev + 2:
+            if aj == 0 or j > lev:
                 continue
             _virasoro_into(sector, j, terms, lev, aj * sign * scale,
                            acc.setdefault(t - j, {}), firsts)
@@ -285,13 +287,12 @@ def _exp_virasoro_sum(sector: Sector, table: dict, avals: list[Fraction], sign: 
 
 
 def _ef_data(system: TwistSystem, v: StateVector):
-    """The K descriptor and the a_j up to the top weight of v: every L(j)
-    above it kills v."""
+    """The K descriptor and the a_j up to the level of v (at least a_1): every
+    L(j) above it kills v, and neither the scaling nor any L(j), j > 0,
+    raises the level."""
     if v.sector != "K":
         raise ValueError("E_f acts on the base sector")
-    sector = Sector.of(system, "K")
-    top = max([1] + [int(sector.mono_weight(mono)) for mono in v.terms])
-    return sector, a_coeffs(system.k, top)
+    return Sector.of(system, "K"), _a_series(system.k, max(1, _max_level(v.terms)))
 
 
 def ef_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:

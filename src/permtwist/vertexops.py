@@ -163,17 +163,12 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                     table = _ground_shift(sector, _exp_table(sector, table, bvec, -1), beta)
                 deferred = [factors[t] for t in range(r) if mask >> t & 1]
                 for idx, (nt, vec) in enumerate(deferred):
-                    # leave room for the least the later factors must add;
-                    # with no creation exponential to follow, the last
-                    # factor must land on a target
-                    later = deferred[idx + 1:]
-                    room = top - sum(1 - nt2 * den for nt2, _ in later)
-                    land = None if later or bvec else targets
+                    # leave room for the least the later factors must add
+                    room = top - sum(1 - nt2 * den for nt2, _ in deferred[idx + 1:])
                     shift = nt * den
                     table = _factor_apply(
                         sector, table, nt, vec,
-                        lambda e, ts: [-s for s in range(1, room - e + shift + 1)
-                                       if land is None or e + s - shift in land])
+                        lambda e, ts: [-s for s in range(1, room - e + shift + 1)])
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)

@@ -6,11 +6,14 @@ Each operator here rebuilds the whole state after every piece
 again for every colour of the second, and `delta_apply` reapplies each
 first mode for every (r, m, i).  It is slow and shares no mode-action
 code with the package, which is what makes it useful in tests: only state
-addition and scaling, the c_{mnr} series and the twisted vacuum weight are
-imported.  The pairing, the zero-mode eigenvalues and the grid check are
+addition and scaling, the c_{mnr} series, the flow coefficients a_j and the
+twisted vacuum weight are imported.  The pairing, the zero-mode eigenvalues and the grid check are
 written here from the Gram matrices of K and L.  `exp_delta_apply` divides
 each power by t with `StateVector.scaled` per exponent.  Both return
 {exponent: StateVector} tables built one term at a time by `_add_term`.
+`ef_apply` and `ef_inverse_apply` build E_f and its inverse from the
+`virasoro_L` here and the flow coefficients a_j up to the top weight + 2,
+applying every L(j) to every coefficient, the ones that must vanish too.
 `omega_state` writes the conformal vector out as the explicit
 (1/2) sum ginv[i][j] b_i(-1) b_j(-1), not as L(-2) applied to the vacuum.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import c_coeffs
+from permtwist.coeffs import a_coeffs, c_coeffs
 from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight, zero_state
 
 
@@ -254,3 +257,67 @@ def exp_delta_apply(system: TwistSystem, v: StateVector) -> dict:
         t += 1
     return out
 
+
+def _weight(system, mono) -> int:
+    """The L(0)-weight of a V_K monomial, its level plus <g, g>/2; an int as
+    K is even."""
+    w = mono.level() + Fraction(system.K.inner(mono.ground, mono.ground), 2)
+    assert w.denominator == 1, w
+    return int(w)
+
+
+def _scaling(system, sv: StateVector, power: int) -> dict:
+    """(k x^{(k-1)/k})^(power * L(0)) on a V_K state: {t: coefficient of x^{t/k}}."""
+    k = system.k
+    out: dict = {}
+    for mono, c in sv.terms.items():
+        w = power * _weight(system, mono)
+        _add_term(out, (k - 1) * w,
+                  StateVector(system, "K", {mono: c}).scaled(Fraction(k) ** w))
+    return out
+
+
+def _exp_virasoro(system, table: dict, avals, sign: int) -> dict:
+    """exp(sign * sum_j a_j x^{-j/k} L(j)) on a table {t: StateVector}."""
+    out = dict(table)
+    current = dict(table)
+    t = 1
+    while current:
+        nxt: dict = {}
+        for e, sv in current.items():
+            for j, aj in enumerate(avals, start=1):
+                piece = virasoro_L(system, j, sv)
+                if not piece.is_zero():
+                    _add_term(nxt, e - j, piece.scaled(aj * sign))
+        current = {e: sv.scaled(Fraction(1, t)) for e, sv in nxt.items()}
+        for e, sv in current.items():
+            _add_term(out, e, sv)
+        t += 1
+    return out
+
+
+def _flow_coefficients(system, sv: StateVector) -> list:
+    """a_1 .. a_{w+2} for w the top weight of sv."""
+    top = max((_weight(system, mono) for mono in sv.terms), default=0)
+    return a_coeffs(system.k, top + 2)
+
+
+def ef_apply(system: TwistSystem, v: StateVector) -> dict:
+    """E_f(x^(1/k)) v = exp(sum_j a_j x^{-j/k} L(j)) (k x^{(k-1)/k})^{-L(0)} v
+    as {t: coefficient of x^{t/k}}."""
+    if v.sector != "K":
+        raise ValueError("E_f acts on the base sector")
+    return _exp_virasoro(system, _scaling(system, v, -1), _flow_coefficients(system, v), +1)
+
+
+def ef_inverse_apply(system: TwistSystem, v: StateVector) -> dict:
+    """E_f(x^(1/k))^(-1) v = (k x^{(k-1)/k})^{L(0)} exp(-sum_j a_j x^{-j/k} L(j)) v
+    as {t: coefficient of x^{t/k}}."""
+    if v.sector != "K":
+        raise ValueError("E_f acts on the base sector")
+    start = {} if v.is_zero() else {0: v}
+    out: dict = {}
+    for t, sv in _exp_virasoro(system, start, _flow_coefficients(system, v), -1).items():
+        for t2, sv2 in _scaling(system, sv, +1).items():
+            _add_term(out, t + t2, sv2)
+    return out

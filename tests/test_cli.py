@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permtwist import characters
+from permtwist import characters, isomap
 from permtwist.characters import FracQSeries
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
@@ -119,6 +119,33 @@ def test_chars_reports_no_check_that_cannot_fail(tmp_path, monkeypatch):
     reports, status = cmd("chars", a1_config(tmp_path))
     assert status == 1
     assert reports and not any(r.passed for r in reports)
+
+
+def test_iso_reports_a_wrong_space_time_side(tmp_path, monkeypatch):
+    # the space-time side computes 2u: every generator differs at the first mode
+    windows = isomap.spacetime_twisted_windows
+    monkeypatch.setattr(isomap, "spacetime_twisted_windows",
+                        lambda system, u, modes, states:
+                        windows(system, u.scaled(2), modes, states))
+    reports, status = cmd("iso", a1_config(tmp_path))
+    assert status == 1
+    assert reports and all(r.check_id.startswith("intertwine[") for r in reports)
+    assert all(r.status == "fail" for r in reports)
+    assert all(r.witness.startswith("mode -1: first difference at ") for r in reports)
+    assert reports[0].machine_line() == (
+        "id=intertwine[current-slot1] anchor=twisted-operator-intertwining status=fail "
+        "witness='mode -1: first difference at b0(-2)*e(0,): -1/2'")
+
+
+def test_thm41_reports_a_wrong_base_character(tmp_path, monkeypatch):
+    char_voa = characters.char_voa
+    monkeypatch.setattr(characters, "char_voa",
+                        lambda K, order: char_voa(K, order).scaled(2))
+    reports, status = cmd("thm41", a1_config(tmp_path))
+    assert status == 1
+    failed = [r for r in reports if not r.passed]
+    assert [r.check_id for r in failed] == ["char-equality[A1 k=2 order=6]"]
+    assert failed[0].witness == "first difference at q^-1/24: 1 vs 2"
 
 
 def test_chars_on_a_bound_with_empty_shells():

@@ -11,9 +11,9 @@ import pytest
 
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import delta_apply, exp_delta_apply
+from permtwist.coeffs import delta_apply, ef_apply, ef_inverse_apply, exp_delta_apply
 from permtwist.fock import (apply_mode, apply_vector_mode, omega_state, twisted_L0,
-                            virasoro_L, weight_basis, zero_state)
+                            virasoro_L, weight, weight_basis, zero_state)
 from permtwist.isomap import generator_family
 from permtwist.lattice import Lattice
 
@@ -88,8 +88,8 @@ def test_twisted_L0_matches_reference(system):
 def test_delta_apply_matches_reference(system):
     for sv in _states(system, "L"):
         assert delta_apply(system, sv) == reference.delta_apply(system, sv)
-    # the fixed series order 2 * level + 2 truncates nothing: the reference
-    # with a longer series gives the same Delta_x
+    # the series degree the state's level sets truncates nothing: the
+    # reference with a longer series gives the same Delta_x
     sv = _states(system, "L")[-1]
     order = 2 * int(sv.max_level()) + 6
     assert delta_apply(system, sv) == reference.delta_apply(system, sv, order=order)
@@ -98,3 +98,15 @@ def test_delta_apply_matches_reference(system):
 def test_exp_delta_apply_matches_reference(system):
     for _, u in generator_family(system):
         assert exp_delta_apply(system, u) == reference.exp_delta_apply(system, u)
+
+
+@pytest.mark.parametrize("K,k", [(A1, 2), (A1, 3), (A2, 2), (A2, 3)],
+                         ids=lambda p: getattr(p, "name", p))
+def test_ef_apply_matches_reference(K, k):
+    system = TwistSystem(K, k)
+    basis = weight_basis(system, "K", 3)
+    # lattice ground states, whose weight exceeds their level, are among them
+    assert any(weight(system, sv) > sv.max_level() for sv in basis)
+    for sv in basis:
+        assert ef_apply(system, sv) == reference.ef_apply(system, sv)
+        assert ef_inverse_apply(system, sv) == reference.ef_inverse_apply(system, sv)
