@@ -1,6 +1,8 @@
 """Coefficient engines for the two twisted constructions.
 
-* the bivariate log-series coefficients c_{mnr} and the operator Delta_x
+* the coefficients c_{mnr} of (1/2) log((X - eta^{-r} Y)/(1 - eta^{-r})),
+  X = (1+x)^{1/k}, Y = (1+y)^{1/k}, each one closed double sum over the
+  powers of (1+x)^{1/k} - 1 and (1+y)^{1/k} - 1, and the operator Delta_x
   with its exponential (space-time side),
 * the change-of-variables coefficients a_j and the operator E_f with its
   inverse (worldsheet side).
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from math import comb
 
 from .cocycle import TwistSystem
 from .exact import Cyc, CycField, lemma_root_sum
@@ -37,91 +40,46 @@ def rational_binomial(top, r: int) -> Fraction:
     return out
 
 
-class BiSeries:
-    """Truncated bivariate power series with Cyc coefficients."""
-
-    def __init__(self, field, order: int, coeffs=None):
-        self.field = field
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if not c.is_zero() and key[0] + key[1] <= order:
-                    self.coeffs[key] = c
-
-    def get(self, m: int, n: int) -> Cyc:
-        return self.coeffs.get((m, n), self.field.zero())
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= order}
-        for k, v in other.coeffs.items():
-            if k[0] + k[1] <= order:
-                s = out.get(k)
-                out[k] = v if s is None else s + v
-        return BiSeries(self.field, order, out)
-
-    def scaled(self, c):
-        return BiSeries(self.field, self.order,
-                        {k: v * c for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = {}
-        for (m1, n1), c1 in self.coeffs.items():
-            for (m2, n2), c2 in other.coeffs.items():
-                m, n = m1 + m2, n1 + n2
-                if m + n <= order:
-                    key = (m, n)
-                    prod = c1 * c2
-                    s = out.get(key)
-                    out[key] = prod if s is None else s + prod
-        return BiSeries(self.field, order, out)
-
-
-def _binomial_series_1k(field, k: int, order: int, variable: int) -> BiSeries:
-    """(1 + x)^(1/k) - 1 as a BiSeries in variable 0 (x) or 1 (y)."""
-    coeffs = {}
-    for m in range(1, order + 1):
-        key = (m, 0) if variable == 0 else (0, m)
-        coeffs[key] = field.from_rat(rational_binomial(Fraction(1, k), m))
-    return BiSeries(field, order, coeffs)
-
-
-def _log_one_plus(u: BiSeries) -> BiSeries:
-    """log(1 + u) for u with zero constant term."""
-    out = BiSeries(u.field, u.order)
-    power = BiSeries(u.field, u.order, {(0, 0): u.field.one()})
-    sign = 1
-    for t in range(1, u.order + 1):
-        power = power * u
-        if not power.coeffs:
-            break
-        out = out + power.scaled(Fraction(sign, t))
-        sign = -sign
-    return out
-
-
-def c_coeffs(system: TwistSystem, r: int, order: int) -> BiSeries:
-    """The coefficients c_{mnr} as a bivariate series to total degree `order`."""
-    return _c_series(system.k, r % system.k, order)
+def c_coeffs(system: TwistSystem, r: int, degree: int) -> dict[tuple[int, int], Cyc]:
+    """The c_{mnr} with m + n <= degree as {(m, n): Cyc}, with no zero entry."""
+    return _c_series(system.k, r % system.k, degree)
 
 
 @cache
-def _c_series(k: int, r: int, order: int) -> BiSeries:
-    """c_coeffs for the residue 0 <= r < k, over Q(eta) with eta = zeta_{2k}^2."""
+def _c_series(k: int, r: int, degree: int) -> dict[tuple[int, int], Cyc]:
+    """c_coeffs for the residue 0 <= r < k, over Q(eta) with eta = zeta_{2k}^2.
+
+    With e = eta^{-r}, A = (1+x)^{1/k} - 1 and B = (1+y)^{1/k} - 1, the series
+    is (1/2) log(1 + (A - e B)/(1 - e)); the binomial theorem on each power of
+    log(1 + u) gives
+      c_{mnr} = sum_{j <= m, l <= n, j + l >= 1} (-1)^{j+1} binom(j+l, j)
+                / (2(j+l)) e^l (1 - e)^{-(j+l)} [x^m] A^j [y^n] B^l,
+    and c_{mn0} = -sum_{r != 0} c_{mnr}."""
     field = CycField(2 * k)
+    out: dict = {}
     if r == 0:
-        out = BiSeries(field, order)
-        for j in range(1, k):
-            out = out + _c_series(k, j, order).scaled(-1)
+        for s in range(1, k):
+            for key, c in _c_series(k, s, degree).items():
+                _accumulate(out, key, -c)
         return out
-    ax = _binomial_series_1k(field, k, order, 0)
-    by = _binomial_series_1k(field, k, order, 1)
-    eta_r = field.zeta(-2 * r)
-    denom = (field.one() - eta_r).inv()
-    u = (ax + by.scaled(-eta_r)).scaled(denom)
-    return _log_one_plus(u).scaled(Fraction(1, 2))
+    # power[j][m] = [x^m] A^j, zero for m < j
+    base = [0] + [rational_binomial(Fraction(1, k), m) for m in range(1, degree + 1)]
+    power = [[1] + [0] * degree]
+    for _ in range(degree):
+        prev = power[-1]
+        power.append([sum(prev[s] * base[m - s] for s in range(m)) for m in range(degree + 1)])
+    e = field.zeta(-2 * r)
+    step = (field.one() - e).inv()
+    weight = {(j, l): (e * step) ** l * step ** j
+              * Fraction((-1) ** (j + 1) * comb(j + l, j), 2 * (j + l))
+              for j in range(degree + 1) for l in range(degree + 1 - j) if j + l}
+    for m in range(degree + 1):
+        for n in range(degree + 1 - m):
+            c = sum((w * (power[j][m] * power[l][n]) for (j, l), w in weight.items()
+                     if power[j][m] and power[l][n]), field.zero())
+            if not c.is_zero():
+                out[(m, n)] = c
+    return out
 
 
 def c110_closed_form(system: TwistSystem) -> Fraction:
@@ -222,7 +180,7 @@ def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> No
         # moves the second colour p * d + i to block p + r
         form = tuple((b, tuple((((a // d + r) % k) * d + a % d, f) for a, f in row))
                      for b, row in sector.dual_form)
-        for (m, n), c in c_coeffs(system, r, lev).coeffs.items():
+        for (m, n), c in c_coeffs(system, r, lev).items():
             _quadratic_into(sector, form, n, m, terms, c * scale,
                             acc.setdefault(shift - m - n, {}), firsts)
 

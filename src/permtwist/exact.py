@@ -279,13 +279,13 @@ class Cyc:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Cyc):
+            return (self.field is other.field and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
             num = self._num
             return (num[0] == other.numerator and self._den == other.denominator
                     and not any(num[1:]))
-        if isinstance(other, Cyc):
-            return (self.field is other.field and self._den == other._den
-                    and self._num == other._num)
         return NotImplemented
 
     def __hash__(self):

@@ -50,7 +50,7 @@ class Lattice:
         gram = tuple(tuple(row) for row in gram)
         for row in gram:
             for x in row:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise LatticeError(f"gram entry {x!r} is not an integer")
         n = len(gram)
         if n == 0:

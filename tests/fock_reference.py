@@ -6,9 +6,11 @@ Each operator here rebuilds the whole state after every piece
 again for every colour of the second, and `delta_apply` reapplies each
 first mode for every (r, m, i).  It is slow and shares no mode-action
 code with the package, which is what makes it useful in tests: only state
-addition and scaling, the c_{mnr} series, the flow coefficients a_j and the
-twisted vacuum weight are imported.  The pairing, the zero-mode eigenvalues and the grid check are
-written here from the Gram matrices of K and L.  `exp_delta_apply` divides
+addition and scaling, the flow coefficients a_j and the twisted vacuum
+weight are imported.  The pairing, the zero-mode eigenvalues and the grid
+check are written here from the Gram matrices of K and L, and
+`c_series_reference` expands the c_{mnr} as a log series on plain dicts,
+with its own bivariate product and log(1 + u) loop.  `exp_delta_apply` divides
 each power by t with `StateVector.scaled` per exponent.  Both return
 {exponent: StateVector} tables built one term at a time by `_add_term`.
 `ef_apply` and `ef_inverse_apply` build E_f and its inverse from the
@@ -21,9 +23,11 @@ applying every L(j) to every coefficient, the ones that must vanish too.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import a_coeffs, c_coeffs
+from permtwist.coeffs import a_coeffs
+from permtwist.exact import CycField
 from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight, zero_state
 
 
@@ -203,6 +207,57 @@ def _add_term(table: dict, e: int, sv: StateVector) -> None:
         table[e] = combined
 
 
+def _bi_add(a: dict, b: dict) -> dict:
+    """The sum of two bivariate series {(m, n): Cyc}, keeping no zero entry."""
+    out = dict(a)
+    for key, c in b.items():
+        s = out[key] + c if key in out else c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def _bi_mul(a: dict, b: dict, degree: int) -> dict:
+    """The product of two bivariate series, cut off above total degree `degree`."""
+    out: dict = {}
+    for (m1, n1), c1 in a.items():
+        for (m2, n2), c2 in b.items():
+            key = (m1 + m2, n1 + n2)
+            if sum(key) <= degree:
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+@cache
+def c_series_reference(k: int, r: int, degree: int) -> dict:
+    """The c_{mnr} with m + n <= degree as {(m, n): Cyc}: the coefficients of
+    (1/2) log((X - e Y)/(1 - e)) with X = (1+x)^{1/k}, Y = (1+y)^{1/k} and
+    e = eta^{-r}, summed as log(1 + u) = sum_t (-1)^{t+1} u^t / t for
+    u = (X - 1 - e (Y - 1))/(1 - e); c_{mn0} = -sum_{r != 0} c_{mnr}."""
+    r %= k
+    if r == 0:
+        out: dict = {}
+        for s in range(1, k):
+            out = _bi_add(out, {key: -c for key, c in c_series_reference(k, s, degree).items()})
+        return out
+    field = CycField(2 * k)
+    e = field.zeta(-2 * r)
+    scale = (field.one() - e).inv()
+    u: dict = {}
+    binom = Fraction(1)     # binom(1/k, m)
+    for m in range(1, degree + 1):
+        binom = binom * (Fraction(1, k) - m + 1) / m
+        u = _bi_add(u, {(m, 0): scale * binom, (0, m): -(e * scale) * binom})
+    out, power = {}, {(0, 0): field.one()}
+    for t in range(1, degree + 1):
+        power = _bi_mul(power, u, degree)
+        out = _bi_add(out, {key: c * Fraction((-1) ** (t + 1), 2 * t)
+                            for key, c in power.items()})
+    return out
+
+
 def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> dict:
     """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
     if v.sector != "L":
@@ -214,8 +269,7 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     ginv = system.K.gram_inverse()
     out: dict = {}
     for r in range(k):
-        series = c_coeffs(system, r, order)
-        for (m, n), c in series.coeffs.items():
+        for (m, n), c in c_series_reference(k, r, order).items():
             if m > lev or n > lev or (m == 0 and n == 0):
                 continue
             # sum_j sum_p c_mnr (nu^{-r} dual-pair) (m) pair (n)

@@ -42,7 +42,7 @@ def test_criterion_02_c110_both_routes():
     ok = True
     for k in (2, 3, 4, 6):
         system = TwistSystem(A1, k)
-        series_val = c_coeffs(system, 0, 2).get(1, 1)
+        series_val = c_coeffs(system, 0, 2).get((1, 1), system.field.zero())
         closed = c110_closed_form(system)
         expected = Fraction(k * k - 1, 24 * k * k)
         ok &= series_val.is_rational() and series_val.as_rational() == expected
@@ -85,7 +85,7 @@ def test_criterion_04_exp_delta_on_omega():
                                    apply_vector_mode(system, -1, beta,
                                                      vacuum(system, "L")))
             out = exp_delta_apply(system, st)
-            c11 = [c_coeffs(system, r, 2).get(1, 1) for r in range(k)]
+            c11 = [c_coeffs(system, r, 2).get((1, 1), system.field.zero()) for r in range(k)]
             total = c11[0] * (2 * system.L.inner(alpha, beta))
             for r in range(1, k):
                 for s_res in range(k):

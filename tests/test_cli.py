@@ -226,6 +226,15 @@ def test_rank_zero_lattice_is_a_usage_error(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: lattice must have positive rank"]
 
 
+def test_boolean_gram_entry_is_a_usage_error(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass: read as 1 it would build A2
+    path = write(tmp_path, "name = A2\nrank = 2\ngram = [[2, true], [true, 2]]\n")
+    assert main(["thm41", "--lattice", path, "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: gram must be a 2x2 integer matrix"]
+
+
 @pytest.mark.parametrize("flag", ["--q-order", "--weight-cutoff", "--mode-bound"])
 def test_zero_denominator_is_a_usage_error(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -277,6 +286,7 @@ def test_non_even_lattice_is_a_usage_error(tmp_path, capsys, subcommand):
 
 @pytest.mark.parametrize("golden, lattice, argv", [
     ("iso_a1_k3", "a1.lat", ["iso", "--k", "3", "--weight-cutoff", "1", "--mode-bound", "1"]),
+    ("coeffs_a1_k1", "a1.lat", ["coeffs", "--k", "1"]),
     ("coeffs_a1_k2", "a1.lat", ["coeffs", "--k", "2"]),
     ("thm41_a1_k2", "a1.lat", ["thm41", "--k", "2"]),
     ("iso_a2_k3", "a2.lat",

@@ -2,7 +2,8 @@
 
 Every weight-basis state of A1 and A2 at k = 1, 2, 3 to a small weight, in
 every sector, and one dense combination of them with cyclotomic
-coefficients, so that terms of different monomials meet and cancel.
+coefficients, so that terms of different monomials meet and cancel.  The
+closed-sum c_{mnr} are checked against the log series they expand.
 """
 
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import delta_apply, ef_apply, ef_inverse_apply, exp_delta_apply
-from permtwist.fock import (apply_mode, apply_vector_mode, omega_state, twisted_L0,
-                            virasoro_L, weight, weight_basis, zero_state)
+from permtwist.coeffs import (c_coeffs, delta_apply, ef_apply, ef_inverse_apply,
+                              exp_delta_apply)
+from permtwist.fock import (apply_mode, apply_vector_mode, ground_state, omega_state,
+                            twisted_L0, vacuum, virasoro_L, weight, weight_basis,
+                            zero_state)
 from permtwist.isomap import generator_family
 from permtwist.lattice import Lattice
 
@@ -37,6 +40,19 @@ def _states(system, sector):
     for t, sv in enumerate(basis):
         mixed = mixed + sv.scaled(system.eta_pow(t) - (t % 3))
     return basis + [mixed]
+
+
+def _level_three_state(system):
+    """A V_L state of level 3 on a nonzero ground state and on the vacuum, so
+    that every c_{mnr} with m + n = 3 meets a pair of modes it does not kill."""
+    rank = system.L.rank
+    ground = ground_state(system, "L", (1,) + (0,) * (rank - 1))
+    top = rank - 1
+    cube = vacuum(system, "L")
+    for i in (top, 0, 0):
+        cube = apply_mode(system, -1, i, cube)
+    return (apply_mode(system, -1, 0, apply_mode(system, -2, top, ground))
+            + apply_mode(system, -3, top, ground).scaled(system.eta_pow(1)) + cube)
 
 
 def _modes(system, sector):
@@ -85,8 +101,20 @@ def test_twisted_L0_matches_reference(system):
         assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_c_series_matches_log_series_reference(k):
+    system = TwistSystem(A1, k)
+    for r in range(k):
+        for degree in range(7):
+            series = c_coeffs(system, r, degree)
+            assert series == reference.c_series_reference(k, r, degree)
+            assert not any(c.is_zero() for c in series.values())
+
+
 def test_delta_apply_matches_reference(system):
-    for sv in _states(system, "L"):
+    level_three = _level_three_state(system)
+    assert level_three.max_level() == 3
+    for sv in _states(system, "L") + [level_three]:
         assert delta_apply(system, sv) == reference.delta_apply(system, sv)
     # the series degree the state's level sets truncates nothing: the
     # reference with a longer series gives the same Delta_x

@@ -38,7 +38,7 @@ def test_validation_errors():
 
 
 @pytest.mark.parametrize("entry, shown", [(2.5, "2.5"), (Fraction(5, 2), "Fraction(5, 2)"),
-                                          ("2", "'2'")])
+                                          ("2", "'2'"), (True, "True")])
 def test_non_integer_gram_entry_is_refused(entry, shown):
     # int() would read each of these as A1
     with pytest.raises(LatticeError, match=re.escape(f"gram entry {shown} is not an integer")):
