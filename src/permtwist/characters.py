@@ -169,6 +169,8 @@ def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
     scale, center = 1, None
     if shift is not None:
         shift = tuple(Fraction(x) for x in shift)
+        if len(shift) != L.rank:
+            raise ValueError(f"shift has length {len(shift)}, lattice rank {L.rank}")
         if any(sum(g * x for g, x in zip(row, shift)).denominator != 1 for row in L.gram):
             raise ValueError("shift not in the dual lattice")
         scale = math.lcm(*(x.denominator for x in shift))

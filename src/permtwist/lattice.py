@@ -7,7 +7,8 @@ without pivoting: upper-triangular rows U with U[i][i] = D_{i+1}, the leading
 minors (D_0 = 1), and G = U^T diag(1/(D_i D_{i+1})) U.  The pivots give the
 definiteness check (Sylvester's criterion) and det; short-vector enumeration
 descends on the scaled ints of that factorization, so the vector lists are
-provably complete.  Dual cosets come from the Smith normal form of G.
+provably complete.  Dual cosets are G^-1 y for y in the box
+0 <= y_i < H_ii, H the Hermite normal form of G.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ class Lattice:
         if center is None:
             q, offsets = 1, [0] * n
         else:
+            if len(center) != n:
+                raise LatticeError(f"center has length {len(center)}, lattice rank {n}")
             center = [Fraction(x) for x in center]
             q = math.lcm(*(x.denominator for x in center))
             lifted = [x.numerator * (q // x.denominator) for x in center]
@@ -175,115 +178,52 @@ class Lattice:
     def dual_coset_reps(self) -> list[tuple[Fraction, ...]]:
         """One representative per class of (dual lattice)/(lattice); 0 first.
 
-        With U G V = S the Smith normal form, G^-1 U^-1 y = V S^-1 y for
-        0 <= y_i < S_ii; coordinates are rational, in the defining basis.
+        G maps the dual onto Z^n and the lattice onto the row span of G, so
+        the classes are G^-1 y for y in the box 0 <= y_i < H_ii of the
+        Hermite form H of G (square and triangular: G is nonsingular).
+        Coordinates are rational, in the defining basis.
         """
-        s, _, v = smith_normal_form(self.gram)
-        n = self.rank
-        reps = []
-        for ys in itertools.product(*(range(s[i][i]) for i in range(n))):
-            scaled = [Fraction(y, s[j][j]) for j, y in enumerate(ys)]
-            reps.append(tuple(sum(v[i][j] * scaled[j] for j in range(n)) for i in range(n)))
-        reps.sort(key=lambda t: (t != tuple(Fraction(0) for _ in range(n)), t))
+        h, ginv = hermite_rows(self.gram), self.gram_inverse()
+        reps = [tuple(sum(g * y for g, y in zip(row, ys)) for row in ginv)
+                for ys in itertools.product(*(range(row[i]) for i, row in enumerate(h)))]
+        reps.sort(key=lambda t: (any(t), t))
         return reps
 
 
-def smith_normal_form(mat):
-    """(S, U, V) with U*mat*V = S diagonal, U and V unimodular, over Z."""
-    a = [list(map(int, row)) for row in mat]
-    m, n = len(a), len(a[0])
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+def hermite_rows(rows) -> list[tuple[int, ...]]:
+    """The row Hermite normal form of the Z-span of integer rows.
 
-    def row_op(i, j, f):  # row_i -= f*row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):  # col_i -= f*col_j
-        for r in range(m):
-            a[r][i] -= f * a[r][j]
-        for r in range(n):
-            v[r][i] -= f * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the trailing block for the divisibility chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # fold the offending row into the pivot row
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, v
-
-
-def integer_span_contains(basis_rows, vec) -> bool:
-    """Whether vec lies in the Z-span of basis_rows."""
-    basis_rows = [r for r in basis_rows if any(r)]
-    if not basis_rows:
-        return not any(vec)
-    s, u, v = smith_normal_form(basis_rows)
-    n = len(vec)
-    # g in rowspan(B) iff g*V lands in rowspan(S)
-    gv = [sum(vec[r] * v[r][j] for r in range(n)) for j in range(n)]
-    m = len(basis_rows)
-    for j, x in enumerate(gv):
-        if j < min(m, n) and s[j][j]:
-            if x % s[j][j] != 0:
-                return False
-        elif x != 0:
-            return False
-    return True
+    The nonzero rows in echelon form, each pivot positive and each entry
+    above a pivot in [0, pivot).  The form is unique, so two spans are equal
+    exactly when their forms are.  Euclid row operations on each column.
+    """
+    work = [list(row) for row in rows]
+    done: list[list[int]] = []
+    for c in range(len(work[0]) if work else 0):
+        live = [row for row in work if row[c]]
+        if not live:
+            continue
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[c]))
+            for row in live:
+                if row is not pivot:
+                    f = row[c] // pivot[c]
+                    row[:] = [x - f * y for x, y in zip(row, pivot)]
+            live = [row for row in live if row[c]]
+        pivot = live[0]
+        work.remove(pivot)
+        if pivot[c] < 0:
+            pivot[:] = [-x for x in pivot]
+        for row in done:
+            f = row[c] // pivot[c]
+            row[:] = [x - f * y for x, y in zip(row, pivot)]
+        done.append(pivot)
+    return [tuple(row) for row in done]
 
 
 def integer_span_equal(rows_a, rows_b) -> bool:
     """Whether two integer generator lists span the same sublattice of Z^n."""
-    return (all(integer_span_contains(rows_a, v) for v in rows_b)
-            and all(integer_span_contains(rows_b, v) for v in rows_a))
+    return hermite_rows(rows_a) == hermite_rows(rows_b)
 
 
 class CyclicShift:

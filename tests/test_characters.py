@@ -58,6 +58,8 @@ def test_theta_examples():
     assert all((e - Fraction(1, 4)).denominator == 1 for e, _ in ts.items())
     with pytest.raises(ValueError, match="dual"):
         theta_series(A1, 2, shift=(Fraction(1, 3),))
+    with pytest.raises(ValueError, match="shift has length 1, lattice rank 2"):
+        theta_series(A2, 2, shift=(1,))
 
 
 def test_series_algebra():

@@ -1,6 +1,9 @@
 """Lattice file parsing, subcommands, exit codes, deterministic output."""
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,3 +303,17 @@ def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     argv = argv + ["--lattice", str(LATTICES / lattice), "--format", "machine"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.machine").read_text(encoding="utf-8")
+
+
+def test_thm41_on_an_unreduced_rank_6_gram_finishes():
+    # four dual cosets read off a Gram matrix whose integer normal form
+    # needs care; run in a subprocess so that a hang fails, not stalls
+    argv = [sys.executable, "-m", "permtwist.cli", "thm41", "--lattice", str(GOLDEN / "s6.lat"),
+            "--k", "2", "--q-order", "2", "--format", "machine"]
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 and all("status=pass" in line for line in lines)
+    assert lines[-1].startswith("id=coset-exclusion[S6 k=2 rep3] ")

@@ -151,6 +151,9 @@ def test_enumeration_examples():
     roots = A2.enumerate_up_to_norm(1)
     assert len(roots) == 7
     assert (0, 0) in roots
+    for center in [(Fraction(1, 3), 0, 0), (Fraction(1, 3),)]:
+        with pytest.raises(LatticeError, match=f"center has length {len(center)}, lattice rank 2"):
+            A2.enumerate_up_to_norm(1, center=center)
 
 
 def test_enumeration_brute_force_oracle():

@@ -1,5 +1,7 @@
-"""Short-vector enumeration against a brute-force box search, and the
-definiteness check and det against an independent elimination.
+"""Short-vector enumeration against a brute-force box search, the
+definiteness check and det against an independent elimination, dual cosets
+against their defining properties, and span equality against rational
+inverses and unimodular row operations.
 
 Gram matrices are drawn at random (rank at most 3, even diagonal, small
 off-diagonal entries); those `Lattice` refuses are rejected.  Every alpha
@@ -15,10 +17,14 @@ from itertools import product
 from math import ceil, floor, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from permtwist.lattice import Lattice, LatticeError
+from permtwist.lattice import Lattice, LatticeError, hermite_rows, integer_span_equal
+
+# rank 6, det 4, with an unreduced Gram matrix (tests/data/s6.lat)
+S6_GRAM = [[8, 5, -5, -5, -4, 0], [5, 10, -3, 2, -1, -6], [-5, -3, 6, 3, 0, 0],
+           [-5, 2, 3, 8, 3, -4], [-4, -1, 0, 3, 8, -3], [0, -6, 0, -4, -3, 6]]
 
 
 @st.composite
@@ -143,3 +149,132 @@ def test_enumeration_fraction_work_does_not_grow_with_the_bound(monkeypatch):
         (few, first), (many, second) = counts
         assert few < many
         assert first == second
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gram())
+@example(S6_GRAM)
+def test_dual_coset_reps_are_one_per_class(gram):
+    try:
+        lattice = Lattice(gram)
+    except LatticeError:
+        assume(False)
+    n = lattice.rank
+    reps = lattice.dual_coset_reps()
+    assert len(reps) == lattice.det
+    assert reps[0] == (0,) * n
+    for rep in reps:
+        assert all(sum(g * x for g, x in zip(row, rep)).denominator == 1 for row in gram)
+    # two classes agree iff the representatives differ by an integer vector
+    assert len({tuple(x - floor(x) for x in rep) for rep in reps}) == len(reps)
+
+
+def _inverse(rows):
+    """Inverse over Q by Gauss-Jordan elimination with row swaps."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for i in range(n):
+        pivot = next(r for r in range(i, n) if a[r][i] != 0)
+        a[i], a[pivot] = a[pivot], a[i]
+        a[i] = [x / a[i][i] for x in a[i]]
+        for r in range(n):
+            if r != i:
+                a[r] = [x - a[r][i] * y for x, y in zip(a[r], a[i])]
+    return [row[n:] for row in a]
+
+
+def _integral_product(a, b) -> bool:
+    return all(sum(x * b[m][j] for m, x in enumerate(row)).denominator == 1
+               for row in a for j in range(len(b[0])))
+
+
+_ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def _square_pair(draw):
+    """Two square integer matrices; B is either random or A under row
+    operations that keep its span, with one row then perhaps scaled."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        return a, [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    b = [row[:] for row in a]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j, f = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(_ENTRY)
+        if i != j:
+            b[i] = [x + f * y for x, y in zip(b[i], b[j])]
+    i = draw(st.integers(0, n - 1))
+    b[i] = [draw(st.sampled_from([1, -1, 2, 3])) * x for x in b[i]]
+    return a, b
+
+
+@settings(deadline=None, max_examples=200)
+@given(_square_pair())
+def test_span_equality_matches_rational_inverses(pair):
+    # rows of A lie in the span of B iff A B^-1 is integral
+    a, b = pair
+    assume(_det(a) != 0 and _det(b) != 0)
+    expected = _integral_product(a, _inverse(b)) and _integral_product(b, _inverse(a))
+    assert integer_span_equal(a, b) == expected
+
+
+def _is_hermite(form, width) -> bool:
+    """Echelon rows, positive pivots, entries above each pivot in [0, pivot)."""
+    last = -1
+    for i, row in enumerate(form):
+        col = next((c for c, x in enumerate(row) if x), None)
+        if len(row) != width or col is None or col <= last or row[col] < 0:
+            return False
+        if any(not 0 <= above[col] < row[col] for above in form[:i]):
+            return False
+        last = col
+    return True
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(st.integers(-4, 4), min_size=w, max_size=w),
+                       min_size=1, max_size=6)), st.data())
+def test_span_is_kept_under_unimodular_row_operations(rows, data):
+    m, width = len(rows), len(rows[0])
+    index = st.integers(0, m - 1)
+    moved = [row[:] for row in rows]
+    for _ in range(data.draw(st.integers(0, 8))):
+        i, j = data.draw(index), data.draw(index)
+        kind = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            f = data.draw(_ENTRY)
+            moved[i] = [x + f * y for x, y in zip(moved[i], moved[j])]
+        elif kind == "swap":
+            moved[i], moved[j] = moved[j], moved[i]
+        elif kind == "negate":
+            moved[i] = [-x for x in moved[i]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        fs = data.draw(st.lists(_ENTRY, min_size=m, max_size=m))
+        moved.append([sum(f * row[c] for f, row in zip(fs, rows)) for c in range(width)])
+    assert integer_span_equal(rows, moved)
+    assert _is_hermite(hermite_rows(rows), width)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                                 min_size=n, max_size=n), st.integers(0, n - 1))))
+def test_doubling_a_basis_row_changes_the_span(basis_and_row):
+    basis, i = basis_and_row
+    assume(_det(basis) != 0)
+    doubled = [[2 * x for x in row] if r == i else row for r, row in enumerate(basis)]
+    assert integer_span_equal(basis, basis)
+    assert not integer_span_equal(basis, doubled)
+    assert not integer_span_equal(doubled, basis)
+
+
+def test_span_equality_of_two_generating_sets_of_z5():
+    a = [(3, 4, -2, 2, 0), (-4, -2, 4, 1, -4), (-3, 1, -1, 2, 3), (0, -2, -2, -1, -2),
+         (0, 0, -1, 3, 2), (0, 3, -3, 2, 0)]
+    b = [(-6, 5, 12, 5, 1), (-14, -5, -3, -1, -13), (0, -1, -5, 11, 4), (4, -3, 13, 0, 4),
+         (11, -14, -2, -4, 7), (8, -2, 4, 13, -9)]
+    assert integer_span_equal(a, b)
+    assert hermite_rows(b) == [tuple(int(i == j) for j in range(5)) for i in range(5)]
