@@ -93,8 +93,8 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
     generator on every state of basis, over every mode.
 
     Each generator's coefficient series (exp(Delta_x) u, and E_f once per
-    tensor slot of u) is computed once for the whole basis.  A generator
-    that compared no mode fails.
+    distinct slot state of u) is computed once for the whole basis.  A
+    generator that compared no mode fails.
     """
     modes = [Fraction(n) for n in modes]
     images = [f_apply(system, v) for v in basis]

@@ -7,12 +7,15 @@ zero coefficient.  The operator comes prepared (`_prepare`): each
 u-monomial's derivative factors and ground label are split by
 `Sector.vector` and its prefactor is taken once per generator, not once per
 state.  One window loop (`_windows`) serves the space-time, worldsheet and
-base-module families: it takes the operator as tensor slots (p, prepared
-terms), runs one series per slot and state, rotates slot p by eta^{-pt}
-and reads off the requested modes.  The twisted single-mode entry points
-are one-mode windows, and `untwisted_mode` is one one-target series.  Only
-the entry points wrap table entries as states.  The computation enumerates
-the finitely many normal-ordered contributions, so every result is exact.
+base-module families: it takes the operator as entries (P, prepared terms),
+P the tensor slots holding the same terms, and runs one series per entry and
+state.  Target t gets the phase sum over p in P of eta^{-pt}; a target whose
+sum is zero is never asked for, so omega, equal in every slot, gives one
+series read at t = 0 mod k.  The entry (0,) adds its series unrotated.  The
+twisted single-mode entry points are one-mode windows, and `untwisted_mode`
+is one one-target series.  Only the entry points wrap table entries as
+states.  The computation enumerates the finitely many normal-ordered
+contributions, so every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -33,7 +36,8 @@ modes and exponents at the boundary and reject any off the grid.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import add
 
 from .cocycle import TwistSystem
 from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
@@ -186,26 +190,32 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
 def _windows(system: TwistSystem, name: str, slots, modes, states):
     """Yields {n: state} for every twisted mode n in modes and each v in
     states in turn: n = t/k is read off x^{-t-k} in
-    sum_p eta^{-pt} (prepared terms of slot p) v, over the (p, prepared
-    terms) in slots, from one `_series` per slot and state.  Exponents of
-    the slots' terms are in grid steps of the sector `name`, 1/k in T and
-    1 in V_K once the worldsheet side raises x to the k-th power."""
+    sum_P (sum_{p in P} eta^{-pt}) (prepared terms) v over the (P, prepared
+    terms) in slots, from one `_series` per entry and state that asks only
+    for the targets whose phase sum is nonzero.  The phase sums are taken
+    once per window; the entry (0,) takes none.  Exponents of the terms are
+    in grid steps of the sector `name`, 1/k in T and 1 in V_K once the
+    worldsheet side raises x to the k-th power."""
     k = system.k
     grid = [Sector.of(system, "T").grid(n) for n in modes]
-    targets = [-t - k for t in grid]
     sector = Sector.of(system, name)
+    entries = []
+    for slot_tuple, terms in slots:
+        phases = None if slot_tuple == (0,) else {
+            t: reduce(add, (system.eta_pow(-p * t) for p in slot_tuple)) for t in grid}
+        entries.append((terms, phases, [-t - k for t in grid
+                                        if phases is None or not phases[t].is_zero()]))
     for v in states:
         out = {t: {} for t in grid}
-        for p, terms in slots:
-            series = _series(sector, terms, v, targets)
+        for terms, phases, targets in entries:
+            series = _series(sector, terms, v, targets) if targets else {}
             for t, acc in out.items():
                 ts = series.get(-t - k, {})
-                if p:
-                    phase = system.eta_pow(-p * t)
-                    for mono, c in ts.items():
-                        _accumulate(acc, mono, c * phase)
-                else:
+                if phases is None:
                     _merge_into(acc, ts)
+                else:
+                    for mono, c in ts.items():
+                        _accumulate(acc, mono, c * phases[t])
         yield {Fraction(t, k): StateVector._of(system, name, acc) for t, acc in out.items()}
 
 
@@ -241,15 +251,15 @@ def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
-    """Yields {n: u^{nu-hat}_n v} for every n in modes and each v in states in
-    turn, from one series of u on v, with exp(Delta_x) u computed once for
-    all of them."""
+    """An iterator of {n: u^{nu-hat}_n v} for every n in modes and each v in
+    states in turn, from one series of u on v, with exp(Delta_x) u computed
+    once for all of them.  The arguments are checked on the call."""
     states = list(states)
     if u.sector != "L" or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
     modes = list(modes)
-    slots = [(0, _spacetime_terms(system, [(0, u)]))] if modes else []
-    yield from _windows(system, "T", slots, modes, states)
+    slots = [((0,), _spacetime_terms(system, [(0, u)]))] if modes else []
+    return _windows(system, "T", slots, modes, states)
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
@@ -270,7 +280,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     mode = Fraction(Sector.of(system, "K").grid(n) + 1, system.k) - 1
     pieces = [(t, slot_state(system, w_t, 0))
               for t, w_t in ef_inverse_apply(system, u).items()]
-    return next(_windows(system, "T", [(0, _spacetime_terms(system, pieces))],
+    return next(_windows(system, "T", [((0,), _spacetime_terms(system, pieces))],
                          [mode], [v]))[mode]
 
 
@@ -293,9 +303,10 @@ def _split_slot(system, umono: FockMono):
 
 
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
-    """Yields {n: u_n v} for the change-of-variables twisted operator, every n
-    in modes and each v in states in turn, from one series per tensor slot
-    of u, with E_f applied once per slot for all of them.
+    """An iterator of {n: u_n v} for the change-of-variables twisted operator,
+    every n in modes and each v in states in turn, from one series per
+    distinct slot state of u, with E_f applied once per distinct slot state
+    for all of them.  The arguments are checked on the call.
 
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
@@ -305,20 +316,23 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
     modes = list(modes)
     sector = Sector.of(system, "K")
+    by_slot: dict[int, dict] = {}
+    for umono, cu in u.terms.items():
+        p, kmono = _split_slot(system, umono)
+        by_slot.setdefault(p, {})[kmono] = cu
+    # V_K terms -> (those terms, the slots holding them)
+    by_state: dict = {}
+    for p, kterms in by_slot.items():
+        by_state.setdefault(frozenset(kterms.items()), (kterms, []))[1].append(p)
     # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
     # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) u = sum_s x^{s/k} w_s, rotated
-    # by the slot's phase
+    # by the slots' phases
     slots = []
-    if modes:
-        by_slot: dict[int, dict] = {}
-        for umono, cu in u.terms.items():
-            p, kmono = _split_slot(system, umono)
-            by_slot.setdefault(p, {})[kmono] = cu
-        for p, kterms in by_slot.items():
-            corrected = ef_apply(system, StateVector(system, "K", kterms))
-            pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
-            slots.append((p, _prepare(sector, pieces)))
-    yield from _windows(system, "K", slots, modes, states)
+    for kterms, ps in by_state.values() if modes else ():
+        corrected = ef_apply(system, StateVector(system, "K", kterms))
+        pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
+        slots.append((tuple(ps), _prepare(sector, pieces)))
+    return _windows(system, "K", slots, modes, states)
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,

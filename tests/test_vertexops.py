@@ -233,6 +233,21 @@ def test_worldsheet_identity(sys3):
             assert got == (v if n == -1 else zero_state(sys3, "K"))
 
 
+@pytest.mark.parametrize("modes", [[0], []], ids=["one-mode", "no-modes"])
+def test_windows_check_arguments_on_the_call(sys2, modes):
+    # the window functions raise before any window is asked for
+    current = slot_state(sys2, apply_mode(sys2, -1, 0, vacuum(sys2, "K")), 0)
+    mixed = ground_state(sys2, "L", (1, 1))
+    with pytest.raises(ValueError, match="single tensor slot"):
+        worldsheet_twisted_windows(sys2, mixed, modes, [vacuum(sys2, "K")])
+    with pytest.raises(ValueError, match="acting on V_K"):
+        worldsheet_twisted_windows(sys2, current, modes, [vacuum(sys2, "T")])
+    with pytest.raises(ValueError, match="twisted sector"):
+        spacetime_twisted_windows(sys2, current, modes, [vacuum(sys2, "K")])
+    with pytest.raises(ValueError, match="twisted sector"):
+        spacetime_twisted_windows(sys2, vacuum(sys2, "K"), modes, [vacuum(sys2, "T")])
+
+
 def test_empty_windows_compute_no_series(sys2, monkeypatch):
     calls = {"exp_delta_apply": 0, "ef_apply": 0}
 
@@ -302,6 +317,61 @@ def test_series_engine_matches_per_mode_reference(K, k, compared_want):
                 compared += 1
                 nonzero += not spacetime[n].is_zero()
     assert compared == compared_want
+    assert nonzero > 0
+
+
+def test_omega_series_matches_per_mode_reference_on_a2():
+    # omega holds omega_K in all three slots; the reference extracts each
+    # slot on its own and rotates it by its phase
+    system = TwistSystem(A2, 3)
+    basis = weight_basis(system, "T", Fraction(5, 9))
+    states = basis + [sum(basis[1:], basis[0])]
+    modes = default_mode_set(system, Fraction(2, 3))
+    images = [f_apply(system, v) for v in states]
+    omega = omega_state(system, "L")
+    compared, nonzero = 0, 0
+    for fv, worldsheet in zip(images, worldsheet_twisted_windows(system, omega, modes, images)):
+        for n in modes:
+            assert worldsheet[n] == reference.worldsheet_twisted_mode(system, omega, n, fv), n
+            # a vector fixed by the permutation has integral modes only
+            if n.denominator != 1:
+                assert worldsheet[n].is_zero(), n
+            compared += 1
+            nonzero += not worldsheet[n].is_zero()
+    assert (len(basis), len(modes), compared) == (9, 5, 50)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("coeffs, ef_calls, vanishing", [
+    pytest.param((1, 0, 1, 0), 1, lambda t: t % 2, id="slots-0-2"),
+    pytest.param((1, 2, 0, 0), 2, lambda t: False, id="slots-0-1-unequal"),
+    pytest.param((0, 1, 1, 1), 1, lambda t: False, id="slots-1-2-3")])
+def test_partial_slot_sums_match_per_mode_reference(coeffs, ef_calls, vanishing, monkeypatch):
+    system = TwistSystem(A1, 4)
+    w = apply_mode(system, -1, 0, vacuum(system, "K"))
+    u = zero_state(system, "L")
+    for p, c in enumerate(coeffs):
+        if c:
+            u = u + slot_state(system, w, p).scaled(c)
+    calls = 0
+    original = vertexops.ef_apply
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(vertexops, "ef_apply", counted)
+    modes = default_mode_set(system, 1)
+    states = weight_basis(system, "K", 2)
+    nonzero = 0
+    for v, window in zip(states, worldsheet_twisted_windows(system, u, modes, states)):
+        for n in modes:
+            assert window[n] == reference.worldsheet_twisted_mode(system, u, n, v), n
+            if vanishing(int(4 * n)):
+                assert window[n].is_zero(), n
+            nonzero += not window[n].is_zero()
+    assert calls == ef_calls
     assert nonzero > 0
 
 
