@@ -6,7 +6,15 @@ requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
 zero coefficient.  The operator comes prepared (`_prepare`): each
 u-monomial's derivative factors and ground label are split by
 `Sector.vector` and its prefactor is taken once per generator, not once per
-state.  One window loop (`_windows`) serves the space-time, worldsheet and
+state.  On the space-time side (`_spacetime_terms`) the u-monomials that
+differ only in the tensor slots of their factors are merged first: each
+factor b_i^(p) is written in the eta^r-eigenvectors of nu as
+sum_r eta^{-rp} E_{r,i}, and equal terms are summed, so the slot sum of
+omega keeps only the residue pairs r + s = 0 mod k before any mode is
+applied.  A monomial with no such partner, as in every one-slot state,
+keeps its factors whole.  An eigen factor is a `Sector.vector` with one
+nonempty residue entry and visits only the modes of that residue.  One
+window loop (`_windows`) serves the space-time, worldsheet and
 base-module families: it takes the operator as entries (P, prepared terms),
 P the tensor slots holding the same terms, and runs one series per entry and
 state.  Target t gets the phase sum over p in P of eta^{-pt}; a target whose
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import product
 from operator import add
 
 from .cocycle import TwistSystem
@@ -64,14 +73,17 @@ def _factor_apply(sector: Sector, table: dict, nt: int, vec, modes) -> dict:
 
     For every entry (e, terms) and every m in modes(e, terms),
     _dcoeff(m) * h(m) terms lands at exponent e - m - nt * den, through
-    Sector.mode_into, for vec the `Sector.vector` of h.
+    Sector.mode_into, for vec the `Sector.vector` of h.  A mode whose residue
+    entry of vec is empty is skipped: an eigen factor runs over one residue.
     """
     den = sector.den
     out: dict = {}
     for e, terms in table.items():
         for m in modes(e, terms):
+            if not vec[m % den]:
+                continue
             c = _dcoeff(m, nt, den)
-            if c != 0:
+            if c:
                 sector.mode_into(m, vec, terms, c, out.setdefault(e - m - nt * den, {}))
     return {e: t for e, t in out.items() if t}
 
@@ -235,11 +247,43 @@ def untwisted_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> St
 def _spacetime_terms(system: TwistSystem, pieces) -> list:
     """sum x^offset exp(Delta_x) u over the (offset, u) in pieces, prepared
     on the twisted grid, with exp(Delta_x) run once per piece.  Offsets are
-    in steps of 1/k."""
-    k = system.k
-    return _prepare(Sector.of(system, "T"),
-                    [(offset + k * e, u_e.terms) for offset, u in pieces
-                     for e, u_e in exp_delta_apply(system, u).items()])
+    in steps of 1/k.
+
+    The u-monomials are grouped by (offset, beta, the multiset of (order,
+    colour)): within a group they differ only in the tensor slot of each
+    factor.  A group of one monomial keeps its factors whole.  In a larger
+    group each factor b_i^(p) becomes sum_r eta^{-rp} E_{r,i}, for E_{r,i}
+    the residue-r entry (i, 1) of `Sector.vector`, and the expanded terms
+    are summed on their sorted (order, colour, residue) factors, zero sums
+    dropped.  For omega the slot sum leaves k sum_r E_{r,i} E_{-r,j}: every
+    factor runs over the modes of one residue."""
+    k, d = system.k, system.d
+    sector = Sector.of(system, "T")
+    groups: dict = {}
+    for offset, u in pieces:
+        for e, u_e in exp_delta_apply(system, u).items():
+            for umono, c in u_e.terms.items():
+                key = (offset + k * e, umono.ground,
+                       tuple(sorted((-n, idx % d) for n, idx in umono.grid)))
+                _accumulate(groups.setdefault(key, {}), umono, c)
+    one = system.field.one()
+    out = []
+    for (offset, beta, _), monos in groups.items():
+        if len(monos) < 2:
+            out += _prepare(sector, [(offset, monos)])
+            continue
+        merged: dict = {}
+        for umono, c in monos.items():
+            for rs in product(range(k), repeat=len(umono.grid)):
+                rp = sum(r * (idx // d) for r, (_, idx) in zip(rs, umono.grid))
+                key = tuple(sorted((-n, idx % d, r) for r, (n, idx) in zip(rs, umono.grid)))
+                _accumulate(merged, key, c * system.eta_pow(-rp))
+        bvec = sector.vector(beta) if any(beta) else None
+        for key, c in merged.items():
+            factors = tuple((nt, tuple(((i, one),) if s == r else () for s in range(k)))
+                            for nt, i, r in key)
+            out.append((offset, beta, bvec, factors, c * sector.prefactor(beta)))
+    return out
 
 
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,

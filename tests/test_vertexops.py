@@ -8,7 +8,8 @@ import pytest
 import extraction_reference as reference
 from permtwist import vertexops
 from permtwist.cocycle import SECTION_PLAIN, TwistSystem
-from permtwist.fock import (apply_mode, apply_twisted_vector_mode,
+from permtwist.coeffs import ef_inverse_apply
+from permtwist.fock import (Sector, StateVector, apply_mode, apply_twisted_vector_mode,
                             apply_vector_mode, ground_state, nu_hat_state,
                             omega_state, slot_state, twisted_L0, vacuum,
                             virasoro_L, weight_basis, zero_state)
@@ -330,15 +331,21 @@ def test_omega_series_matches_per_mode_reference_on_a2():
     images = [f_apply(system, v) for v in states]
     omega = omega_state(system, "L")
     compared, nonzero = 0, 0
-    for fv, worldsheet in zip(images, worldsheet_twisted_windows(system, omega, modes, images)):
+    windows = zip(states, images,
+                  spacetime_twisted_windows(system, omega, modes, states),
+                  worldsheet_twisted_windows(system, omega, modes, images))
+    for v, fv, spacetime, worldsheet in windows:
         for n in modes:
+            assert spacetime[n] == reference.spacetime_twisted_mode(system, omega, n, v), n
             assert worldsheet[n] == reference.worldsheet_twisted_mode(system, omega, n, fv), n
             # a vector fixed by the permutation has integral modes only
             if n.denominator != 1:
+                assert spacetime[n].is_zero(), n
                 assert worldsheet[n].is_zero(), n
-            compared += 1
+            compared += 2
+            nonzero += not spacetime[n].is_zero()
             nonzero += not worldsheet[n].is_zero()
-    assert (len(basis), len(modes), compared) == (9, 5, 50)
+    assert (len(basis), len(modes), compared) == (9, 5, 100)
     assert nonzero > 0
 
 
@@ -363,16 +370,76 @@ def test_partial_slot_sums_match_per_mode_reference(coeffs, ef_calls, vanishing,
 
     monkeypatch.setattr(vertexops, "ef_apply", counted)
     modes = default_mode_set(system, 1)
-    states = weight_basis(system, "K", 2)
-    nonzero = 0
-    for v, window in zip(states, worldsheet_twisted_windows(system, u, modes, states)):
-        for n in modes:
-            assert window[n] == reference.worldsheet_twisted_mode(system, u, n, v), n
-            if vanishing(int(4 * n)):
-                assert window[n].is_zero(), n
-            nonzero += not window[n].is_zero()
+    compared, nonzero = 0, 0
+    # the space-time side merges the slots' residue parts: the same modes vanish
+    for side, sector, windows, oracle in [
+            ("worldsheet", "K", worldsheet_twisted_windows, reference.worldsheet_twisted_mode),
+            ("spacetime", "T", spacetime_twisted_windows, reference.spacetime_twisted_mode)]:
+        states = weight_basis(system, sector, 2 if sector == "K" else 1)
+        for v, window in zip(states, windows(system, u, modes, states)):
+            for n in modes:
+                assert window[n] == oracle(system, u, n, v), (side, n)
+                if vanishing(int(4 * n)):
+                    assert window[n].is_zero(), (side, n)
+                compared += 1
+                nonzero += not window[n].is_zero()
     assert calls == ef_calls
+    # 8 base states of weight at most 2 and 15 twisted ones of weight at most 1
+    assert (len(modes), compared) == (9, 9 * (8 + 15))
     assert nonzero > 0
+
+
+# each monomial is ((mode, ambient colour), ...) over an L ground label
+@pytest.mark.parametrize("monos", [
+    pytest.param([(((-1, 0), (-2, 1)), (0, 0, 0))], id="b0(-1)b1(-2)"),
+    pytest.param([(((-1, 0), (-2, 1)), (0, 0, 0)), (((-1, 1), (-2, 2)), (0, 0, 0))],
+                 id="b0(-1)b1(-2)+b1(-1)b2(-2)"),
+    pytest.param([(((-1, 1),), (1, 0, 0))], id="e0*b1(-1)"),
+    pytest.param([(((-1, 1),), (1, 0, 0)), (((-1, 2),), (1, 0, 0))], id="e0*(b1(-1)+b2(-1))"),
+    pytest.param([(((-1, 0), (-1, 1), (-1, 2)), (0, 0, 0)), (((-1, 0),), (0, 0, 0)),
+                  (((-1, 1),), (0, 0, 0))], id="b0(-1)b1(-1)b2(-1)+b0(-1)+b1(-1)")])
+def test_multi_slot_spacetime_series_matches_per_mode_reference(sys3, monos):
+    # states in several tensor slots at once, which the worldsheet side rejects;
+    # the sums put two slot placements of the same factors over one ground
+    # label, and in the last one exp(Delta_x) brings them at two offsets
+    u = sum((StateVector.monomial(sys3, "L", modes, ground) for modes, ground in monos),
+            zero_state(sys3, "L"))
+    with pytest.raises(ValueError, match="single tensor slot"):
+        worldsheet_twisted_windows(sys3, u, [0], [vacuum(sys3, "K")])
+    basis = weight_basis(sys3, "T", 1)
+    states = basis + [sum(basis[1:], basis[0])]
+    modes = default_mode_set(sys3, 1)
+    compared, nonzero = 0, 0
+    for v, window in zip(states, spacetime_twisted_windows(sys3, u, modes, states)):
+        for n in modes:
+            assert window[n] == reference.spacetime_twisted_mode(sys3, u, n, v), n
+            compared += 1
+            nonzero += not window[n].is_zero()
+    assert (len(states), len(modes), compared) == (9, 7, 63)
+    assert nonzero > 0
+
+
+def test_spacetime_factors_split_only_where_a_slot_sum_follows():
+    # one-slot operators keep whole factors; omega's factors are eigen factors
+    # whose residues cancel in pairs
+    system = TwistSystem(A2, 3)
+    sector = Sector.of(system, "T")
+    whole = {sector.vector(tuple(int(j == idx) for j in range(system.L.rank)))
+             for idx in range(system.L.rank)}
+    current = apply_mode(system, -1, 0, vacuum(system, "K"))
+    one_slot = [[(0, slot_state(system, current, p))] for p in range(system.k)]
+    one_slot.append([(t, slot_state(system, w_t, 0)) for t, w_t
+                     in ef_inverse_apply(system, omega_state(system, "K")).items()])
+    for pieces in one_slot:
+        factors = [f for *_, fs, _ in vertexops._spacetime_terms(system, pieces) for f in fs]
+        assert factors and all(vec in whole for _, vec in factors)
+    pairs = [fs for *_, fs, _ in vertexops._spacetime_terms(
+        system, [(0, omega_state(system, "L"))]) if len(fs) == 2]
+    assert pairs
+    for fs in pairs:
+        residues = [[r for r, entry in enumerate(vec) if entry] for _, vec in fs]
+        assert all(len(rs) == 1 for rs in residues), residues
+        assert sum(rs[0] for rs in residues) % system.k == 0, residues
 
 
 def test_untwisted_series_matches_per_mode_reference(sys2):
