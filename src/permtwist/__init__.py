@@ -3,12 +3,12 @@ vertex algebras: the lattice-isometry route, the change-of-variables route,
 and the explicit isomorphism between them, with mechanical verification of
 the identities relating the two."""
 
-from .exact import Cyc, CycField, Rat, lemma_root_sum
+from .exact import Cyc, CycField, lemma_root_sum
 from .lattice import CyclicShift, Lattice, LatticeError, eigenprojection
 from .cocycle import CentralElem, SECTION_PLAIN, SECTION_TWISTED, TwistSystem
 
 __all__ = [
-    "Cyc", "CycField", "Rat", "lemma_root_sum",
+    "Cyc", "CycField", "lemma_root_sum",
     "CyclicShift", "Lattice", "LatticeError", "eigenprojection",
     "CentralElem", "SECTION_PLAIN", "SECTION_TWISTED", "TwistSystem",
 ]

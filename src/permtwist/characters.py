@@ -5,7 +5,7 @@ scale; arithmetic merges scales by lcm.  Every series tracks the exponent
 up to which its coefficients are complete, so products and inverses never
 silently lose terms.  Integral coefficients stay ints (a float is refused);
 eta^e for every integer e comes from one divisor-sum recurrence, so Theta /
-eta^d needs no inverse; a shifted theta series enumerates only its ellipsoid.
+eta^d needs no inverse; a theta series counts its ellipsoid's int norms.
 """
 
 from __future__ import annotations
@@ -160,33 +160,24 @@ def eta_power(d: int, order, k_scale: int = 1) -> FracQSeries:
 def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
     """Theta series of L (optionally shifted by a dual vector), truncated.
 
-    A shift beta is enumerated as the ellipsoid <alpha + beta, alpha + beta>/2
-    <= order, each vector scaled by the lcm s of beta's denominators.  Its
-    norm N is an int, and its key N * denom / (2 s^2) is exact: s divides
-    base, or s = 1 and N is even.
+    The descent counts <alpha + beta, alpha + beta>/2 <= order by its int
+    norms, one key per distinct norm.  With beta's denominators dividing s,
+    s^2 <v, v> is an even int, so every key lies on the (1/s^2)Z grid that
+    denom 2 base^2 holds (s divides base); unshifted, keys are ints.
     """
     order = Fraction(order)
-    scale, center = 1, None
     if shift is not None:
         shift = tuple(Fraction(x) for x in shift)
         if len(shift) != L.rank:
             raise ValueError(f"shift has length {len(shift)}, lattice rank {L.rank}")
         if any(sum(g * x for g, x in zip(row, shift)).denominator != 1 for row in L.gram):
             raise ValueError("shift not in the dual lattice")
-        scale = math.lcm(*(x.denominator for x in shift))
-        base = math.lcm(scale, denom)
+        base = math.lcm(*(x.denominator for x in shift), denom)
         denom = 2 * base * base if base > 1 else denom
-        center = shift if any(shift) else None
-    div = 2 * scale * scale
-    top = math.floor(order * div)  # largest scaled norm kept
-    lift = tuple(int(scale * b) for b in center or (0,) * L.rank)
-    coeffs: dict[int, int] = {}
-    for alpha in L.enumerate_up_to_norm(max(order, 0), center):
-        norm = L.norm(tuple(scale * a + b for a, b in zip(alpha, lift)))
-        if norm <= top:
-            key = norm * denom // div
-            coeffs[key] = coeffs.get(key, 0) + 1
-    return FracQSeries(denom, coeffs, order)
+    counts = {half * denom: c for half, c in L.norm_counts(max(order, 0), shift).items()}
+    if any(e.denominator != 1 for e in counts):
+        raise ValueError(f"theta exponents off the 1/{denom} grid")
+    return FracQSeries(denom, {e.numerator: c for e, c in counts.items()}, order)
 
 
 def twisted_lead_exponent(K: Lattice, k: int) -> Fraction:

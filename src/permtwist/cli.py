@@ -21,7 +21,6 @@ from .fock import weight_basis
 from .lattice import Lattice, LatticeError
 from .report import Report
 
-SUBCOMMANDS = ("lemma", "coeffs", "chars", "thm41", "iso", "verify-all")
 FRACTION_FLAGS = ("--q-order", "--weight-cutoff", "--mode-bound")
 
 
@@ -47,7 +46,10 @@ class UsageError(ValueError):
 def parse_lattice_file(path: str) -> Lattice:
     """Read the lattice text format: name, rank, gram with '#' comments."""
     with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+        try:
+            raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise LatticeFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     fields: dict[str, str] = {}
     pending_key = None
     pending_val: list[str] = []
@@ -190,6 +192,7 @@ def run_iso(cfg: RunConfig) -> list[Report]:
     return isomap.intertwine_generators(system, basis, modes)
 
 
+# verify-all runs every runner, in this order
 _RUNNERS = {
     "lemma": run_lemma,
     "coeffs": run_coeffs,
@@ -197,6 +200,7 @@ _RUNNERS = {
     "thm41": run_thm41,
     "iso": run_iso,
 }
+SUBCOMMANDS = (*_RUNNERS, "verify-all")
 
 
 def cmd(name: str, cfg: RunConfig) -> tuple[list[Report], int]:
@@ -210,8 +214,8 @@ def cmd(name: str, cfg: RunConfig) -> tuple[list[Report], int]:
         cfg.lattice = parse_lattice_file(cfg.lattice_path)
     reports: list[Report] = []
     if name == "verify-all":
-        for sub in ("lemma", "coeffs", "chars", "thm41", "iso"):
-            reports.extend(_RUNNERS[sub](cfg))
+        for run in _RUNNERS.values():
+            reports.extend(run(cfg))
     else:
         reports = _RUNNERS[name](cfg)
     status = 0 if all(r.passed for r in reports) else 1

@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import gcd
 from operator import add
 
-Rat = Fraction
 _new = object.__new__
 
 

@@ -6,9 +6,10 @@ matrix G is factored once, on ints, by fraction-free (Bareiss) elimination
 without pivoting: upper-triangular rows U with U[i][i] = D_{i+1}, the leading
 minors (D_0 = 1), and G = U^T diag(1/(D_i D_{i+1})) U.  The pivots give the
 definiteness check (Sylvester's criterion) and det; short-vector enumeration
-descends on the scaled ints of that factorization, so the vector lists are
-provably complete.  Dual cosets are G^-1 y for y in the box
-0 <= y_i < H_ii, H the Hermite normal form of G.
+descends on the scaled ints of that factorization, so the lists are provably
+complete, and hands each leaf its vector's scaled norm, an int that it already
+holds: a theta series counts those norms, never recomputing one.  Dual cosets
+are G^-1 y for y in the box 0 <= y_i < H_ii, H the Hermite normal form of G.
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ class Lattice:
             total = total + ai * s
         return total
 
-    def norm(self, a):
-        return self.inner(a, a)
-
     @property
     def det(self) -> int:
         return self._rows[-1][-1]
@@ -133,15 +131,15 @@ class Lattice:
 
     # -- enumeration -------------------------------------------------------
 
-    def enumerate_up_to_norm(self, bound, center=None) -> list[tuple[int, ...]]:
-        """All alpha with <alpha + center, alpha + center> <= 2*bound (center
-        a rational vector, None for 0), in lexicographic order."""
+    def _descend(self, bound, center, leaf) -> int:
+        """Call leaf(coords, N) for each alpha with <v, v> <= 2*bound, where
+        v = alpha + center and N = m <v, v> is an int; return m."""
         bound = Fraction(bound)
         if bound < 0:
             raise LatticeError("bound must be nonnegative")
         rows, weights, n = self._rows, self._weights, self.rank
-        # z = q U (alpha + center) is an int vector (q the centre's common
-        # denominator) and s q^2 <v, v> = sum_i w_i z_i^2
+        # z = q U v is an int vector (q the centre's common denominator) and
+        # m <v, v> = sum_i w_i z_i^2 with m = s q^2: N is the budget spent
         if center is None:
             q, offsets = 1, [0] * n
         else:
@@ -152,12 +150,13 @@ class Lattice:
             lifted = [x.numerator * (q // x.denominator) for x in center]
             offsets = [sum(rows[i][j] * lifted[j] for j in range(i, n)) for i in range(n)]
         steps = [q * rows[i][i] for i in range(n)]
-        found = []
+        m = self._scale * q * q
+        total = math.floor(bound * 2 * m)
         coords = [0] * n
 
         def descend(i, remaining):
             if i < 0:
-                found.append(tuple(coords))
+                leaf(coords, total - remaining)
                 return
             # z_i = step * x + t, and w_i z_i^2 <= remaining iff |z_i| <= h
             row, step = rows[i], steps[i]
@@ -169,9 +168,24 @@ class Lattice:
                 descend(i - 1, remaining - weights[i] * z * z)
             coords[i] = 0
 
-        descend(n - 1, math.floor(bound * (2 * self._scale * q * q)))
-        found.sort()
-        return found
+        descend(n - 1, total)
+        return m
+
+    def enumerate_up_to_norm(self, bound, center=None) -> list[tuple[int, ...]]:
+        """All alpha with <alpha + center, alpha + center> <= 2*bound (center
+        a rational vector, None for 0), in lexicographic order."""
+        found: list[tuple[int, ...]] = []
+        self._descend(bound, center, lambda coords, _: found.append(tuple(coords)))
+        return sorted(found)
+
+    def norm_counts(self, bound, center=None) -> dict[Fraction, int]:
+        """{<v, v>/2: count} over v = alpha + center, <v, v> <= 2*bound."""
+        counts: dict[int, int] = {}
+
+        def leaf(_, norm):
+            counts[norm] = counts.get(norm, 0) + 1
+        m = self._descend(bound, center, leaf)
+        return {Fraction(norm, 2 * m): c for norm, c in counts.items()}
 
     # -- dual cosets ------------------------------------------------------
 

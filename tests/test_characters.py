@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from permtwist.characters import (FracQSeries, char_coset, char_cycle_type,
                                   char_twisted, char_voa, compare_thm41,
                                   eta_power, theta_series,
                                   twisted_lead_exponent)
+from permtwist.cli import parse_lattice_file
 from permtwist.cocycle import TwistSystem
 from permtwist.fock import twisted_state_counts
 from permtwist.lattice import Lattice
@@ -18,6 +20,7 @@ import characters_reference as ref
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
 D4 = Lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], "D4")
+E8 = parse_lattice_file(str(Path(__file__).resolve().parent.parent / "lattices" / "e8.lat"))
 
 
 def test_eta_power_examples():
@@ -60,6 +63,29 @@ def test_theta_examples():
         theta_series(A1, 2, shift=(Fraction(1, 3),))
     with pytest.raises(ValueError, match="shift has length 1, lattice rank 2"):
         theta_series(A2, 2, shift=(1,))
+
+
+def test_theta_refuses_a_norm_off_its_grid(monkeypatch):
+    monkeypatch.setattr(Lattice, "norm_counts", lambda self, bound, center: {Fraction(1, 3): 1})
+    with pytest.raises(ValueError, match="off the 1/2 grid"):
+        theta_series(A1, 4)
+
+
+def test_e8_fixture_is_unimodular_with_240_roots():
+    assert E8.rank == 8 and E8.det == 1
+    roots = [v for v in E8.enumerate_up_to_norm(1) if any(v)]
+    assert len(roots) == 240
+    assert all(E8.inner(v, v) == 2 for v in roots)
+
+
+def test_e8_theta_is_the_weight_4_eisenstein_series():
+    # theta_E8 = E_4 = 1 + 240 sum_n sigma_3(n) q^n
+    def sigma3(n):
+        return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+    want = FracQSeries(2, {0: 1, **{2 * n: 240 * sigma3(n) for n in range(1, 7)}}, 6)
+    got = theta_series(E8, 6)
+    assert got.denom == want.denom and got.order == want.order
+    assert got.coeffs == want.coeffs
 
 
 def test_series_algebra():

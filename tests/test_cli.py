@@ -62,6 +62,15 @@ def test_parse_errors(tmp_path):
         parse_lattice_file(write(tmp_path, "rank = 2\ngram = [[2]]\n"))
 
 
+def test_lattice_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.lat"
+    path.write_bytes(b"name = X\xff\nrank = 1\ngram = [[2]]\n")
+    assert main(["chars", "--lattice", str(path), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: not UTF-8 text (byte 8)"]
+
+
 def a1_config(tmp_path, **kw):
     path = write(tmp_path, "name = A1\nrank = 1\ngram = [[2]]\n")
     defaults = dict(lattice_path=path, k=2, q_order=Fraction(6),
@@ -297,6 +306,8 @@ def test_non_even_lattice_is_a_usage_error(tmp_path, capsys, subcommand):
     ("thm41_a2_k3", "a2.lat", ["thm41", "--k", "3"]),
     ("thm41_d4_k2", "d4.lat", ["thm41", "--k", "2"]),
     ("coeffs_a1_k1", "a1.lat", ["coeffs", "--k", "1"]),
+    ("chars_e8_k2", "e8.lat", ["chars", "--k", "2", "--q-order", "2"]),
+    ("thm41_e8_k2", "e8.lat", ["thm41", "--k", "2", "--q-order", "2"]),
 ])
 def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     # the default machine output must stay byte-identical to these files

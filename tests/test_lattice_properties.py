@@ -12,6 +12,7 @@ G^-1 times a small integer vector, as in a shifted theta series, or any
 rational vector with denominators up to 6.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt
@@ -71,12 +72,15 @@ def test_centred_enumeration_matches_box_search(gram, bound, ys, rational):
     for i in range(n):
         r = isqrt(floor(2 * bound * ginv[i][i])) + 1
         ranges.append(range(floor(-center[i]) - r, ceil(-center[i]) + r + 1))
-    brute = []
+    brute, halves = [], Counter()
     for x in product(*ranges):
         shifted = tuple(a + c for a, c in zip(x, center))
-        if lattice.inner(shifted, shifted) <= 2 * bound:
+        norm = lattice.inner(shifted, shifted)
+        if norm <= 2 * bound:
             brute.append(x)
+            halves[Fraction(norm, 2)] += 1
     assert lattice.enumerate_up_to_norm(bound, center) == sorted(brute)
+    assert lattice.norm_counts(bound, center) == dict(halves)
     plain = lattice.enumerate_up_to_norm(bound)
     assert lattice.enumerate_up_to_norm(bound, None) == plain
     assert lattice.enumerate_up_to_norm(bound, (Fraction(0),) * n) == plain
@@ -141,14 +145,16 @@ def test_enumeration_fraction_work_does_not_grow_with_the_bound(monkeypatch):
     for name in ("__add__", "__mul__", "__truediv__"):
         monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
     for center in (None, (0, 0, Fraction(-1, 2), Fraction(1, 3))):
-        counts = []
-        for bound in (2, 20):
-            calls = 0
-            vectors = d4.enumerate_up_to_norm(bound, center)
-            counts.append((len(vectors), calls))
-        (few, first), (many, second) = counts
-        assert few < many
-        assert first == second
+        for count in (lambda b, c: len(d4.enumerate_up_to_norm(b, c)),
+                      lambda b, c: sum(d4.norm_counts(b, c).values())):
+            counts = []
+            for bound in (2, 20):
+                calls = 0
+                vectors = count(bound, center)
+                counts.append((vectors, calls))
+            (few, first), (many, second) = counts
+            assert few < many
+            assert first == second
 
 
 @settings(deadline=None, max_examples=150)

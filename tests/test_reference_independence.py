@@ -1,28 +1,36 @@
-"""The mode-action oracle builds its own c_{mnr}: `tests/fock_reference.py`
-neither imports nor reads `c_coeffs` or `_c_series`, so the Delta_x it
-computes does not share the coefficient code it is compared against."""
+"""The oracles build what they check: `tests/fock_reference.py` neither
+imports nor reads `c_coeffs` or `_c_series`, so the Delta_x it computes does
+not share the coefficient code it is compared against; and
+`tests/characters_reference.py` reads neither `norm_counts` nor `_descend`,
+so its theta series keeps its own ball and its own norms."""
 
 import ast
 from pathlib import Path
 
-REFERENCE = Path(__file__).resolve().parent / "fock_reference.py"
+TESTS = Path(__file__).resolve().parent
+REFERENCE = TESTS / "fock_reference.py"
 C_SERIES = {"c_coeffs", "_c_series"}
+NORM_COUNTS = {"norm_counts", "_descend"}
 
 
-def _c_series_uses(path: Path):
-    """(line, name) of every import or attribute read of the package's c-series."""
+def _reads(path: Path, names):
+    """(line, name) of every import or attribute read of one of the names."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.name.split(".")[-1]
-                if name in C_SERIES:
+                if name in names:
                     yield node.lineno, name
-        elif isinstance(node, ast.Attribute) and node.attr in C_SERIES:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             yield node.lineno, node.attr
 
 
 def test_fock_reference_builds_its_own_c_series():
-    assert not list(_c_series_uses(REFERENCE))
+    assert not list(_reads(REFERENCE, C_SERIES))
+
+
+def test_characters_reference_takes_its_own_norms():
+    assert not list(_reads(TESTS / "characters_reference.py", NORM_COUNTS))
 
 
 def test_the_check_sees_a_c_series_import(tmp_path):
@@ -30,4 +38,6 @@ def test_the_check_sees_a_c_series_import(tmp_path):
     module.write_text("from permtwist.coeffs import a_coeffs, c_coeffs\n"
                       "import permtwist.coeffs as pc\n"
                       "s = pc._c_series(3, 1, 2)\n", encoding="utf-8")
-    assert list(_c_series_uses(module)) == [(1, "c_coeffs"), (3, "_c_series")]
+    assert list(_reads(module, C_SERIES)) == [(1, "c_coeffs"), (3, "_c_series")]
+    module.write_text("counts = K.norm_counts(3)\nK._descend(3, None, print)\n", encoding="utf-8")
+    assert list(_reads(module, NORM_COUNTS)) == [(1, "norm_counts"), (2, "_descend")]
