@@ -4,12 +4,12 @@ and the explicit isomorphism between them, with mechanical verification of
 the identities relating the two."""
 
 from .exact import Cyc, CycField, lemma_root_sum
-from .lattice import CyclicShift, Lattice, LatticeError, eigenprojection
+from .lattice import Lattice, LatticeError
 from .cocycle import CentralElem, SECTION_PLAIN, SECTION_TWISTED, TwistSystem
 
 __all__ = [
     "Cyc", "CycField", "lemma_root_sum",
-    "CyclicShift", "Lattice", "LatticeError", "eigenprojection",
+    "Lattice", "LatticeError",
     "CentralElem", "SECTION_PLAIN", "SECTION_TWISTED", "TwistSystem",
 ]
 

@@ -30,10 +30,6 @@ class FracQSeries:
         lim = math.floor(self.order * denom)
         self.coeffs = {e: c for e, c in coeffs.items() if c and e <= lim}
 
-    @classmethod
-    def constant(cls, value, order, denom: int = 1) -> "FracQSeries":
-        return cls(denom, {0: value}, order)
-
     def rescaled(self, denom: int) -> "FracQSeries":
         f, rest = divmod(denom, self.denom)
         if rest:
@@ -157,7 +153,7 @@ def eta_power(d: int, order, k_scale: int = 1) -> FracQSeries:
     return FracQSeries(denom, coeffs, order)
 
 
-def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
+def theta_series(L: Lattice, order, shift=None) -> FracQSeries:
     """Theta series of L (optionally shifted by a dual vector), truncated.
 
     The descent counts <alpha + beta, alpha + beta>/2 <= order by its int
@@ -166,14 +162,15 @@ def theta_series(L: Lattice, order, shift=None, denom: int = 2) -> FracQSeries:
     denom 2 base^2 holds (s divides base); unshifted, keys are ints.
     """
     order = Fraction(order)
+    denom = 2
     if shift is not None:
         shift = tuple(Fraction(x) for x in shift)
         if len(shift) != L.rank:
             raise ValueError(f"shift has length {len(shift)}, lattice rank {L.rank}")
         if any(sum(g * x for g, x in zip(row, shift)).denominator != 1 for row in L.gram):
             raise ValueError("shift not in the dual lattice")
-        base = math.lcm(*(x.denominator for x in shift), denom)
-        denom = 2 * base * base if base > 1 else denom
+        base = math.lcm(*(x.denominator for x in shift), 2)
+        denom = 2 * base * base
     counts = {half * denom: c for half, c in L.norm_counts(max(order, 0), shift).items()}
     if any(e.denominator != 1 for e in counts):
         raise ValueError(f"theta exponents off the 1/{denom} grid")
@@ -192,17 +189,19 @@ def char_voa(K: Lattice, order) -> FracQSeries:
 
 def _over_eta(theta: FracQSeries, d: int, k: int, order: Fraction) -> FracQSeries:
     """theta(q^(1/k)) * eta(q^(1/k))^(-d), truncated at `order`; the eta
-    factor runs one unit past it, complete even where theta vanishes."""
-    theta = FracQSeries(theta.denom * k, theta.coeffs, theta.order / k)
+    factor runs one unit past it, complete even where theta vanishes.  theta
+    is read straight onto a grid that holds the eta factor's 1/(24k) too."""
+    f = math.lcm(theta.denom, 24) // theta.denom
+    theta = FracQSeries(theta.denom * f * k, {e * f: c for e, c in theta.coeffs.items()},
+                        theta.order / k)
     return (theta * eta_power(-d, order + 1 - Fraction(d, 24 * k), k)).truncated(order)
 
 
 def char_twisted(K: Lattice, k: int, order) -> FracQSeries:
     """Graded dimension of the twisted module, exponents in (1/24k)Z."""
     order = Fraction(order)
-    # sum_alpha q^{<alpha,alpha>/2k}: the theta series on the 1/24 grid, read
-    # on the 1/(24k) grid (q -> q^{1/k})
-    theta = theta_series(K, (order + Fraction(K.rank, 24 * k)) * k, denom=24)
+    # sum_alpha q^{<alpha,alpha>/2k}: the theta series read with q -> q^{1/k}
+    theta = theta_series(K, (order + Fraction(K.rank, 24 * k)) * k)
     return _over_eta(theta, K.rank, k, order)
 
 

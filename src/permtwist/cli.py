@@ -259,11 +259,11 @@ def main(argv=None) -> int:
         description="exact verification of the two twisted-module constructions")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--lattice", help="path to a lattice spec file")
-    parser.add_argument("--k", type=int, default=2, help="number of tensor factors")
-    parser.add_argument("--q-order", type=_fraction, default=Fraction(10))
-    parser.add_argument("--weight-cutoff", type=_fraction, default=Fraction(2))
-    parser.add_argument("--mode-bound", type=_fraction, default=Fraction(2))
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
+    parser.add_argument("--k", type=int, default=RunConfig.k, help="number of tensor factors")
+    parser.add_argument("--q-order", type=_fraction, default=RunConfig.q_order)
+    parser.add_argument("--weight-cutoff", type=_fraction, default=RunConfig.weight_cutoff)
+    parser.add_argument("--mode-bound", type=_fraction, default=RunConfig.mode_bound)
+    parser.add_argument("--format", choices=("text", "machine"), default=RunConfig.fmt)
     args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     if args.k < 1:
         print(f"error: --k must be a positive integer, got {args.k}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Cyc, CycField
-from .lattice import CyclicShift, Lattice
+from .lattice import Lattice, LatticeError
 
 SECTION_PLAIN = "plain"      # commutator map C0
 SECTION_TWISTED = "twisted"  # commutator map C
@@ -40,7 +40,6 @@ class TwistSystem:
         self.k = k
         self.d = K.rank
         self.L = K.direct_sum_power(k)
-        self.shift = CyclicShift(k, K.rank)
         self.field = CycField(2 * k)
         self.eta = self.field.zeta(2)          # fixed primitive k-th root of unity
         if k % 2:
@@ -77,7 +76,14 @@ class TwistSystem:
         return self.field.zeta((2 * s) % (2 * self.k))
 
     def nu(self, coords, power: int = 1):
-        return self.shift.apply(coords, power)
+        """nu^power: (a_1, ..., a_k) -> (a_2, ..., a_k, a_1) block-wise."""
+        k, d = self.k, self.d
+        if len(coords) != k * d:
+            raise LatticeError("rank mismatch in shift")
+        p = power % k
+        if p == 0:
+            return tuple(coords)
+        return tuple(coords[((q + p) % k) * d + i] for q in range(k) for i in range(d))
 
     def tot(self, coords) -> tuple:
         """Sum of the k blocks, a K-vector."""
@@ -126,9 +132,6 @@ class TwistSystem:
             j += 1
         return e % self.phase_order
 
-    def ident_scalar(self, alpha, beta) -> Cyc:
-        return self.eta0_pow(self.ident_scalar_exponent(alpha, beta))
-
     # -- sections ------------------------------------------------------------
 
     def _build_plain_section(self):
@@ -168,9 +171,6 @@ class TwistSystem:
         return e % self.phase_order
 
     # -- group operations ------------------------------------------------------
-
-    def ext_identity(self, section: str) -> CentralElem:
-        return CentralElem((0,) * self.L.rank, 0, section)
 
     def ext_from_base(self, base, section: str, phase: int = 0) -> CentralElem:
         return CentralElem(tuple(base), phase % self.phase_order, section)

@@ -154,15 +154,6 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 # -- Delta_x -------------------------------------------------------------------
 
 
-def delta_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVector]:
-    """Delta_x applied to a V_L state: {e: coefficient of x^e}, e <= -2."""
-    if v.sector != "L":
-        raise ValueError("Delta_x acts on V_L")
-    acc: dict = {}
-    _delta_into(Sector.of(system, "L"), v.terms, 1, 0, acc)
-    return _states(system, "L", acc)
-
-
 def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
     accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;

@@ -28,11 +28,11 @@ each h_(r) in those generators once, so no mode action projects.
 Modes are stored on their sector's grid: the mode t * step is the int t.
 The twisted mode b(t/k) and the base mode b(t) under the isomorphism F
 carry the same int.  Mode actions, bases and monomial equality and hashing
-run on ints; only the public readers (`FockMono.modes`, `level`, `repr`,
-`StateVector.max_level`) and the public entry points, through
-`Sector.grid`, see mode values.  In the sector the pairing of b_i and b_j
-is the Gram entry times step, so [b_i(s step), b_j(-s step)] is s times
-the Gram entry times step^2: that product is the pairing on the grid.
+run on ints; only the public readers (`FockMono.modes`, `level`, `repr`)
+and the public entry points, through `Sector.grid`, see mode values.  In
+the sector the pairing of b_i and b_j is the Gram entry times step, so
+[b_i(s step), b_j(-s step)] is s times the Gram entry times step^2: that
+product is the pairing on the grid.
 """
 
 from __future__ import annotations
@@ -181,17 +181,10 @@ class StateVector:
             bits.append(f"({self.terms[mono]})*{mono}")
         return " + ".join(bits)
 
-    def max_level(self) -> Fraction:
-        return max((m.level() for m in self.terms), default=Fraction(0))
-
 
 def _max_level(terms) -> int:
     """The largest level of a monomial in terms, in grid steps."""
     return max((-sum(t for t, _ in m.grid) for m in terms), default=0)
-
-
-def zero_state(system, sector) -> StateVector:
-    return StateVector(system, sector)
 
 
 def vacuum(system, sector, ground=None) -> StateVector:
@@ -470,24 +463,6 @@ def slot_state(system, v: StateVector, slot: int) -> StateVector:
         # the colour map i -> slot * d + i is increasing: the grid stays sorted
         grid = tuple((t, slot * d + i) for t, i in mono.grid)
         out[FockMono._sorted(grid, tuple(system.slot_embed(mono.ground, slot)), 1)] = c
-    return StateVector._of(system, "L", out)
-
-
-def relabel_slots(system, v: StateVector, perm) -> StateVector:
-    """Tensor-factor permutation of V_L: slot p moves to slot perm[p]."""
-    if v.sector != "L":
-        raise ValueError("slot relabeling acts on V_L")
-    k, d = system.k, system.d
-    if sorted(perm) != list(range(k)):
-        raise ValueError("perm must be a permutation of the slots")
-    out = {}
-    for mono, c in v.terms.items():
-        grid = tuple(sorted((t, perm[i // d] * d + i % d) for t, i in mono.grid))
-        ground = [0] * (k * d)
-        for p in range(k):
-            for i in range(d):
-                ground[perm[p] * d + i] = mono.ground[p * d + i]
-        out[FockMono._sorted(grid, tuple(ground), 1)] = c
     return StateVector._of(system, "L", out)
 
 

@@ -1,4 +1,4 @@
-"""Even positive-definite lattices and the cyclic block isometry.
+"""Even positive-definite lattices.
 
 Lattice vectors are plain integer tuples (coordinates in the defining
 basis); ambient vectors are tuples of Fraction or Cyc scalars.  Each Gram
@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import CycField, _rational_inverse
+from .exact import _rational_inverse
 
 
 class LatticeError(ValueError):
@@ -234,44 +234,3 @@ def hermite_rows(rows) -> list[tuple[int, ...]]:
         done.append(pivot)
     return [tuple(row) for row in done]
 
-
-def integer_span_equal(rows_a, rows_b) -> bool:
-    """Whether two integer generator lists span the same sublattice of Z^n."""
-    return hermite_rows(rows_a) == hermite_rows(rows_b)
-
-
-class CyclicShift:
-    """The isometry of K^(+k) shifting the K-blocks cyclically."""
-
-    def __init__(self, k: int, block_rank: int):
-        self.k = k
-        self.block_rank = block_rank
-        self.rank = k * block_rank
-
-    def apply(self, coords, power: int = 1):
-        """nu^power: (a_1, ..., a_k) -> (a_2, ..., a_k, a_1) block-wise."""
-        k, d = self.k, self.block_rank
-        if len(coords) != self.rank:
-            raise LatticeError("rank mismatch in shift")
-        p = power % k
-        if p == 0:
-            return tuple(coords)
-        return tuple(coords[((q + p) % k) * d + i] for q in range(k) for i in range(d))
-
-
-def eigenprojection(shift: CyclicShift, field: CycField, v, n: int):
-    """The component of v in the eta^n-eigenspace of the shift.
-
-    Returns (1/k) * sum_j eta^{-nj} nu^j v as a tuple of Cyc coordinates,
-    eta = zeta_{2k}^2 the fixed primitive k-th root of unity.
-    """
-    k = shift.k
-    inv_k = Fraction(1, k)
-    acc = [field.zero() for _ in range(shift.rank)]
-    for j in range(k):
-        phase = field.zeta((-2 * n * j) % field.n)
-        shifted = shift.apply(v, j)
-        for i, x in enumerate(shifted):
-            if x != 0:
-                acc[i] = acc[i] + phase * x
-    return tuple(a * inv_k for a in acc)

@@ -14,7 +14,7 @@ from math import factorial
 
 from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
 from permtwist.coeffs import ef_apply, exp_delta_apply
-from permtwist.fock import FockMono, StateVector, apply_vector_mode, zero_state
+from permtwist.fock import FockMono, StateVector, apply_vector_mode
 
 
 def _dcoeff(m: Fraction, nt: int) -> Fraction:
@@ -168,7 +168,7 @@ def extract_for_vmono(system, dialect, dfactors, beta, coeff,
     base_exp = dialect.x_exponent(beta, vmono.ground) if has_group else Fraction(0)
     base = StateVector(system, sector, {vmono: coeff})
     r = len(dfactors)
-    result = zero_state(system, sector)
+    result = StateVector(system, sector)
     for mask in range(1 << r):
         deferred = [t for t in range(r) if mask & (1 << t)]
         annih = [t for t in range(r) if not (mask & (1 << t))]
@@ -199,7 +199,7 @@ def extract_for_vmono(system, dialect, dfactors, beta, coeff,
         # the group element and then the creation side
         for e, sv in table.items():
             if has_group:
-                shifted = zero_state(system, sector)
+                shifted = StateVector(system, sector)
                 for mono, c in sv.terms.items():
                     scalar, newg = dialect.ground_action(beta, mono.ground)
                     shifted = shifted + StateVector(
@@ -218,7 +218,7 @@ def fill_creation(system, dialect, dfactors, deferred, beta,
     """Distribute the remaining exponent over deferred derivative factors and
     the creation exponential."""
     step = dialect.step
-    out = zero_state(system, dialect.sector)
+    out = StateVector(system, dialect.sector)
 
     def rec(idx, sv_cur, budget_cur):
         nonlocal out
@@ -258,7 +258,7 @@ def untwisted_mode(system, u: StateVector, n, v: StateVector) -> StateVector:
     """u_n v, one mode at a time."""
     dialect = _Dialect(system, v.sector)
     e_target = -Fraction(n) - 1
-    result = zero_state(system, v.sector)
+    result = StateVector(system, v.sector)
     for umono, cu in u.terms.items():
         factors = _umono_factors(umono)
         beta = umono.ground
@@ -273,7 +273,7 @@ def spacetime_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateVe
     """The space-time twisted mode u_n v, one mode at a time."""
     dialect = _Dialect(system, "T")
     exponent = -Fraction(n) - 1
-    result = zero_state(system, "T")
+    result = StateVector(system, "T")
     for e_delta, u_e in exp_delta_apply(system, u).items():
         for umono, cu in u_e.terms.items():
             factors = _umono_factors(umono)
@@ -290,7 +290,7 @@ def worldsheet_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateV
     """The worldsheet twisted mode u_n v, one mode at a time."""
     n = Fraction(n)
     k = system.k
-    result = zero_state(system, "K")
+    result = StateVector(system, "K")
     for umono, cu in u.terms.items():
         p, kmono = _slot_monomial(system, umono)
         base = StateVector(system, "K", {kmono: cu})

@@ -18,6 +18,10 @@ each power by t with `StateVector.scaled` per exponent.  Both return
 applying every L(j) to every coefficient, the ones that must vanish too.
 `omega_state` writes the conformal vector out as the explicit
 (1/2) sum ginv[i][j] b_i(-1) b_j(-1), not as L(-2) applied to the vacuum.
+`level` reads a state's top level off its monomials.  `eigenprojection`,
+the oracle of `Sector.vector`, sums eta^{-nj} nu^j v over j with the block
+rotation nu written out here, and `relabel_slots` moves the tensor slots
+of a V_L state.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cache
 from permtwist.cocycle import TwistSystem
 from permtwist.coeffs import a_coeffs
 from permtwist.exact import CycField
-from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight, zero_state
+from permtwist.fock import FockMono, StateVector, twisted_vacuum_weight
 
 
 def pairing(system, sector, i, j) -> Fraction:
@@ -46,6 +50,45 @@ def zero_mode_eigenvalue(system, sector, i, ground) -> Fraction:
     """The eigenvalue of b_i(0) on a ground label: its pairing with b_i."""
     return sum((pairing(system, sector, i, j) * g for j, g in enumerate(ground)),
                Fraction(0))
+
+
+def level(sv: StateVector) -> Fraction:
+    """The largest level of a monomial of sv, 0 for the zero state."""
+    return max((mono.level() for mono in sv.terms), default=Fraction(0))
+
+
+def eigenprojection(system: TwistSystem, v, n: int) -> tuple:
+    """The component of v in the eta^n-eigenspace of the block shift nu,
+    (1/k) sum_j eta^{-nj} nu^j v, as Cyc coordinates; nu^j moves block q + j
+    to block q."""
+    k, d, field = system.k, system.d, system.field
+    acc = [field.zero()] * (k * d)
+    for j in range(k):
+        phase = field.zeta((-2 * n * j) % (2 * k))
+        for q in range(k):
+            for i in range(d):
+                x = v[((q + j) % k) * d + i]
+                if x != 0:
+                    acc[q * d + i] = acc[q * d + i] + phase * x
+    return tuple(a * Fraction(1, k) for a in acc)
+
+
+def relabel_slots(system, v: StateVector, perm) -> StateVector:
+    """Tensor-factor permutation of V_L: slot p moves to slot perm[p]."""
+    if v.sector != "L":
+        raise ValueError("slot relabeling acts on V_L")
+    k, d = system.k, system.d
+    if sorted(perm) != list(range(k)):
+        raise ValueError("perm must be a permutation of the slots")
+    out = StateVector(system, "L")
+    for mono, c in v.terms.items():
+        modes = [(n, perm[i // d] * d + i % d) for n, i in mono.modes]
+        ground = [0] * (k * d)
+        for p in range(k):
+            for i in range(d):
+                ground[perm[p] * d + i] = mono.ground[p * d + i]
+        out = out + StateVector(system, "L", {FockMono(modes, ground): c})
+    return out
 
 
 def check_mode(system, sector, n) -> Fraction:
@@ -101,7 +144,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
-    out = zero_state(system, sv.sector)
+    out = StateVector(system, sv.sector)
     for i, c in enumerate(coords):
         if c == 0:
             continue
@@ -117,8 +160,8 @@ def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
         raise ValueError("virasoro_L acts on the base sector")
     ginv = system.K.gram_inverse()
     d = system.d
-    lev = int(sv.max_level())
-    out = zero_state(system, "K")
+    lev = int(level(sv))
+    out = StateVector(system, "K")
     half = Fraction(1, 2)
     for m in range(min(j, 0) - lev - 1, max(j, 0) + lev + 2):
         mm = Fraction(m)
@@ -151,7 +194,7 @@ def omega_state(system, sector) -> StateVector:
     lat = system.L if sector == "L" else system.K
     ginv = lat.gram_inverse()
     n = lat.rank
-    out = zero_state(system, sector)
+    out = StateVector(system, sector)
     for i in range(n):
         for j in range(n):
             if ginv[i][j]:
@@ -168,7 +211,7 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
     k, d = system.k, system.d
     ginv = system.K.gram_inverse()
     out = sv.scaled(twisted_vacuum_weight(system))
-    lev = sv.max_level()
+    lev = level(sv)
     # zero-mode square, coefficient k/2
     for a in range(d):
         for b in range(d):
@@ -262,7 +305,7 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     """Delta_x applied to a V_L state; a polynomial in the inverse variable."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    lev = int(v.max_level())
+    lev = int(level(v))
     if order is None:
         order = 2 * lev + 2
     k, d = system.k, system.d
@@ -292,15 +335,16 @@ def delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -
     return out
 
 
-def exp_delta_apply(system: TwistSystem, v: StateVector) -> dict:
-    """e^{Delta_x} v, exact by weight-graded nilpotence."""
+def exp_delta_apply(system: TwistSystem, v: StateVector, order: int | None = None) -> dict:
+    """e^{Delta_x} v, exact by weight-graded nilpotence; `order`, if given,
+    is the c-series degree of every delta_apply."""
     out = {0: v} if not v.is_zero() else {}
     current = dict(out)
     t = 1
     while current:
         nxt: dict = {}
         for e, sv in current.items():
-            piece = delta_apply(system, sv)
+            piece = delta_apply(system, sv, order)
             for e2, sv2 in piece.items():
                 _add_term(nxt, e + e2, sv2)
         if not nxt:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permtwist import characters, isomap
+from permtwist import characters, cli, isomap
 from permtwist.characters import FracQSeries
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
@@ -120,6 +120,14 @@ def test_main_entrypoint(tmp_path):
     assert main(["thm41"]) == 2  # missing lattice
     bad = write(tmp_path, "rank = 1\ngram = [[1]]\n", name="bad.lat")
     assert main(["thm41", "--lattice", bad]) == 2
+
+
+def test_main_without_flags_runs_with_the_run_config_defaults(monkeypatch, capsys):
+    # the parser reads its defaults from RunConfig, so the two cannot drift
+    seen = []
+    monkeypatch.setattr(cli, "cmd", lambda name, cfg: seen.append((name, cfg)) or ([], 0))
+    assert main(["lemma"]) == 0
+    assert seen == [("lemma", RunConfig())]
 
 
 def test_chars_reports_no_check_that_cannot_fail(tmp_path, monkeypatch):

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import fock_reference as reference
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import (a_coeffs, c110_closed_form, c_coeffs,
-                              delta_apply, ef_apply, ef_inverse_apply,
-                              exp_delta_apply, rational_binomial,
+from permtwist.coeffs import (a_coeffs, c110_closed_form, c_coeffs, ef_apply,
+                              ef_inverse_apply, exp_delta_apply, rational_binomial,
                               substitute_flow)
-from permtwist.fock import (apply_mode, apply_vector_mode, ground_state,
-                            omega_state, vacuum, weight_basis, zero_state)
-from permtwist.lattice import Lattice, eigenprojection
+from permtwist.fock import (StateVector, apply_mode, apply_vector_mode, ground_state,
+                            omega_state, vacuum, weight_basis)
+from permtwist.lattice import Lattice
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -100,13 +100,13 @@ def test_exp_delta_quadratic_oracle(K, k):
         total = c11[0] * (2 * system.L.inner(alpha, beta))
         for r in range(1, k):
             for s_res in range(k):
-                pa = eigenprojection(system.shift, field, alpha, s_res)
-                pb = eigenprojection(system.shift, field, beta, -s_res)
+                pa = reference.eigenprojection(system, alpha, s_res)
+                pb = reference.eigenprojection(system, beta, -s_res)
                 pairing = system.L.inner(pa, pb)
                 total = total + c11[r] * (system.eta_pow(r * s_res)
                                           + system.eta_pow(-r * s_res)) * pairing
         expect = vacuum(system, "L").scaled(total)
-        got = out.get(-2, zero_state(system, "L"))
+        got = out.get(-2, StateVector(system, "L"))
         assert got == expect, (alpha, beta)
         # exponents are nonpositive integers
         for e in out:
@@ -114,9 +114,12 @@ def test_exp_delta_quadratic_oracle(K, k):
 
 
 def test_delta_lowers_weight():
+    # exp(Delta_x) omega - omega is Delta_x omega plus its powers
     system = TwistSystem(A1, 2)
     om = omega_state(system, "L")
-    out = delta_apply(system, om)
+    out = exp_delta_apply(system, om)
+    assert out.pop(0) == om
+    assert out
     for e, sv in out.items():
         assert e < 0
 
@@ -170,7 +173,7 @@ def test_coefficient_tables_are_keyed_on_ints(K, k):
     for b in weight_basis(system, "K", 2):
         tables += [ef_apply(system, b), ef_inverse_apply(system, b)]
     for u in [omega_state(system, "L")] + weight_basis(system, "L", 2)[:12]:
-        tables += [delta_apply(system, u), exp_delta_apply(system, u)]
+        tables.append(exp_delta_apply(system, u))
     assert any(len(table) > 1 for table in tables)
     for table in tables:
         assert all(type(e) is int for e in table), table

@@ -12,11 +12,10 @@ import pytest
 
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
-from permtwist.coeffs import (c_coeffs, delta_apply, ef_apply, ef_inverse_apply,
-                              exp_delta_apply)
-from permtwist.fock import (apply_mode, apply_vector_mode, ground_state, omega_state,
-                            twisted_L0, vacuum, virasoro_L, weight, weight_basis,
-                            zero_state)
+from permtwist.coeffs import c_coeffs, ef_apply, ef_inverse_apply, exp_delta_apply
+from permtwist.fock import (StateVector, apply_mode, apply_vector_mode, ground_state,
+                            omega_state, twisted_L0, vacuum, virasoro_L, weight,
+                            weight_basis)
 from permtwist.isomap import generator_family
 from permtwist.lattice import Lattice
 
@@ -36,7 +35,7 @@ def system(request):
 def _states(system, sector):
     """The basis to the sector's cutoff, then a combination of all of it."""
     basis = weight_basis(system, sector, CUTOFF[sector])
-    mixed = zero_state(system, sector)
+    mixed = StateVector(system, sector)
     for t, sv in enumerate(basis):
         mixed = mixed + sv.scaled(system.eta_pow(t) - (t % 3))
     return basis + [mixed]
@@ -112,15 +111,17 @@ def test_c_series_matches_log_series_reference(k):
 
 
 def test_delta_apply_matches_reference(system):
+    # Delta_x is read through its exponential, on every V_L state and not
+    # only on the generators
     level_three = _level_three_state(system)
-    assert level_three.max_level() == 3
+    assert reference.level(level_three) == 3
     for sv in _states(system, "L") + [level_three]:
-        assert delta_apply(system, sv) == reference.delta_apply(system, sv)
+        assert exp_delta_apply(system, sv) == reference.exp_delta_apply(system, sv)
     # the series degree the state's level sets truncates nothing: the
-    # reference with a longer series gives the same Delta_x
+    # reference with a longer series gives the same exponential
     sv = _states(system, "L")[-1]
-    order = 2 * int(sv.max_level()) + 6
-    assert delta_apply(system, sv) == reference.delta_apply(system, sv, order=order)
+    order = 2 * int(reference.level(sv)) + 6
+    assert exp_delta_apply(system, sv) == reference.exp_delta_apply(system, sv, order=order)
 
 
 def test_exp_delta_apply_matches_reference(system):
@@ -134,7 +135,7 @@ def test_ef_apply_matches_reference(K, k):
     system = TwistSystem(K, k)
     basis = weight_basis(system, "K", 3)
     # lattice ground states, whose weight exceeds their level, are among them
-    assert any(weight(system, sv) > sv.max_level() for sv in basis)
+    assert any(weight(system, sv) > reference.level(sv) for sv in basis)
     for sv in basis:
         assert ef_apply(system, sv) == reference.ef_apply(system, sv)
         assert ef_inverse_apply(system, sv) == reference.ef_inverse_apply(system, sv)

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 import extraction_reference as reference
+import fock_reference
 from permtwist import coeffs, vertexops
 from permtwist.cli import RunConfig, run_iso
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (Sector, apply_mode, apply_vector_mode, ground_state,
-                            relabel_slots, slot_state, vacuum, weight,
-                            weight_basis, zero_state)
+from permtwist.fock import (Sector, StateVector, apply_mode, apply_vector_mode,
+                            ground_state, slot_state, vacuum, weight, weight_basis)
 from permtwist.isomap import (default_mode_set, f_apply, f_inverse_apply,
                               general_mode_image, generator_family,
                               intertwine_check, intertwine_generators)
@@ -101,7 +101,7 @@ def test_general_mode_image_rules(system):
 
 def _apply_image(system, image, v):
     """sum of coeff * vec(mode) v over the entries of a conjugated mode."""
-    out = zero_state(system, "K")
+    out = StateVector(system, "K")
     for coeff, vec in image.entries:
         out = out + apply_vector_mode(system, image.mode, vec, v).scaled(coeff)
     return out
@@ -239,7 +239,7 @@ def test_intertwining_under_slot_relabeling(system):
     else:
         perm = [1, 0] + list(range(2, k))
     cur = slot_state(system, apply_mode(system, -1, 0, vacuum(system, "K")), 0)
-    relabeled = relabel_slots(system, cur, perm)
+    relabeled = fock_reference.relabel_slots(system, cur, perm)
     basis = weight_basis(system, "T", 1)[:4]
     modes = default_mode_set(system, 1)
     for v in basis:

@@ -1,4 +1,5 @@
-"""Lattices, the block shift, eigenprojections, enumeration, dual cosets."""
+"""Lattices: enumeration, dual cosets and Hermite forms, and the block shift
+`TwistSystem.nu` with the eigenprojections of `tests/fock_reference.py`."""
 
 import itertools
 import math
@@ -8,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from permtwist.exact import CycField
-from permtwist.lattice import (CyclicShift, Lattice, LatticeError,
-                               eigenprojection, integer_span_equal)
+import fock_reference as reference
+from permtwist.cocycle import TwistSystem
+from permtwist.lattice import Lattice, LatticeError, hermite_rows
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -64,65 +65,65 @@ def test_direct_sum_power():
 
 
 def test_shift_examples():
-    sh = CyclicShift(2, 1)
-    assert sh.apply((1, 0), 1) == (0, 1)
-    sh3 = CyclicShift(3, 1)
-    assert sh3.apply((1, 2, 3), 2) == (3, 1, 2)
-    assert sh3.apply((5, 6, 7), 3) == (5, 6, 7)
+    s2 = TwistSystem(A1, 2)
+    assert s2.nu((1, 0), 1) == (0, 1)
+    s3 = TwistSystem(A1, 3)
+    assert s3.nu((1, 2, 3), 2) == (3, 1, 2)
+    assert s3.nu((5, 6, 7), 3) == (5, 6, 7)
+    with pytest.raises(LatticeError, match="rank mismatch in shift"):
+        s3.nu((1, 2))
 
 
 def test_shift_is_isometry():
     rng = random.Random(0)
     for k, K in [(2, A1), (3, A1), (2, A2)]:
-        L = K.direct_sum_power(k)
-        sh = CyclicShift(k, K.rank)
+        system = TwistSystem(K, k)
+        L = system.L
         for _ in range(20):
             a = tuple(rng.randint(-3, 3) for _ in range(L.rank))
             b = tuple(rng.randint(-3, 3) for _ in range(L.rank))
             for p in range(k):
-                assert L.inner(sh.apply(a, p), sh.apply(b, p)) == L.inner(a, b)
+                assert L.inner(system.nu(a, p), system.nu(b, p)) == L.inner(a, b)
 
 
 def test_eigenprojection_k2():
-    sh = CyclicShift(2, 1)
-    field = CycField(4)
-    pr = eigenprojection(sh, field, (1, 0), 0)
+    pr = reference.eigenprojection(TwistSystem(A1, 2), (1, 0), 0)
     assert all(x.as_rational() == Fraction(1, 2) for x in pr)
 
 
 def test_eigenprojection_k3_oracle():
     # oracle for the projected vector: direct formula evaluation, then check
     # the eigenvalue property and the resolution of the identity
-    sh = CyclicShift(3, 1)
-    field = CycField(6)
+    system = TwistSystem(A1, 3)
+    field = system.field
     eta = field.zeta(2)
-    pr = eigenprojection(sh, field, (1, 0, 0), 1)
+    pr = reference.eigenprojection(system, (1, 0, 0), 1)
     third = Fraction(1, 3)
     assert pr[0] == field.from_rat(third)
     assert pr[1] == eta * third
     assert pr[2] == eta * eta * third
-    shifted = sh.apply(pr, 1)
+    shifted = system.nu(pr, 1)
     assert all((a - eta * b).is_zero() for a, b in zip(shifted, pr))
 
 
 @pytest.mark.parametrize("k,K", [(2, A1), (3, A1), (4, A1), (2, A2)])
 def test_projection_resolution_and_idempotence(k, K):
     rng = random.Random(k + K.rank)
-    sh = CyclicShift(k, K.rank)
-    field = CycField(2 * k)
+    system = TwistSystem(K, k)
+    field = system.field
     eta = field.zeta(2)
     rank = k * K.rank
     for _ in range(6):
         v = tuple(rng.randint(-3, 3) for _ in range(rank))
         total = [field.zero()] * rank
         for n in range(k):
-            p = eigenprojection(sh, field, v, n)
+            p = reference.eigenprojection(system, v, n)
             # eigenvalue property
-            sp = sh.apply(p, 1)
+            sp = system.nu(p, 1)
             assert all((a - (eta ** n) * b).is_zero() for a, b in zip(sp, p))
             # idempotence and orthogonality
             for m in range(k):
-                pp = eigenprojection(sh, field, p, m)
+                pp = reference.eigenprojection(system, p, m)
                 if m == n:
                     assert all((a - b).is_zero() for a, b in zip(pp, p))
                 else:
@@ -134,14 +135,14 @@ def test_projection_resolution_and_idempotence(k, K):
 @pytest.mark.parametrize("k,K", [(2, A1), (4, A1), (2, A2)])
 def test_evenness_invariants(k, K):
     rng = random.Random(17)
-    L = K.direct_sum_power(k)
-    sh = CyclicShift(k, K.rank)
+    system = TwistSystem(K, k)
+    L = system.L
     for _ in range(25):
         a = tuple(rng.randint(-4, 4) for _ in range(L.rank))
-        assert L.inner(sh.apply(a, k // 2), a) % 2 == 0
+        assert L.inner(system.nu(a, k // 2), a) % 2 == 0
         total = [0] * L.rank
         for j in range(k):
-            total = [x + y for x, y in zip(total, sh.apply(a, j))]
+            total = [x + y for x, y in zip(total, system.nu(a, j))]
         assert L.inner(tuple(total), a) % 2 == 0
 
 
@@ -210,6 +211,6 @@ def test_dual_coset_reps():
 
 
 def test_integer_span_helpers():
-    assert integer_span_equal([(2, 0), (0, 3)], [(2, 3), (2, -3), (0, 3)])
-    assert integer_span_equal([(1, 1), (0, 2)], [(1, -1), (0, 2)])
-    assert not integer_span_equal([(2, 0)], [(1, 0)])
+    assert hermite_rows([(2, 0), (0, 3)]) == hermite_rows([(2, 3), (2, -3), (0, 3)])
+    assert hermite_rows([(1, 1), (0, 2)]) == hermite_rows([(1, -1), (0, 2)])
+    assert hermite_rows([(2, 0)]) != hermite_rows([(1, 0)])

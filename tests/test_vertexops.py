@@ -12,7 +12,7 @@ from permtwist.coeffs import ef_inverse_apply
 from permtwist.fock import (Sector, StateVector, apply_mode, apply_twisted_vector_mode,
                             apply_vector_mode, ground_state, nu_hat_state,
                             omega_state, slot_state, twisted_L0, vacuum,
-                            virasoro_L, weight_basis, zero_state)
+                            virasoro_L, weight_basis)
 from permtwist.isomap import default_mode_set, f_apply, generator_family
 from permtwist.lattice import Lattice
 from permtwist.vertexops import (base_module_mode, spacetime_series_coefficient,
@@ -39,7 +39,7 @@ def test_identity_operator(sys2):
     for v in weight_basis(sys2, "K", 2):
         for n in range(-3, 3):
             got = untwisted_mode(sys2, vac, n, v)
-            assert got == (v if n == -1 else zero_state(sys2, "K"))
+            assert got == (v if n == -1 else StateVector(sys2, "K"))
 
 
 def test_creation_axiom(sys2):
@@ -79,7 +79,7 @@ def test_lattice_operator_direct_expansion_oracle(sys2):
         ip = sys2.K.inner(alpha, betav)
         phase = sys2.eta0_pow(sys2.eps_exponent(SECTION_PLAIN, alpha, betav))
         deg = (-n - 1) - ip
-        out = zero_state(sys2, "K")
+        out = StateVector(sys2, "K")
         if deg < 0:
             return out
         def parts(total, mx):
@@ -157,7 +157,7 @@ def test_twisted_lattice_operator_closed_form(k):
     for num in range(0, 2 * k + 1):
         e = base_exp + Fraction(num, k)
         got = spacetime_series_coefficient(system, u, e, vac)
-        want = zero_state(system, "T")
+        want = StateVector(system, "T")
         for parts in reference.creation_partitions(Fraction(num, k), step):
             piece = ground_state(system, "T", alpha).scaled(reference.partition_coeff(parts) * pref)
             for m in parts:
@@ -176,7 +176,7 @@ def test_sector_support(k):
     inv_k = Fraction(1, k)
     for j in range(k):
         # u_j = (1/k) sum_t eta^{-jt} nuhat^t u lies in the eta^j eigenspace
-        uj = zero_state(system, "L")
+        uj = StateVector(system, "L")
         for t in range(k):
             uj = uj + nu_hat_state(system, cur, t).scaled(system.eta_pow(-j * t) * inv_k)
         if uj.is_zero():
@@ -231,7 +231,7 @@ def test_worldsheet_identity(sys3):
         for num in range(-3, 4):
             n = Fraction(num, 3)
             got = worldsheet_twisted_mode(sys3, vac_l, n, v)
-            assert got == (v if n == -1 else zero_state(sys3, "K"))
+            assert got == (v if n == -1 else StateVector(sys3, "K"))
 
 
 @pytest.mark.parametrize("modes", [[0], []], ids=["one-mode", "no-modes"])
@@ -356,7 +356,7 @@ def test_omega_series_matches_per_mode_reference_on_a2():
 def test_partial_slot_sums_match_per_mode_reference(coeffs, ef_calls, vanishing, monkeypatch):
     system = TwistSystem(A1, 4)
     w = apply_mode(system, -1, 0, vacuum(system, "K"))
-    u = zero_state(system, "L")
+    u = StateVector(system, "L")
     for p, c in enumerate(coeffs):
         if c:
             u = u + slot_state(system, w, p).scaled(c)
@@ -403,7 +403,7 @@ def test_multi_slot_spacetime_series_matches_per_mode_reference(sys3, monos):
     # the sums put two slot placements of the same factors over one ground
     # label, and in the last one exp(Delta_x) brings them at two offsets
     u = sum((StateVector.monomial(sys3, "L", modes, ground) for modes, ground in monos),
-            zero_state(sys3, "L"))
+            StateVector(sys3, "L"))
     with pytest.raises(ValueError, match="single tensor slot"):
         worldsheet_twisted_windows(sys3, u, [0], [vacuum(sys3, "K")])
     basis = weight_basis(sys3, "T", 1)
