@@ -198,7 +198,7 @@ class Sector:
     sector name."""
 
     __slots__ = ("system", "twisted", "lattice", "den", "step", "vacuum_weight", "_unit",
-                 "pairing", "dual_form")
+                 "pairing", "dual_form", "prepared")
 
     def __init__(self, system: TwistSystem, name: str):
         if name not in SECTORS:
@@ -218,6 +218,8 @@ class Sector:
         # matrix as (b, ((a, f), ...)): the dual-basis quadratic sum f b_a b_b
         self.dual_form = tuple((b, tuple((a, f) for a, f in enumerate(row) if f))
                                for b, row in enumerate(self.lattice.gram_inverse()))
+        # in T: (family, terms of u) -> the prepared operator; see vertexops._prepared
+        self.prepared: dict = {}
 
     @classmethod
     def of(cls, system: TwistSystem, name: str) -> "Sector":

@@ -6,24 +6,27 @@ requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
 zero coefficient.  The operator comes prepared (`_prepare`): each
 u-monomial's derivative factors and ground label are split by
 `Sector.vector` and its prefactor is taken once per generator, not once per
-state.  On the space-time side (`_spacetime_terms`) the u-monomials that
-differ only in the tensor slots of their factors are merged first: each
-factor b_i^(p) is written in the eta^r-eigenvectors of nu as
-sum_r eta^{-rp} E_{r,i}, and equal terms are summed, so the slot sum of
-omega keeps only the residue pairs r + s = 0 mod k before any mode is
-applied.  A monomial with no such partner, as in every one-slot state,
-keeps its factors whole.  An eigen factor is a `Sector.vector` with one
-nonempty residue entry and visits only the modes of that residue.  One
-window loop (`_windows`) serves the space-time, worldsheet and
-base-module families: it takes the operator as entries (P, prepared terms),
-P the tensor slots holding the same terms, and runs one series per entry and
-state.  Target t gets the phase sum over p in P of eta^{-pt}; a target whose
-sum is zero is never asked for, so omega, equal in every slot, gives one
-series read at t = 0 mod k.  The entry (0,) adds its series unrotated.  The
-twisted single-mode entry points are one-mode windows, and `untwisted_mode`
-is one one-target series.  Only the entry points wrap table entries as
-states.  The computation enumerates the finitely many normal-ordered
-contributions, so every result is exact.
+state.  Each family keeps the operator it prepares for u (`_prepared`) in
+the `prepared` dict of the system's twisted-sector descriptor, keyed on
+(family, the terms of u); it lives as long as the system, so per-state calls
+on one generator prepare it once.  On the space-time side
+(`_spacetime_terms`) the u-monomials that differ only in the tensor slots of
+their factors are merged first: each factor b_i^(p) is written in the
+eta^r-eigenvectors of nu as sum_r eta^{-rp} E_{r,i}, and equal terms are
+summed, so the slot sum of omega keeps only the residue pairs r + s = 0 mod
+k before any mode is applied.  A monomial with no such partner, as in every
+one-slot state, keeps its factors whole.  An eigen factor is a
+`Sector.vector` with one nonempty residue entry and visits only the modes of
+that residue.  One window loop (`_windows`) serves the space-time,
+worldsheet and base-module families: it takes the operator as entries (P,
+prepared terms), P the tensor slots holding the same terms, and runs one
+series per entry and state.  Target t gets the phase sum over p in P of
+eta^{-pt}; a target whose sum is zero is never asked for, so omega, equal in
+every slot, gives one series read at t = 0 mod k.  The entry (0,) adds its
+series unrotated.  The twisted single-mode entry points are one-mode
+windows, and `untwisted_mode` is one one-target series.  Only the entry
+points wrap table entries as states.  The computation enumerates the
+finitely many normal-ordered contributions, so every result is exact.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -143,6 +146,17 @@ def _prepare(sector: Sector, pieces) -> list:
             bvec = sector.vector(beta) if any(beta) else None
             out.append((offset, beta, bvec, factors, c * sector.prefactor(beta)))
     return out
+
+
+def _prepared(system: TwistSystem, family: str, u: StateVector, build):
+    """The prepared operator of u in one family, from build() on the first
+    call for its terms; kept in the twisted sector's `Sector.prepared`, so it
+    lives as long as the system.  Callers check their arguments first."""
+    memo = Sector.of(system, "T").prepared
+    key = (family, frozenset(u.terms.items()))
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
@@ -297,12 +311,13 @@ def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u^{nu-hat}_n v} for every n in modes and each v in
     states in turn, from one series of u on v, with exp(Delta_x) u computed
-    once for all of them.  The arguments are checked on the call."""
+    once per system for all of them.  The arguments are checked on the call."""
     states = list(states)
     if u.sector != "L" or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
     modes = list(modes)
-    slots = [((0,), _spacetime_terms(system, [(0, u)]))] if modes else []
+    slots = [((0,), _prepared(system, "spacetime", u,
+                              lambda: _spacetime_terms(system, [(0, u)])))] if modes else []
     return _windows(system, "T", slots, modes, states)
 
 
@@ -322,10 +337,10 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     # u_n is the coefficient of x^{(-n-1)/k}, the twisted mode (n+1)/k - 1,
     # in sum_t x^{t/k} Y^{st}(w_t, x), where E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
     mode = Fraction(Sector.of(system, "K").grid(n) + 1, system.k) - 1
-    pieces = [(t, slot_state(system, w_t, 0))
-              for t, w_t in ef_inverse_apply(system, u).items()]
-    return next(_windows(system, "T", [((0,), _spacetime_terms(system, pieces))],
-                         [mode], [v]))[mode]
+    terms = _prepared(system, "base", u, lambda: _spacetime_terms(
+        system, [(t, slot_state(system, w_t, 0))
+                 for t, w_t in ef_inverse_apply(system, u).items()]))
+    return next(_windows(system, "T", [((0,), terms)], [mode], [v]))[mode]
 
 
 def _split_slot(system, umono: FockMono):
@@ -350,7 +365,7 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     """An iterator of {n: u_n v} for the change-of-variables twisted operator,
     every n in modes and each v in states in turn, from one series per
     distinct slot state of u, with E_f applied once per distinct slot state
-    for all of them.  The arguments are checked on the call.
+    and system for all of them.  The arguments are checked on the call.
 
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
@@ -371,11 +386,14 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
     # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) u = sum_s x^{s/k} w_s, rotated
     # by the slots' phases
-    slots = []
-    for kterms, ps in by_state.values() if modes else ():
-        corrected = ef_apply(system, StateVector(system, "K", kterms))
-        pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
-        slots.append((tuple(ps), _prepare(sector, pieces)))
+    def build():
+        slots = []
+        for kterms, ps in by_state.values():
+            corrected = ef_apply(system, StateVector(system, "K", kterms))
+            pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
+            slots.append((tuple(ps), _prepare(sector, pieces)))
+        return slots
+    slots = _prepared(system, "worldsheet", u, build) if modes else []
     return _windows(system, "K", slots, modes, states)
 
 

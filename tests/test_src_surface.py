@@ -16,15 +16,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 RESERVED = {
-    "nu_hat_state": "ROADMAP item 5",
-    "twisted_state_counts": "ROADMAP item 6",
-    "TwistSystem.commutator_C0": "ROADMAP item 6",
-    "TwistSystem.commutator_C": "ROADMAP item 6",
-    "TwistSystem.ext_commutator": "ROADMAP item 6",
-    "TwistSystem.n_generators": "ROADMAP item 6",
-    "TwistSystem.kernel_basis": "ROADMAP item 6",
-    "general_mode_image": "ROADMAP item 6",
-    "f_inverse_apply": "ROADMAP item 6",
+    "nu_hat_state": "ROADMAP item 1",
+    "twisted_state_counts": "ROADMAP item 5",
+    "TwistSystem.commutator_C0": "ROADMAP item 5",
+    "TwistSystem.commutator_C": "ROADMAP item 5",
+    "TwistSystem.ext_commutator": "ROADMAP item 5",
+    "TwistSystem.n_generators": "ROADMAP item 5",
+    "TwistSystem.kernel_basis": "ROADMAP item 5",
+    "general_mode_image": "ROADMAP item 5",
+    "f_inverse_apply": "ROADMAP item 5",
 }
 
 

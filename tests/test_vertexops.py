@@ -1,5 +1,6 @@
 """Mode extraction for the untwisted and the two twisted operator families."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -13,7 +14,7 @@ from permtwist.fock import (Sector, StateVector, apply_mode, apply_twisted_vecto
                             apply_vector_mode, ground_state, nu_hat_state,
                             omega_state, slot_state, twisted_L0, vacuum,
                             virasoro_L, weight_basis)
-from permtwist.isomap import default_mode_set, f_apply, generator_family
+from permtwist.isomap import default_mode_set, f_apply, generator_family, intertwine_check
 from permtwist.lattice import Lattice
 from permtwist.vertexops import (base_module_mode, spacetime_series_coefficient,
                                  spacetime_twisted_mode, spacetime_twisted_windows,
@@ -249,8 +250,9 @@ def test_windows_check_arguments_on_the_call(sys2, modes):
         spacetime_twisted_windows(sys2, vacuum(sys2, "K"), modes, [vacuum(sys2, "T")])
 
 
-def test_empty_windows_compute_no_series(sys2, monkeypatch):
-    calls = {"exp_delta_apply": 0, "ef_apply": 0}
+def _count_calls(monkeypatch, *names) -> dict:
+    """Counts the calls vertexops makes to each coefficient engine in names."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(vertexops, name)
@@ -260,14 +262,83 @@ def test_empty_windows_compute_no_series(sys2, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(vertexops, name, counted(name))
+    return calls
+
+
+def test_empty_windows_compute_no_series(sys2, monkeypatch):
+    calls = _count_calls(monkeypatch, "exp_delta_apply", "ef_apply")
+    stored = dict(Sector.of(sys2, "T").prepared)
     u = slot_state(sys2, apply_mode(sys2, -1, 0, vacuum(sys2, "K")), 1)
     twisted = weight_basis(sys2, "T", 1)
     base = weight_basis(sys2, "K", 1)
     assert list(spacetime_twisted_windows(sys2, u, [], twisted)) == [{}] * len(twisted)
     assert list(worldsheet_twisted_windows(sys2, u, [], base)) == [{}] * len(base)
     assert calls == {"exp_delta_apply": 0, "ef_apply": 0}
+    assert Sector.of(sys2, "T").prepared == stored
+
+
+def test_per_state_calls_prepare_each_operator_once(monkeypatch):
+    # a fresh system: the prepared operators live as long as it does
+    system = TwistSystem(A1, 3)
+    calls = _count_calls(monkeypatch, "exp_delta_apply", "ef_apply", "ef_inverse_apply")
+    basis = weight_basis(system, "T", 1)
+    modes = default_mode_set(system, 1)
+    family = generator_family(system)
+    for name, u in family:
+        for v in basis:
+            assert all(rep.passed for rep in intertwine_check(system, u, v, modes, name))
+    # every generator of the family has one distinct slot state
+    assert calls == {"exp_delta_apply": len(family), "ef_apply": len(family),
+                     "ef_inverse_apply": 0}
+    for v in basis:
+        base_module_mode(system, omega_state(system, "K"), 1, v)
+    assert calls["ef_inverse_apply"] == 1
+    # a state rebuilt with equal terms reuses the prepared operator
+    before = dict(calls)
+    omega, omega_k, v = omega_state(system, "L"), omega_state(system, "K"), basis[-1]
+    assert all(rep.passed for rep in intertwine_check(system, omega, v, modes))
+    base_module_mode(system, omega_k, 1, v)
+    assert calls == before
+    # twice the state is another operator
+    fv = f_apply(system, v)
+    for n in modes:
+        assert (spacetime_twisted_mode(system, omega.scaled(2), n, v)
+                == spacetime_twisted_mode(system, omega, n, v).scaled(2))
+        assert (worldsheet_twisted_mode(system, omega.scaled(2), n, fv)
+                == worldsheet_twisted_mode(system, omega, n, fv).scaled(2))
+    assert calls == dict(before, exp_delta_apply=before["exp_delta_apply"] + 1,
+                         ef_apply=before["ef_apply"] + 1)
+    assert (base_module_mode(system, omega_k.scaled(2), 1, v)
+            == base_module_mode(system, omega_k, 1, v).scaled(2))
+    assert calls["ef_inverse_apply"] == 2
+
+
+@pytest.mark.parametrize("K, k", [pytest.param(A1, 2, id="A1-2"),
+                                  pytest.param(A2, 3, id="A2-3")])
+def test_prepared_operators_stay_with_their_family_and_state(K, k):
+    # every family on every generator, in a shuffled order on one shared
+    # system, against the same call on a fresh system
+    shared = TwistSystem(K, k)
+    generators = [u for _, u in generator_family(shared)]
+    generators.append(generators[0].scaled(2))
+    base_generators = [omega_state(shared, "K"), apply_mode(shared, -1, 0, vacuum(shared, "K")),
+                       ground_state(shared, "K", (1,) + (0,) * (K.rank - 1))]
+    base_generators.append(base_generators[0].scaled(2))
+    states = weight_basis(shared, "T", 1)[:4]
+    modes = default_mode_set(shared, Fraction(1, 2))
+    calls = [(spacetime_twisted_mode, u, n, v)
+             for u in generators for n in modes for v in states]
+    calls += [(worldsheet_twisted_mode, u, n, f_apply(shared, v))
+              for u in generators for n in modes for v in states]
+    calls += [(base_module_mode, u, n, v)
+              for u in base_generators for n in range(-1, 2) for v in states]
+    random.Random(k).shuffle(calls)
+    for mode, u, n, v in calls:
+        assert mode(shared, u, n, v) == mode(TwistSystem(K, k), u, n, v), (mode.__name__, u, n)
+    # one operator per family and generator
+    assert len(Sector.of(shared, "T").prepared) == 2 * len(generators) + len(base_generators)
 
 
 def test_series_coefficient_rejects_off_grid_exponent(sys2):
