@@ -124,11 +124,14 @@ class StateVector:
     @classmethod
     def monomial(cls, system, sector, modes, ground, coeff=None):
         """coeff (default 1) times the monomial of the (mode, colour) pairs
-        `modes` on `ground`; a mode off the sector's grid raises."""
+        `modes` on `ground`; an off-grid mode or a wrong-length ground raises."""
         desc = Sector.of(system, sector)
+        ground = tuple(ground)
+        if len(ground) != desc.lattice.rank:
+            raise ValueError(f"ground label {ground} needs {desc.lattice.rank} entries")
         grid = tuple(sorted((desc.grid(n), i) for n, i in modes))
         c = system.field.one() if coeff is None else coeff
-        return cls(system, sector, {FockMono._sorted(grid, tuple(ground), desc.den): c})
+        return cls(system, sector, {FockMono._sorted(grid, ground, desc.den): c})
 
     @classmethod
     def _of(cls, system, sector, terms: dict) -> "StateVector":
@@ -218,7 +221,8 @@ class Sector:
         # matrix as (b, ((a, f), ...)): the dual-basis quadratic sum f b_a b_b
         self.dual_form = tuple((b, tuple((a, f) for a, f in enumerate(row) if f))
                                for b, row in enumerate(self.lattice.gram_inverse()))
-        # in T: (family, terms of u) -> the prepared operator; see vertexops._prepared
+        # in T: (family, terms of u, or of a slot state w of u on the worldsheet
+        # side) -> the prepared operator; see vertexops._prepared
         self.prepared: dict = {}
 
     @classmethod
@@ -424,15 +428,11 @@ def twisted_vacuum_weight(system) -> Fraction:
     return Fraction((k * k - 1) * d, 24 * k)
 
 
-def mono_weight(system, sector, mono: FockMono) -> Fraction:
-    return Sector.of(system, sector).mono_weight(mono)
-
-
 def weight(system, sv: StateVector) -> Fraction:
     """The common L(0)-weight of a homogeneous state (error if mixed)."""
     if sv.is_zero():
         raise ValueError("weight of the zero vector is undefined")
-    ws = {mono_weight(system, sv.sector, m) for m in sv.terms}
+    ws = set(map(Sector.of(system, sv.sector).mono_weight, sv.terms))
     if len(ws) != 1:
         raise ValueError(f"state not homogeneous: weights {sorted(ws)}")
     return ws.pop()

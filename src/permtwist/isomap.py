@@ -92,9 +92,9 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
     """One report per generator of generator_family: intertwine_check of the
     generator on every state of basis, over every mode.
 
-    Each generator's coefficient series (exp(Delta_x) u, and E_f once per
-    distinct slot state of u) is computed once for the whole basis.  A
-    generator that compared no mode fails.
+    Each generator's exp(Delta_x) u is computed once for the whole basis,
+    and E_f once per distinct V_K slot state of the family (the slot
+    currents share one).  A generator that compared no mode fails.
     """
     modes = [Fraction(n) for n in modes]
     images = [f_apply(system, v) for v in basis]

@@ -5,11 +5,12 @@ operator series of u applied to v, for all exponents e up to the largest one
 requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
 zero coefficient.  The operator comes prepared (`_prepare`): each
 u-monomial's derivative factors and ground label are split by
-`Sector.vector` and its prefactor is taken once per generator, not once per
-state.  Each family keeps the operator it prepares for u (`_prepared`) in
-the `prepared` dict of the system's twisted-sector descriptor, keyed on
-(family, the terms of u); it lives as long as the system, so per-state calls
-on one generator prepare it once.  On the space-time side
+`Sector.vector` and its prefactor is taken once per operator, not once per
+state.  `_prepared` keeps each operator, for as long as the system lives, in
+the `prepared` dict of its twisted-sector descriptor, keyed on the family
+and the state its coefficient engine reads: u, or on the worldsheet side
+each V_K slot state w of u, so every generator and slot holding w shares one
+E_f operator.  On the space-time side
 (`_spacetime_terms`) the u-monomials that differ only in the tensor slots of
 their factors are merged first: each factor b_i^(p) is written in the
 eta^r-eigenvectors of nu as sum_r eta^{-rp} E_{r,i}, and equal terms are
@@ -148,12 +149,12 @@ def _prepare(sector: Sector, pieces) -> list:
     return out
 
 
-def _prepared(system: TwistSystem, family: str, u: StateVector, build):
-    """The prepared operator of u in one family, from build() on the first
-    call for its terms; kept in the twisted sector's `Sector.prepared`, so it
-    lives as long as the system.  Callers check their arguments first."""
+def _prepared(system: TwistSystem, family: str, terms: frozenset, build):
+    """The prepared operator of one family on the state of `terms` (frozen
+    items), from build() on the first call, kept in the twisted sector's
+    `Sector.prepared` as long as the system lives.  Callers check first."""
     memo = Sector.of(system, "T").prepared
-    key = (family, frozenset(u.terms.items()))
+    key = (family, terms)
     if key not in memo:
         memo[key] = build()
     return memo[key]
@@ -316,7 +317,7 @@ def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states
     if u.sector != "L" or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
     modes = list(modes)
-    slots = [((0,), _prepared(system, "spacetime", u,
+    slots = [((0,), _prepared(system, "spacetime", frozenset(u.terms.items()),
                               lambda: _spacetime_terms(system, [(0, u)])))] if modes else []
     return _windows(system, "T", slots, modes, states)
 
@@ -337,7 +338,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     # u_n is the coefficient of x^{(-n-1)/k}, the twisted mode (n+1)/k - 1,
     # in sum_t x^{t/k} Y^{st}(w_t, x), where E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
     mode = Fraction(Sector.of(system, "K").grid(n) + 1, system.k) - 1
-    terms = _prepared(system, "base", u, lambda: _spacetime_terms(
+    terms = _prepared(system, "base", frozenset(u.terms.items()), lambda: _spacetime_terms(
         system, [(t, slot_state(system, w_t, 0))
                  for t, w_t in ef_inverse_apply(system, u).items()]))
     return next(_windows(system, "T", [((0,), terms)], [mode], [v]))[mode]
@@ -364,8 +365,8 @@ def _split_slot(system, umono: FockMono):
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u_n v} for the change-of-variables twisted operator,
     every n in modes and each v in states in turn, from one series per
-    distinct slot state of u, with E_f applied once per distinct slot state
-    and system for all of them.  The arguments are checked on the call.
+    distinct slot state w of u, prepared with E_f once per w and system,
+    whichever slots hold w.  The arguments are checked on the call.
 
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
@@ -379,21 +380,19 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     for umono, cu in u.terms.items():
         p, kmono = _split_slot(system, umono)
         by_slot.setdefault(p, {})[kmono] = cu
-    # V_K terms -> (those terms, the slots holding them)
+    # frozen terms of w -> (the terms of w, the slots holding w)
     by_state: dict = {}
     for p, kterms in by_slot.items():
         by_state.setdefault(frozenset(kterms.items()), (kterms, []))[1].append(p)
     # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
-    # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) u = sum_s x^{s/k} w_s, rotated
-    # by the slots' phases
-    def build():
-        slots = []
-        for kterms, ps in by_state.values():
+    # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) w = sum_s x^{s/k} w_s, rotated
+    # by the phases of the slots holding w
+    slots = []
+    for key, (kterms, ps) in (by_state.items() if modes else ()):
+        def build():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
-            pieces = [(s, w_s.terms) for s, w_s in corrected.items()]
-            slots.append((tuple(ps), _prepare(sector, pieces)))
-        return slots
-    slots = _prepared(system, "worldsheet", u, build) if modes else []
+            return _prepare(sector, [(s, w_s.terms) for s, w_s in corrected.items()])
+        slots.append((tuple(ps), _prepared(system, "worldsheet", key, build)))
     return _windows(system, "K", slots, modes, states)
 
 

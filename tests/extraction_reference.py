@@ -47,6 +47,15 @@ def _slot_monomial(system, umono: FockMono):
     return p, FockMono(modes, umono.ground[p * d:(p + 1) * d])
 
 
+def slot_states(system, u: StateVector) -> dict:
+    """{p: V_K terms of u in the tensor slot p}, for u a sum of one-slot states."""
+    by_slot = {}
+    for umono, c in u.terms.items():
+        p, kmono = _slot_monomial(system, umono)
+        by_slot.setdefault(p, {})[kmono] = c
+    return by_slot
+
+
 def _umono_factors(umono: FockMono):
     """Derivative factors (order, coordinate vector) for a u-monomial."""
     rank = len(umono.ground)

@@ -108,6 +108,22 @@ def test_monomial_rejects_off_grid_modes(sector, mode, message):
         FockMono([(mode, 0)], ground, s.k if sector == "T" else 1)
 
 
+@pytest.mark.parametrize("sector, rank", [("K", 2), ("L", 6), ("T", 2)])
+def test_ground_label_of_the_wrong_length_is_refused(sector, rank):
+    # a ground label is never padded or cut to the rank of the sector's lattice
+    s = TwistSystem(A2, 3)
+    for ground in ((), (1,) * (rank - 1), (0,) * (rank + 1)):
+        with pytest.raises(ValueError, match=re.escape(f"needs {rank} entries")):
+            StateVector.monomial(s, sector, (), ground)
+        with pytest.raises(ValueError, match="ground label"):
+            vacuum(s, sector, ground)
+        with pytest.raises(ValueError, match="ground label"):
+            ground_state(s, sector, ground)
+    ground = (1,) + (0,) * (rank - 1)
+    assert next(iter(ground_state(s, sector, ground).terms)).ground == ground
+    assert next(iter(vacuum(s, sector).terms)).ground == (0,) * rank
+
+
 def _ground_weight(system, sector, ground):
     """<g, g> * step / 2 plus the vacuum weight, from the Gram matrices."""
     gram = system.L.gram if sector == "L" else system.K.gram

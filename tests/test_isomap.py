@@ -181,29 +181,23 @@ def test_iso_computes_each_generator_series_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(vertexops, name, counted(name))
-    system = TwistSystem(A1, 2)
-    generators = generator_family(system)
-    # E_f runs once per distinct slot state: omega holds omega_K in both
-    # tensor slots, so it counts once, like every one-slot generator
-    slot_states = [_slot_states(system, u) for _, u in generators]
-    assert [len(by_slot) for by_slot in slot_states] == [1, 1, 2, 1]
-    distinct = sum(len({frozenset(t.items()) for t in by_slot.values()})
-                   for by_slot in slot_states)
-    assert distinct == 4
-    reports = run_iso(RunConfig(k=2, weight_cutoff=Fraction(1), mode_bound=Fraction(1),
-                                lattice=A1))
-    assert all(r.passed for r in reports)
-    assert len(weight_basis(system, "T", 1)) > 1
-    assert calls == {"exp_delta_apply": len(generators), "ef_apply": distinct}
-
-
-def _slot_states(system, u):
-    """{p: V_K terms of u in the tensor slot p}, split by the reference."""
-    by_slot = {}
-    for umono, c in u.terms.items():
-        p, kmono = reference._slot_monomial(system, umono)
-        by_slot.setdefault(p, {})[kmono] = c
-    return by_slot
+    for k in (2, 3):
+        system = TwistSystem(A1, k)
+        generators = generator_family(system)
+        # E_f runs once per distinct V_K slot state of the whole family: the
+        # k slot currents all hold b(-1)1 and omega holds omega_K in every
+        # slot, so b(-1)1, omega_K and e^alpha count once each, whatever k
+        slot_states = [reference.slot_states(system, u) for _, u in generators]
+        assert [len(by_slot) for by_slot in slot_states] == [1] * k + [k, 1]
+        distinct = {frozenset(t.items()) for by_slot in slot_states for t in by_slot.values()}
+        assert len(distinct) == 3
+        calls.update(dict.fromkeys(calls, 0))
+        # run_iso builds a fresh system, so nothing is prepared before it
+        reports = run_iso(RunConfig(k=k, weight_cutoff=Fraction(1), mode_bound=Fraction(1),
+                                    lattice=A1))
+        assert all(r.passed for r in reports)
+        assert len(weight_basis(system, "T", 1)) > 1
+        assert calls == {"exp_delta_apply": len(generators), "ef_apply": 3}
 
 
 def test_iso_prepares_each_generator_once(monkeypatch):

@@ -279,6 +279,12 @@ def test_empty_windows_compute_no_series(sys2, monkeypatch):
     assert Sector.of(sys2, "T").prepared == stored
 
 
+def _distinct_slot_states(system, generators) -> set:
+    """The distinct V_K slot states of the generators, as frozen terms."""
+    return {frozenset(t.items()) for u in generators
+            for t in reference.slot_states(system, u).values()}
+
+
 def test_per_state_calls_prepare_each_operator_once(monkeypatch):
     # a fresh system: the prepared operators live as long as it does
     system = TwistSystem(A1, 3)
@@ -289,9 +295,10 @@ def test_per_state_calls_prepare_each_operator_once(monkeypatch):
     for name, u in family:
         for v in basis:
             assert all(rep.passed for rep in intertwine_check(system, u, v, modes, name))
-    # every generator of the family has one distinct slot state
-    assert calls == {"exp_delta_apply": len(family), "ef_apply": len(family),
-                     "ef_inverse_apply": 0}
+    # E_f runs once per distinct V_K slot state of the family: b(-1)1, which
+    # every slot current holds, omega_K and e^alpha
+    assert len(_distinct_slot_states(system, [u for _, u in family])) == 3
+    assert calls == {"exp_delta_apply": len(family), "ef_apply": 3, "ef_inverse_apply": 0}
     for v in basis:
         base_module_mode(system, omega_state(system, "K"), 1, v)
     assert calls["ef_inverse_apply"] == 1
@@ -337,8 +344,13 @@ def test_prepared_operators_stay_with_their_family_and_state(K, k):
     random.Random(k).shuffle(calls)
     for mode, u, n, v in calls:
         assert mode(shared, u, n, v) == mode(TwistSystem(K, k), u, n, v), (mode.__name__, u, n)
-    # one operator per family and generator
-    assert len(Sector.of(shared, "T").prepared) == 2 * len(generators) + len(base_generators)
+    # one operator per generator on the space-time and base-module sides, one
+    # per distinct V_K slot state on the worldsheet side: b(-1)1, omega_K,
+    # e^alpha and 2 b(-1)1
+    worldsheet = _distinct_slot_states(shared, generators)
+    assert len(worldsheet) == 4
+    assert (len(Sector.of(shared, "T").prepared)
+            == len(generators) + len(worldsheet) + len(base_generators))
 
 
 def test_series_coefficient_rejects_off_grid_exponent(sys2):
