@@ -28,8 +28,9 @@ each h_(r) in those generators once, so no mode action projects.
 Modes are stored on their sector's grid: the mode t * step is the int t.
 The twisted mode b(t/k) and the base mode b(t) under the isomorphism F
 carry the same int.  Mode actions, bases and monomial equality and hashing
-run on ints; only the public readers (`FockMono.modes`, `level`, `repr`)
-and the public entry points, through `Sector.grid`, see mode values.  In
+run on ints, and `FockMono` is built from ints; only the public readers
+(`FockMono.modes`, `level`, `repr`) and the public entry points see mode
+values, and only `Sector.grid` reads one onto the grid.  In
 the sector the pairing of b_i and b_j is the Gram entry times step, so
 [b_i(s step), b_j(-s step)] is s times the Gram entry times step^2: that
 product is the pairing on the grid.
@@ -52,34 +53,18 @@ class FockMono:
 
     `grid` holds the modes as sorted (t, colour) int pairs, the mode being
     t / den for den the denominator of the sector's grid step (1, or k in
-    the twisted sector); `modes` reads them as mode values.
+    the twisted sector); `modes` reads them as mode values.  The constructor
+    takes the grid pairs already sorted and the ground label as a tuple;
+    `StateVector.monomial` builds a state from mode values.
     """
 
     __slots__ = ("grid", "ground", "den", "_hash")
 
-    def __init__(self, modes, ground, den: int = 1):
-        """The monomial of (mode, colour) pairs with modes in (1/den)Z; a mode
-        off that grid raises."""
-        grid = []
-        for n, i in modes:
-            t = Fraction(n) * den
-            if t.denominator != 1:
-                raise ValueError(f"mode {n} not in (1/{den})Z")
-            grid.append((t.numerator, i))
-        self.grid = tuple(sorted(grid))
-        self.ground = tuple(ground)
-        self.den = den
-        self._hash = hash((self.grid, self.ground))
-
-    @classmethod
-    def _sorted(cls, grid: tuple, ground: tuple, den: int) -> "FockMono":
-        """A monomial from grid pairs already in sorted order and a ground tuple."""
-        self = object.__new__(cls)
+    def __init__(self, grid: tuple, ground: tuple, den: int):
         self.grid = grid
         self.ground = ground
         self.den = den
         self._hash = hash((grid, ground))
-        return self
 
     @property
     def modes(self) -> tuple:
@@ -122,16 +107,15 @@ class StateVector:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def monomial(cls, system, sector, modes, ground, coeff=None):
-        """coeff (default 1) times the monomial of the (mode, colour) pairs
-        `modes` on `ground`; an off-grid mode or a wrong-length ground raises."""
+    def monomial(cls, system, sector, modes, ground):
+        """The monomial of the (mode, colour) pairs `modes` on `ground`; an
+        off-grid mode, an unknown colour or a wrong-length ground raises."""
         desc = Sector.of(system, sector)
         ground = tuple(ground)
         if len(ground) != desc.lattice.rank:
             raise ValueError(f"ground label {ground} needs {desc.lattice.rank} entries")
-        grid = tuple(sorted((desc.grid(n), i) for n, i in modes))
-        c = system.field.one() if coeff is None else coeff
-        return cls(system, sector, {FockMono._sorted(grid, ground, desc.den): c})
+        grid = tuple(sorted((desc.grid(n), desc.colour(i)) for n, i in modes))
+        return cls._of(system, sector, {FockMono(grid, ground, desc.den): system.field.one()})
 
     @classmethod
     def _of(cls, system, sector, terms: dict) -> "StateVector":
@@ -190,10 +174,8 @@ def _max_level(terms) -> int:
     return max((-sum(t for t, _ in m.grid) for m in terms), default=0)
 
 
-def vacuum(system, sector, ground=None) -> StateVector:
-    if ground is None:
-        ground = (0,) * Sector.of(system, sector).lattice.rank
-    return StateVector.monomial(system, sector, (), ground)
+def vacuum(system, sector) -> StateVector:
+    return StateVector.monomial(system, sector, (), (0,) * Sector.of(system, sector).lattice.rank)
 
 
 class Sector:
@@ -243,6 +225,12 @@ class Sector:
             raise ValueError(f"fractional {what} {x} in untwisted sector: {what}s are integral")
         return t.numerator
 
+    def colour(self, i) -> int:
+        """i, if it is a colour of the sector's mode basis; otherwise raises."""
+        if i not in range(self.lattice.rank):
+            raise ValueError(f"colour {i} not in range({self.lattice.rank})")
+        return i
+
     def eigenvalue(self, i, ground):
         """The eigenvalue <b_i, g> * step of the zero mode b_i(0) on the ground
         label g."""
@@ -266,6 +254,9 @@ class Sector:
         sum_p h_{p,i} eta^{-rp}: k times the first block of the projection
         h_(r) onto the eta^r-eigenspace of the shift.  In K and L the one
         entry holds the nonzero coordinates."""
+        rank = self.system.L.rank if self.twisted else self.lattice.rank
+        if len(coords) != rank:
+            raise ValueError(f"vector {tuple(coords)} needs {rank} coordinates")
         if not self.twisted:
             return (tuple((i, c) for i, c in enumerate(coords) if c != 0),)
         s = self.system
@@ -349,7 +340,7 @@ def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None
         for mono, c in terms.items():
             modes = mono.grid
             pos = bisect_right(modes, key)
-            new = FockMono._sorted(modes[:pos] + (key,) + modes[pos:], mono.ground, den)
+            new = FockMono(modes[:pos] + (key,) + modes[pos:], mono.ground, den)
             _accumulate(out, new, c if unit else c * scale)
         return
     if n > 0:
@@ -374,7 +365,7 @@ def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None
                     w = weights[j] = scale * (n * pair) if pair else None
                 if w is not None:
                     count = nxt - pos
-                    new = FockMono._sorted(modes[:pos] + modes[pos + 1:], mono.ground, den)
+                    new = FockMono(modes[:pos] + modes[pos + 1:], mono.ground, den)
                     _accumulate(out, new, c * (w if count == 1 else w * count))
                 pos = nxt
         return
@@ -394,13 +385,15 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
     sector = Sector.of(system, sv.sector)
     out = {}
-    _mode_into(sector, sector.grid(n), i, sv.terms, 1, out)
+    _mode_into(sector, sector.grid(n), sector.colour(i), sv.terms, 1, out)
     return StateVector._of(system, sv.sector, out)
 
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
     sector = Sector.of(system, sv.sector)
+    if len(coords) != sector.lattice.rank:
+        raise ValueError(f"vector {tuple(coords)} needs {sector.lattice.rank} coordinates")
     n = sector.grid(n)
     out = {}
     for i, c in enumerate(coords):
@@ -451,8 +444,8 @@ def omega_state(system, sector) -> StateVector:
     return StateVector._of(system, sector, out)
 
 
-def ground_state(system, sector, vec, coeff=None) -> StateVector:
-    return StateVector.monomial(system, sector, (), vec, coeff)
+def ground_state(system, sector, vec) -> StateVector:
+    return StateVector.monomial(system, sector, (), vec)
 
 
 def slot_state(system, v: StateVector, slot: int) -> StateVector:
@@ -464,7 +457,7 @@ def slot_state(system, v: StateVector, slot: int) -> StateVector:
     for mono, c in v.terms.items():
         # the colour map i -> slot * d + i is increasing: the grid stays sorted
         grid = tuple((t, slot * d + i) for t, i in mono.grid)
-        out[FockMono._sorted(grid, tuple(system.slot_embed(mono.ground, slot)), 1)] = c
+        out[FockMono(grid, tuple(system.slot_embed(mono.ground, slot)), 1)] = c
     return StateVector._of(system, "L", out)
 
 
@@ -478,7 +471,7 @@ def nu_hat_state(system, v: StateVector, power: int = 1) -> StateVector:
     for mono, c in v.terms.items():
         grid = tuple(sorted((t, ((i // d - p) % k) * d + i % d) for t, i in mono.grid))
         g2 = system.nu_hat(system.ext_from_base(mono.ground, SECTION_PLAIN), p)
-        _accumulate(out, FockMono._sorted(grid, tuple(g2.base), 1),
+        _accumulate(out, FockMono(grid, tuple(g2.base), 1),
                     c * system.eta0_pow(g2.phase))
     return StateVector._of(system, "L", out)
 
@@ -573,7 +566,7 @@ def weight_basis(system, sector, max_weight) -> list[StateVector]:
         # the level left for the modes, in grid steps (at least 0)
         budget = int((max_weight - desc.ground_weight(g)) * den)
         for grid in _mode_multisets(budget, budget, ncolors):
-            mono = FockMono._sorted(grid, g, den)
+            mono = FockMono(grid, g, den)
             out.append(StateVector._of(system, sector, {mono: system.field.one()}))
     out.sort(key=lambda s: (weight(system, s),
                             next(iter(s.terms)).grid,

@@ -42,7 +42,7 @@ def _regrade(system: TwistSystem, v: StateVector, sector: str, scale: Fraction) 
     den = Sector.of(system, sector).den
     out = {}
     for mono, c in v.terms.items():
-        out[FockMono._sorted(mono.grid, mono.ground, den)] = c * scale ** len(mono.grid)
+        out[FockMono(mono.grid, mono.ground, den)] = c * scale ** len(mono.grid)
     return StateVector(system, sector, out)
 
 

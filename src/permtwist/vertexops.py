@@ -123,7 +123,7 @@ def _ground_shift(sector: Sector, table: dict, beta) -> dict:
         acc: dict = {}
         for mono, c in terms.items():
             scalar, newg = sector.ground_action(beta, mono.ground)
-            _accumulate(acc, FockMono._sorted(mono.grid, tuple(newg), mono.den), c * scalar)
+            _accumulate(acc, FockMono(mono.grid, tuple(newg), mono.den), c * scalar)
         if acc:
             out[e] = acc
     return out
@@ -359,7 +359,7 @@ def _split_slot(system, umono: FockMono):
     p = slots.pop()
     # within one slot the colour map idx -> idx % d is increasing
     grid = tuple((t, idx % d) for t, idx in umono.grid)
-    return p, FockMono._sorted(grid, umono.ground[p * d:(p + 1) * d], 1)
+    return p, FockMono(grid, umono.ground[p * d:(p + 1) * d], 1)
 
 
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):

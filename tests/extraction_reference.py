@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from fock_reference import fock_mono
 from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
 from permtwist.coeffs import ef_apply, exp_delta_apply
 from permtwist.fock import FockMono, StateVector, apply_vector_mode
@@ -44,7 +45,7 @@ def _slot_monomial(system, umono: FockMono):
         raise ValueError("state is not supported in a single tensor slot")
     p = used[0] if used else 0
     modes = [(n, i - p * d) for n, i in umono.modes]
-    return p, FockMono(modes, umono.ground[p * d:(p + 1) * d])
+    return p, fock_mono(modes, umono.ground[p * d:(p + 1) * d])
 
 
 def slot_states(system, u: StateVector) -> dict:
@@ -212,7 +213,7 @@ def extract_for_vmono(system, dialect, dfactors, beta, coeff,
                 for mono, c in sv.terms.items():
                     scalar, newg = dialect.ground_action(beta, mono.ground)
                     shifted = shifted + StateVector(
-                        system, sector, {FockMono(mono.modes, newg, mono.den): c * scalar})
+                        system, sector, {FockMono(mono.grid, tuple(newg), mono.den): c * scalar})
                 sv = shifted
                 if sv.is_zero():
                     continue

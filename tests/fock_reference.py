@@ -8,10 +8,11 @@ first mode for every (r, m, i).  It is slow and shares no mode-action
 code with the package, which is what makes it useful in tests: only state
 addition and scaling, the flow coefficients a_j and the twisted vacuum
 weight are imported.  The pairing, the zero-mode eigenvalues and the grid
-check are written here from the Gram matrices of K and L, and
-`c_series_reference` expands the c_{mnr} as a log series on plain dicts,
-with its own bivariate product and log(1 + u) loop.  `exp_delta_apply` divides
-each power by t with `StateVector.scaled` per exponent.  Both return
+check are written here from the Gram matrices of K and L, `fock_mono`
+reads (mode, colour) pairs onto the grid itself, and `c_series_reference`
+expands the c_{mnr} as a log series on plain dicts, with its own bivariate
+product and log(1 + u) loop.  `exp_delta_apply` divides each power by t
+with `StateVector.scaled` per exponent.  Both return
 {exponent: StateVector} tables built one term at a time by `_add_term`.
 `ef_apply` and `ef_inverse_apply` build E_f and its inverse from the
 `virasoro_L` here and the flow coefficients a_j up to the top weight + 2,
@@ -87,7 +88,7 @@ def relabel_slots(system, v: StateVector, perm) -> StateVector:
         for p in range(k):
             for i in range(d):
                 ground[perm[p] * d + i] = mono.ground[p * d + i]
-        out = out + StateVector(system, "L", {FockMono(modes, ground): c})
+        out = out + StateVector(system, "L", {fock_mono(modes, ground): c})
     return out
 
 
@@ -100,6 +101,18 @@ def check_mode(system, sector, n) -> Fraction:
     elif n.denominator != 1:
         raise ValueError(f"fractional mode {n} in untwisted sector")
     return n
+
+
+def fock_mono(modes, ground, den: int = 1) -> FockMono:
+    """The monomial of (mode, colour) pairs with modes in (1/den)Z, read onto
+    the grid here; a mode off that grid raises."""
+    grid = []
+    for n, i in modes:
+        t = Fraction(n) * den
+        if t.denominator != 1:
+            raise ValueError(f"mode {n} not in (1/{den})Z")
+        grid.append((t.numerator, i))
+    return FockMono(tuple(sorted(grid)), tuple(ground), den)
 
 
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
@@ -119,7 +132,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
 
     if n < 0:
         for mono, c in sv.terms.items():
-            add(FockMono(mono.modes + ((n, i),), mono.ground, mono.den), c)
+            add(fock_mono(mono.modes + ((n, i),), mono.ground, mono.den), c)
     elif n > 0:
         for mono, c in sv.terms.items():
             seen = set()
@@ -133,7 +146,7 @@ def apply_mode(system, n, i, sv: StateVector) -> StateVector:
                     continue
                 rest = list(mono.modes)
                 rest.pop(pos)
-                add(FockMono(rest, mono.ground, mono.den), c * (n * pair * count))
+                add(fock_mono(rest, mono.ground, mono.den), c * (n * pair * count))
     else:
         for mono, c in sv.terms.items():
             ev = zero_mode_eigenvalue(system, sv.sector, i, mono.ground)
@@ -198,7 +211,7 @@ def omega_state(system, sector) -> StateVector:
     for i in range(n):
         for j in range(n):
             if ginv[i][j]:
-                mono = FockMono(((Fraction(-1), i), (Fraction(-1), j)), (0,) * n)
+                mono = fock_mono(((Fraction(-1), i), (Fraction(-1), j)), (0,) * n)
                 piece = StateVector(system, sector, {mono: system.field.one()})
                 out = out + piece.scaled(ginv[i][j] / 2)
     return out

@@ -226,8 +226,6 @@ def test_series_refuse_float_coefficients():
         FracQSeries(1, {0: 1.0}, 2)
     with pytest.raises(TypeError):
         FracQSeries(1, {0: 1, 1: 0.0}, 2)
-    with pytest.raises(TypeError):
-        FracQSeries(1, {0: 1}, 2).scaled(0.5)
 
 
 def test_inverse_keeps_unit_lead_series_integral():

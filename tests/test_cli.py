@@ -159,13 +159,30 @@ def test_iso_reports_a_wrong_space_time_side(tmp_path, monkeypatch):
 
 def test_thm41_reports_a_wrong_base_character(tmp_path, monkeypatch):
     char_voa = characters.char_voa
-    monkeypatch.setattr(characters, "char_voa",
-                        lambda K, order: char_voa(K, order).scaled(2))
+
+    def doubled(K, order):
+        s = char_voa(K, order)
+        return FracQSeries(s.denom, {e: 2 * c for e, c in s.coeffs.items()}, s.order)
+    monkeypatch.setattr(characters, "char_voa", doubled)
     reports, status = cmd("thm41", a1_config(tmp_path))
     assert status == 1
     failed = [r for r in reports if not r.passed]
     assert [r.check_id for r in failed] == ["char-equality[A1 k=2 order=6]"]
     assert failed[0].witness == "first difference at q^-1/24: 1 vs 2"
+
+
+def test_thm41_witness_sees_a_term_only_the_base_character_holds(tmp_path, monkeypatch):
+    char_voa = characters.char_voa
+
+    def with_extra_term(K, order):
+        s = char_voa(K, order)
+        assert s.denom % 3 == 0 and not s.coefficient(Fraction(1, 3))
+        return FracQSeries(s.denom, {**s.coeffs, s.denom // 3: 1}, s.order)
+    monkeypatch.setattr(characters, "char_voa", with_extra_term)
+    reports, status = cmd("thm41", a1_config(tmp_path))
+    assert status == 1
+    failed = [r for r in reports if not r.passed]
+    assert [r.witness for r in failed] == ["first difference at q^1/3: 0 vs 1"]
 
 
 def test_chars_on_a_bound_with_empty_shells():

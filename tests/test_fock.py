@@ -8,8 +8,8 @@ import pytest
 
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
-from permtwist.fock import (FockMono, Sector, StateVector, apply_mode,
-                            apply_twisted_vector_mode, ground_state, nu_hat_state, omega_state,
+from permtwist.fock import (Sector, StateVector, apply_mode, apply_twisted_vector_mode,
+                            apply_vector_mode, ground_state, nu_hat_state, omega_state,
                             slot_state, twisted_L0, twisted_state_counts,
                             twisted_vacuum_weight, vacuum, virasoro_L, weight,
                             weight_basis)
@@ -104,8 +104,6 @@ def test_monomial_rejects_off_grid_modes(sector, mode, message):
     ground = (0,) * (s.L.rank if sector == "L" else s.d)
     with pytest.raises(ValueError, match=re.escape(message)):
         StateVector.monomial(s, sector, [(Fraction(-1), 0), (mode, 0)], ground)
-    with pytest.raises(ValueError, match="not in"):
-        FockMono([(mode, 0)], ground, s.k if sector == "T" else 1)
 
 
 @pytest.mark.parametrize("sector, rank", [("K", 2), ("L", 6), ("T", 2)])
@@ -116,12 +114,40 @@ def test_ground_label_of_the_wrong_length_is_refused(sector, rank):
         with pytest.raises(ValueError, match=re.escape(f"needs {rank} entries")):
             StateVector.monomial(s, sector, (), ground)
         with pytest.raises(ValueError, match="ground label"):
-            vacuum(s, sector, ground)
-        with pytest.raises(ValueError, match="ground label"):
             ground_state(s, sector, ground)
     ground = (1,) + (0,) * (rank - 1)
     assert next(iter(ground_state(s, sector, ground).terms)).ground == ground
     assert next(iter(vacuum(s, sector).terms)).ground == (0,) * rank
+
+
+@pytest.mark.parametrize("sector, rank", [("K", 2), ("L", 6), ("T", 2)])
+def test_colours_and_vectors_outside_the_rank_are_refused(sector, rank):
+    # a colour names a mode of the sector's basis and a vector has one
+    # coordinate per colour (per colour of L in T): none is wrapped, padded
+    # or cut to the rank
+    s = TwistSystem(A2, 3)
+    vac = vacuum(s, sector)
+    ground = (0,) * rank
+    for i in (rank, rank + 3, -1):
+        message = re.escape(f"colour {i} not in range({rank})")
+        with pytest.raises(ValueError, match=message):
+            StateVector.monomial(s, sector, [(-1, i)], ground)
+        with pytest.raises(ValueError, match=message):
+            apply_mode(s, -1, i, vac)
+    for coords in ((1,) * (rank - 1), (0,) * rank + (1,)):
+        with pytest.raises(ValueError, match=f"needs {rank} coordinates"):
+            apply_vector_mode(s, -1, coords, vac)
+    ambient = s.L.rank if sector == "T" else rank
+    for coords in ((1,) * (ambient - 1), (1,) * (ambient + 1)):
+        with pytest.raises(ValueError, match=f"needs {ambient} coordinates"):
+            Sector.of(s, sector).vector(coords)
+        if sector == "T":
+            with pytest.raises(ValueError, match=f"needs {ambient} coordinates"):
+                apply_twisted_vector_mode(s, -1, coords, vac)
+    # the last colour and a full-length vector are accepted
+    top = StateVector.monomial(s, sector, [(-1, rank - 1)], ground)
+    assert apply_mode(s, -1, rank - 1, vac) == top
+    assert apply_vector_mode(s, -1, (0,) * (rank - 1) + (1,), vac) == top
 
 
 def _ground_weight(system, sector, ground):
