@@ -25,8 +25,8 @@ from math import comb
 
 from .cocycle import TwistSystem
 from .exact import Cyc, CycField, lemma_root_sum
-from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into,
-                   _quadratic_into, _virasoro_into)
+from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into, _mode_into,
+                   _virasoro_into)
 
 
 def rational_binomial(top, r: int) -> Fraction:
@@ -154,6 +154,24 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 # -- Delta_x -------------------------------------------------------------------
 
 
+def _quadratic_into(sector: Sector, form, first: int, second: int, terms: dict, scale,
+                    out: dict, firsts: dict) -> None:
+    """Add scale * sum f * b_a(second) b_b(first) applied to `terms` into out.
+
+    `form` lists the nonzero entries as (b, ((a, f), ...)), modes are in grid
+    steps, and `firsts` memoizes b_b(first) applied to `terms` per (first, b),
+    which every (r, m, n) of Delta_x with the same first mode shares."""
+    for b, row in form:
+        key = (first, b)
+        inner = firsts.get(key)
+        if inner is None:
+            inner = firsts[key] = {}
+            _mode_into(sector, first, b, terms, 1, inner)
+        if inner:
+            for a, f in row:
+                _mode_into(sector, second, a, inner, scale * f, out)
+
+
 def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
     accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
@@ -225,12 +243,9 @@ def _exp_virasoro_sum(sector: Sector, table: dict, avals: tuple, sign: int) -> d
     the level by j, so it acts only on terms of level at least j."""
     def step_into(terms, scale, t, acc):
         lev = _max_level(terms)
-        firsts: dict = {}   # b_b(first) applied to terms, shared by every L(j)
         for j, aj in enumerate(avals, start=1):
-            if aj == 0 or j > lev:
-                continue
-            _virasoro_into(sector, j, terms, lev, aj * sign * scale,
-                           acc.setdefault(t - j, {}), firsts)
+            if aj and j <= lev:
+                _virasoro_into(sector, j, terms, aj * sign * scale, acc.setdefault(t - j, {}))
 
     return _exp_series(table, step_into)
 

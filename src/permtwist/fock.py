@@ -12,11 +12,14 @@ vacuum weight (0, 0, d(k^2-1)/24k).  `Sector` holds that difference and what
 follows from it (pairing, zero-mode eigenvalues, weights, grid check, the
 vertex-operator hooks); it is the only code that branches on the sector.
 
-Every quadratic Heisenberg operator sum f b_a(second) b_b(first) over the
-nonzero entries f of the inverse Gram matrix (`Sector.dual_form`) runs
-through one normal-ordered loop, `_quadratic_into`: L(j), the twisted
-degree operator, the conformal vector L(-2) 1 and, with the shift applied
-to the second colour, Delta_x in `coeffs`.
+L(j), half the dual-basis quadratic over the nonzero entries of the inverse
+Gram matrix (`Sector.dual_form`), acts through one routine,
+`_virasoro_into`, by its commutator [L(j), b(t)] = -t u^2 b(t + j) with
+each mode of a monomial and then on the ground state (t and j in grid
+steps, u the step in T and 1 in K and L).  It serves
+`virasoro_L`, the twisted degree operator, the conformal vector L(-2) 1 and
+E_f in `coeffs`.  Delta_x, the other quadratic, runs through
+`coeffs._quadratic_into`.
 
 A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.
@@ -272,7 +275,8 @@ class Sector:
         """Add scale * h(n * step) applied to `terms` into the accumulator
         `out`, for `vec` the split `Sector.vector` of h."""
         for i, c in vec[n % self.den]:
-            _mode_into(self, n, i, terms, c * scale, out)
+            # a coefficient 1 of K or L, as on a unit vector, leaves scale as it is
+            _mode_into(self, n, i, terms, scale if not self.twisted and c == 1 else c * scale, out)
 
     def x_exponent(self, beta, ground) -> int:
         """The power of x the group element over beta brings on a ground label,
@@ -440,7 +444,7 @@ def omega_state(system, sector) -> StateVector:
         raise ValueError("conformal vector lives in an untwisted sector")
     one = vacuum(system, sector)
     out = {}
-    _virasoro_into(Sector.of(system, sector), -2, one.terms, 0, 1, out, {})
+    _virasoro_into(Sector.of(system, sector), -2, one.terms, 1, out)
     return StateVector._of(system, sector, out)
 
 
@@ -479,49 +483,77 @@ def nu_hat_state(system, v: StateVector, power: int = 1) -> StateVector:
 # -- Virasoro ----------------------------------------------------------------
 
 
-def virasoro_L(system, j: int, sv: StateVector) -> StateVector:
-    """L(j) on V_K via the normal-ordered dual-basis quadratic."""
+def virasoro_L(system, j, sv: StateVector) -> StateVector:
+    """L(j) on V_K; a fractional j raises."""
     if sv.sector != "K":
         raise ValueError("virasoro_L acts on the base sector")
+    sector = Sector.of(system, "K")
     out = {}
-    _virasoro_into(Sector.of(system, "K"), j, sv.terms, _max_level(sv.terms), 1, out, {})
+    _virasoro_into(sector, sector.grid(j), sv.terms, 1, out)
     return StateVector._of(system, "K", out)
 
 
-def _virasoro_into(sector: Sector, j: int, terms: dict, lev: int, scale, out: dict,
-                   firsts: dict) -> None:
-    """Add scale * L(j) applied to `terms`, of level <= lev, into out.
+def _virasoro_into(sector: Sector, j: int, terms: dict, scale, out: dict) -> None:
+    """Add scale * L(j) applied to `terms` into out; j is in grid steps and
+    scale is rational.
 
-    L(j) is half the dual-basis quadratic summed over the modes (first,
-    second) with first + second = j, in normal order: the larger mode, first,
-    acts first.  The sum over all splits of j meets each pair of distinct
-    modes twice, and since ginv is symmetric the two terms agree, so each
-    pair is visited once: at weight 1, or 1/2 when the two modes are equal.
-    A first mode above lev annihilates `terms`.  `firsts` is the memo of
-    `_quadratic_into`, which callers applying several L(j) to the same
-    `terms` share."""
-    for first in range(-(-j // 2), lev + 1):
-        second = j - first
-        _quadratic_into(sector, sector.dual_form, first, second, terms,
-                        scale * Fraction(1, 2) if first == second else scale, out, firsts)
-
-
-def _quadratic_into(sector: Sector, form, first: int, second: int, terms: dict, scale,
-                    out: dict, firsts: dict) -> None:
-    """Add scale * sum f * b_a(second) b_b(first) applied to `terms` into out.
-
-    `form` lists the nonzero entries as (b, ((a, f), ...)), modes are in grid
-    steps, and `firsts` memoizes b_b(first) applied to `terms` per (first, b),
-    for callers that reuse one first mode across several forms or calls."""
-    for b, row in form:
-        key = (first, b)
-        inner = firsts.get(key)
-        if inner is None:
-            inner = firsts[key] = {}
-            _mode_into(sector, first, b, terms, 1, inner)
-        if inner:
+    L(j) is half the dual-basis quadratic over the modes summing to j, in
+    normal order.  On a monomial b_1 ... b_n |g> it acts through
+    [L(j), b_c(t)] = -t u^2 b_c(t + j), u the step in T and 1 in K and L,
+    on each mode in grid order, and then on |g>.  The mode b_c(t + j) is a
+    creation mode, or an annihilation mode that contracts with the modes
+    after it only (those before it commute past), or the zero mode.  On |g>,
+    L(j) vanishes for j > 0, is u^2 <g, g> / 2 for j = 0, and for j < 0 is
+    sum_a u g_a b_a(j) plus half the dual-basis quadratic over the pairs of
+    negative modes (j - n, n).  The rational weights of one monomial are
+    summed per output grid before its coefficient is multiplied."""
+    u, pairing, den = sector._unit, sector.pairing, sector.den
+    u2 = u * u
+    unit = scale == 1
+    # L(j)|0> for j < 0, the quadratic part of every L(j)|g>: {grid: weight}
+    pairs: dict = {}
+    for n in range(j + 1, 0):
+        for b, row in sector.dual_form:
             for a, f in row:
-                _mode_into(sector, second, a, inner, scale * f, out)
+                grid = tuple(sorted(((j - n, a), (n, b))))
+                pairs[grid] = pairs.get(grid, 0) + f / 2
+    quadratic = list(pairs.items())
+    for mono, c in terms.items():
+        modes, g = mono.grid, mono.ground
+        end = len(modes)
+        weights: dict = {}      # output grid -> summed rational weight
+        for pos, (t, i) in enumerate(modes):
+            s = t + j
+            w = -t * u2
+            rest = modes[:pos] + modes[pos + 1:]
+            if s < 0:
+                key = (s, i)
+                at = bisect_right(rest, key)
+                new = rest[:at] + (key,) + rest[at:]
+                weights[new] = weights.get(new, 0) + w
+            elif s > 0:
+                row, m = pairing[i], -s
+                at = bisect_left(modes, (m,), pos + 1)
+                while at < end and modes[at][0] == m:
+                    pair = row[modes[at][1]]
+                    if pair:
+                        new = rest[:at - 1] + rest[at:]
+                        weights[new] = weights.get(new, 0) + w * s * pair
+                    at += 1
+            else:
+                ev = sector.eigenvalue(i, g)
+                if ev:
+                    weights[rest] = weights.get(rest, 0) + w * ev
+        if j == 0:
+            weights[modes] = weights.get(modes, 0) + u2 * Fraction(sector.lattice.inner(g, g), 2)
+        elif j < 0:
+            current = [(((j, a),), u * x) for a, x in enumerate(g) if x]
+            for extra, w in current + quadratic:
+                new = tuple(sorted(modes + extra))
+                weights[new] = weights.get(new, 0) + w
+        for grid, w in weights.items():
+            if w:
+                _accumulate(out, FockMono(grid, g, den), c * (w if unit else w * scale))
 
 
 def twisted_L0(system, sv: StateVector) -> StateVector:
@@ -532,7 +564,7 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
     sector = Sector.of(system, "T")
     vac = sector.vacuum_weight
     out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
-    _virasoro_into(sector, 0, sv.terms, _max_level(sv.terms), system.k, out, {})
+    _virasoro_into(sector, 0, sv.terms, system.k, out)
     return StateVector._of(system, "T", out)
 
 

@@ -40,9 +40,13 @@ def _regrade(system: TwistSystem, v: StateVector, sector: str, scale: Fraction) 
     The twisted mode t/k and the base mode t share the grid int t, so the
     grid stays and only the step changes."""
     den = Sector.of(system, sector).den
+    powers = {}     # number of modes -> scale to that power
     out = {}
     for mono, c in v.terms.items():
-        out[FockMono(mono.grid, mono.ground, den)] = c * scale ** len(mono.grid)
+        n = len(mono.grid)
+        if n not in powers:
+            powers[n] = scale ** n
+        out[FockMono(mono.grid, mono.ground, den)] = c * powers[n]
     return StateVector(system, sector, out)
 
 

@@ -225,6 +225,7 @@ def _windows(system: TwistSystem, name: str, slots, modes, states):
     worldsheet side raises x to the k-th power."""
     k = system.k
     grid = [Sector.of(system, "T").grid(n) for n in modes]
+    labels = {t: Fraction(t, k) for t in grid}
     sector = Sector.of(system, name)
     entries = []
     for slot_tuple, terms in slots:
@@ -243,7 +244,7 @@ def _windows(system: TwistSystem, name: str, slots, modes, states):
                 else:
                     for mono, c in ts.items():
                         _accumulate(acc, mono, c * phases[t])
-        yield {Fraction(t, k): StateVector._of(system, name, acc) for t, acc in out.items()}
+        yield {labels[t]: StateVector._of(system, name, acc) for t, acc in out.items()}
 
 
 # -- the three operator families --------------------------------------------------

@@ -266,6 +266,18 @@ def test_virasoro_values():
         assert virasoro_L(s, 0, v) == v.scaled(weight(s, v))
 
 
+def test_virasoro_L_reads_j_on_the_integer_grid():
+    # a fractional j would move a mode off the grid of V_K
+    s = TwistSystem(A2, 3)
+    om = omega_state(s, "K")
+    for j in (Fraction(1, 2), 0.5, Fraction(-7, 3)):
+        with pytest.raises(ValueError, match="fractional mode"):
+            virasoro_L(s, j, om)
+    # L(2) omega = (c/2) 1 with c = rank 2, whatever type carries j = 2
+    for j in (2, Fraction(2), 2.0):
+        assert virasoro_L(s, j, om) == vacuum(s, "K")
+
+
 @pytest.mark.parametrize("k,K", [(2, A1), (3, A1), (2, A2)])
 def test_twisted_l0(k, K):
     s = TwistSystem(K, k)

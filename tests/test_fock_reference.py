@@ -2,8 +2,11 @@
 
 Every weight-basis state of A1 and A2 at k = 1, 2, 3 to a small weight, in
 every sector, and one dense combination of them with cyclotomic
-coefficients, so that terms of different monomials meet and cancel.  The
-closed-sum c_{mnr} are checked against the log series they expand.
+coefficients, so that terms of different monomials meet and cancel.  L(j)
+and the twisted degree operator are also checked on D4, whose inverse Gram
+matrix has no zero entry, and L(j) on level-3 monomials with repeated
+modes.  The closed-sum c_{mnr} are checked against the log series they
+expand.
 """
 
 from fractions import Fraction
@@ -14,13 +17,14 @@ import fock_reference as reference
 from permtwist.cocycle import TwistSystem
 from permtwist.coeffs import c_coeffs, ef_apply, ef_inverse_apply, exp_delta_apply
 from permtwist.fock import (StateVector, apply_mode, apply_vector_mode, ground_state,
-                            omega_state, twisted_L0, vacuum, virasoro_L, weight,
-                            weight_basis)
+                            omega_state, twisted_L0, twisted_vacuum_weight, vacuum,
+                            virasoro_L, weight, weight_basis)
 from permtwist.isomap import generator_family
 from permtwist.lattice import Lattice
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
+D4 = Lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], "D4")
 
 CUTOFF = {"K": 2, "L": 2, "T": 1}
 
@@ -90,6 +94,45 @@ def test_virasoro_L_matches_reference(system):
             assert virasoro_L(system, j, sv) == reference.virasoro_L(system, j, sv)
 
 
+def test_virasoro_L_matches_reference_on_a_dense_dual_form():
+    # every entry of D4's inverse Gram matrix is nonzero, so every pair of
+    # colours contracts
+    system = TwistSystem(D4, 2)
+    assert all(all(row) for row in D4.gram_inverse())
+    # weight <= 1 and the level-2 states on the vacuum, then one combination
+    # of them all
+    level_two = [sv for sv in weight_basis(system, "K", 2) if reference.level(sv) == 2]
+    states = weight_basis(system, "K", 1) + level_two
+    mixed = StateVector(system, "K")
+    for t, sv in enumerate(states):
+        mixed = mixed + sv.scaled(system.eta_pow(t) + t)
+    for sv in states + [mixed]:
+        for j in range(-3, 4):
+            assert virasoro_L(system, j, sv) == reference.virasoro_L(system, j, sv)
+
+
+def test_virasoro_L_matches_reference_on_repeated_modes():
+    # level-3 monomials whose modes repeat or pair up under L(j), on the
+    # vacuum and on a root
+    system = TwistSystem(A2, 3)
+    one = Fraction(-1)
+    monomials = [((one, 0),) * 3, ((one, 0), (Fraction(-2), 0)), ((one, 0), (Fraction(-2), 1)),
+                 ((one, 0), (one, 1), (one, 1)), ((Fraction(-3), 1),)]
+    states = [StateVector.monomial(system, "K", modes, ground)
+              for modes in monomials for ground in ((0, 0), (1, -1))]
+    for sv in states:
+        for j in range(-4, 5):
+            assert virasoro_L(system, j, sv) == reference.virasoro_L(system, j, sv)
+
+
+def test_virasoro_L_contracts_each_pair_once():
+    # L(2) b(-1)^2 1 = 2 * 1 on A1: the mode b(1) that L(2) makes of the
+    # first b(-1) contracts with the second only
+    system = TwistSystem(A1, 1)
+    square = StateVector.monomial(system, "K", ((-1, 0), (-1, 0)), (0,))
+    assert virasoro_L(system, 2, square) == vacuum(system, "K").scaled(2)
+
+
 @pytest.mark.parametrize("sector", ["K", "L"])
 def test_omega_state_matches_reference(system, sector):
     assert omega_state(system, sector) == reference.omega_state(system, sector)
@@ -97,6 +140,12 @@ def test_omega_state_matches_reference(system, sector):
 
 def test_twisted_L0_matches_reference(system):
     for sv in _states(system, "T"):
+        assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
+
+
+def test_twisted_L0_matches_reference_on_d4():
+    system = TwistSystem(D4, 2)
+    for sv in weight_basis(system, "T", twisted_vacuum_weight(system) + 1):
         assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
 
 
