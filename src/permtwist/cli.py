@@ -81,6 +81,8 @@ def parse_lattice_file(path: str) -> Lattice:
         rank = int(fields["rank"])
     except ValueError:
         raise LatticeFileError(f"{path}: rank must be an integer") from None
+    if rank < 1:
+        raise LatticeFileError("lattice must have positive rank")
     try:
         gram = json.loads(fields["gram"])
     except json.JSONDecodeError as exc:

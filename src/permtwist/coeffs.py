@@ -2,8 +2,9 @@
 
 * the coefficients c_{mnr} of (1/2) log((X - eta^{-r} Y)/(1 - eta^{-r})),
   X = (1+x)^{1/k}, Y = (1+y)^{1/k}, each one closed double sum over the
-  powers of (1+x)^{1/k} - 1 and (1+y)^{1/k} - 1, and the operator Delta_x
-  with its exponential (space-time side),
+  powers of (1+x)^{1/k} - 1 and (1+y)^{1/k} - 1, and the operator Delta_x,
+  which contracts a monomial's own modes through K's Gram matrix, with its
+  exponential (space-time side),
 * the change-of-variables coefficients a_j and the operator E_f with its
   inverse (worldsheet side).
 
@@ -25,7 +26,7 @@ from math import comb
 
 from .cocycle import TwistSystem
 from .exact import Cyc, CycField, lemma_root_sum
-from .fock import (Sector, StateVector, _accumulate, _max_level, _merge_into, _mode_into,
+from .fock import (FockMono, Sector, StateVector, _accumulate, _max_level, _merge_into,
                    _virasoro_into)
 
 
@@ -154,44 +155,36 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 # -- Delta_x -------------------------------------------------------------------
 
 
-def _quadratic_into(sector: Sector, form, first: int, second: int, terms: dict, scale,
-                    out: dict, firsts: dict) -> None:
-    """Add scale * sum f * b_a(second) b_b(first) applied to `terms` into out.
-
-    `form` lists the nonzero entries as (b, ((a, f), ...)), modes are in grid
-    steps, and `firsts` memoizes b_b(first) applied to `terms` per (first, b),
-    which every (r, m, n) of Delta_x with the same first mode shares."""
-    for b, row in form:
-        key = (first, b)
-        inner = firsts.get(key)
-        if inner is None:
-            inner = firsts[key] = {}
-            _mode_into(sector, first, b, terms, 1, inner)
-        if inner:
-            for a, f in row:
-                _mode_into(sector, second, a, inner, scale * f, out)
-
-
-def _delta_into(sector: Sector, terms: dict, scale, shift: int, acc: dict) -> None:
+def _delta_into(system: TwistSystem, terms: dict, scale, shift: int, acc: dict) -> None:
     """Add scale * Delta_x applied to the V_L state `terms` into acc, an
-    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift;
-    sector is the descriptor of L.
+    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift.
 
-    b(m) b(n) lowers the level by m + n, so on `terms` of level lev only the
-    c_{mnr} with m + n <= lev act: the c-series is taken to degree lev."""
-    lev = _max_level(terms)
-    system = sector.system
-    k, d = system.k, system.d
-    # b_b(n) v does not depend on r, m or the second colour: each is applied once
-    firsts: dict = {}
-    for r in range(k):
-        # sum_p c_mnr (nu^{-r} b_i^p)(m) b_j^p(n) over L's dual form: nu^{-r}
-        # moves the second colour p * d + i to block p + r
-        form = tuple((b, tuple((((a // d + r) % k) * d + a % d, f) for a, f in row))
-                     for b, row in sector.dual_form)
-        for (m, n), c in c_coeffs(system, r, lev).items():
-            _quadratic_into(sector, form, n, m, terms, c * scale,
-                            acc.setdefault(shift - m - n, {}), firsts)
+    Delta_x = sum c_{mnr} x^{-m-n} (nu^{-r} b^a)(m) b_a(n) over dual bases of
+    L, nu^{-r} moving block p to p + r, has no creation mode: it contracts a
+    monomial's own modes.  A mode (-n, x) and each other mode (-m, y) give
+    m n c_{mnr} <b_x, b_y>_K at x^{-m-n}, r = block(y) - block(x) mod k; (-n, x)
+    and the ground label g give 2n sum_r c_{n0r} <b_x, nu^{-r} g> at x^{-n}, as
+    c_{0nr} = c_{n0,-r} and c_{00r} = 0; m + n is at most the level of terms."""
+    k, d, gram = system.k, system.d, system.K.gram
+    series = [c_coeffs(system, r, _max_level(terms)) for r in range(k)]
+    for mono, c in terms.items():
+        modes, g = mono.grid, mono.ground
+        c = c if scale == 1 else c * scale
+        for pos, (t, x) in enumerate(modes):
+            p, row = x // d, gram[x % d]
+            rest = modes[:pos] + modes[pos + 1:]
+            for r, cr in enumerate(series):
+                q = (p - r) % k * d
+                pair = sum(a * b for a, b in zip(row, g[q:q + d]))
+                if pair and (-t, 0) in cr:
+                    _accumulate(acc.setdefault(shift + t, {}), FockMono(rest, g, 1),
+                                c * (cr[(-t, 0)] * (-2 * t * pair)))
+            for at, (s, y) in enumerate(rest):
+                cmn = series[(y // d - p) % k].get((-s, -t)) if row[y % d] else None
+                if cmn is not None:
+                    _accumulate(acc.setdefault(shift + t + s, {}),
+                                FockMono(rest[:at] + rest[at + 1:], g, 1),
+                                c * (cmn * (s * t * row[y % d])))
 
 
 def _states(system, sector, table: dict) -> dict[int, StateVector]:
@@ -219,8 +212,7 @@ def exp_delta_apply(system: TwistSystem, v: StateVector) -> dict[int, StateVecto
     """e^{Delta_x} v as {e: coefficient of x^e}, exact by weight-graded nilpotence."""
     if v.sector != "L":
         raise ValueError("Delta_x acts on V_L")
-    return _states(system, "L", _exp_series({0: v.terms},
-                                            partial(_delta_into, Sector.of(system, "L"))))
+    return _states(system, "L", _exp_series({0: v.terms}, partial(_delta_into, system)))
 
 
 # -- E_f -----------------------------------------------------------------------

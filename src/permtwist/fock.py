@@ -18,8 +18,8 @@ Gram matrix (`Sector.dual_form`), acts through one routine,
 each mode of a monomial and then on the ground state (t and j in grid
 steps, u the step in T and 1 in K and L).  It serves
 `virasoro_L`, the twisted degree operator, the conformal vector L(-2) 1 and
-E_f in `coeffs`.  Delta_x, the other quadratic, runs through
-`coeffs._quadratic_into`.
+E_f in `coeffs`.  Delta_x, the other quadratic, has no creation mode:
+`coeffs` contracts a monomial's own modes through K's Gram matrix.
 
 A monomial is a multiset of creation modes over a fixed mode basis plus a
 ground label; states are finite linear combinations with Cyc coefficients.

@@ -286,6 +286,8 @@ def _spacetime_terms(system: TwistSystem, pieces) -> list:
     out = []
     for (offset, beta, _), monos in groups.items():
         if len(monos) < 2:
+            # merging a lone monomial cancels nothing: it would split each
+            # factor into k eigen factors and run k^(factors) series, not one
             out += _prepare(sector, [(offset, monos)])
             continue
         merged: dict = {}

@@ -263,6 +263,14 @@ def test_rank_zero_lattice_is_a_usage_error(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: lattice must have positive rank"]
 
 
+def test_negative_rank_lattice_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "name = Z0\nrank = -1\ngram = []\n")
+    assert main(["thm41", "--lattice", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: lattice must have positive rank"]
+
+
 def test_boolean_gram_entry_is_a_usage_error(tmp_path, capsys):
     # JSON true is a Python bool, an int subclass: read as 1 it would build A2
     path = write(tmp_path, "name = A2\nrank = 2\ngram = [[2, true], [true, 2]]\n")
@@ -333,6 +341,8 @@ def test_non_even_lattice_is_a_usage_error(tmp_path, capsys, subcommand):
     ("coeffs_a1_k1", "a1.lat", ["coeffs", "--k", "1"]),
     ("chars_e8_k2", "e8.lat", ["chars", "--k", "2", "--q-order", "2"]),
     ("thm41_e8_k2", "e8.lat", ["thm41", "--k", "2", "--q-order", "2"]),
+    ("verify_all_a1_k3", "a1.lat", ["verify-all", "--k", "3"]),
+    ("verify_all_a2_k3", "a2.lat", ["verify-all", "--k", "3"]),
 ])
 def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     # the default machine output must stay byte-identical to these files

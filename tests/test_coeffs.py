@@ -34,6 +34,19 @@ def test_c_series_vanishes_for_single_copy():
     assert not c_coeffs(system, 0, 8)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_zero_mode_coefficients_pair_across_residues(k):
+    # c_{0nr} = c_{n0,-r} and c_{00r} = 0: Delta_x counts the ground-label
+    # terms of one residue twice and reads only the c_{n0r}
+    system = TwistSystem(A1, k)
+    for r in range(k):
+        series, mirror = c_coeffs(system, r, 8), c_coeffs(system, -r, 8)
+        assert (0, 0) not in series
+        for n in range(1, 9):
+            assert ((0, n) in series) == ((n, 0) in mirror)
+            assert series.get((0, n)) == mirror.get((n, 0))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_root_power_sum_symmetry(k):
     # sum_s (eta^{rs} + eta^{-rs}) = 0 for r not divisible by k

@@ -2,10 +2,10 @@
 
 Every weight-basis state of A1 and A2 at k = 1, 2, 3 to a small weight, in
 every sector, and one dense combination of them with cyclotomic
-coefficients, so that terms of different monomials meet and cancel.  L(j)
-and the twisted degree operator are also checked on D4, whose inverse Gram
-matrix has no zero entry, and L(j) on level-3 monomials with repeated
-modes.  The closed-sum c_{mnr} are checked against the log series they
+coefficients, so that terms of different monomials meet and cancel.  L(j),
+the twisted degree operator and exp(Delta_x) are also checked on D4, whose
+inverse Gram matrix has no zero entry, and L(j) on level-3 monomials with
+repeated modes.  The closed-sum c_{mnr} are checked against the log series they
 expand.
 """
 
@@ -36,9 +36,10 @@ def system(request):
     return TwistSystem(lattice, k)
 
 
-def _states(system, sector):
-    """The basis to the sector's cutoff, then a combination of all of it."""
-    basis = weight_basis(system, sector, CUTOFF[sector])
+def _states(system, sector, cutoff=None):
+    """The basis to the cutoff, by default the sector's, then a combination
+    of all of it."""
+    basis = weight_basis(system, sector, CUTOFF[sector] if cutoff is None else cutoff)
     mixed = StateVector(system, sector)
     for t, sv in enumerate(basis):
         mixed = mixed + sv.scaled(system.eta_pow(t) - (t % 3))
@@ -176,6 +177,22 @@ def test_delta_apply_matches_reference(system):
 def test_exp_delta_apply_matches_reference(system):
     for _, u in generator_family(system):
         assert exp_delta_apply(system, u) == reference.exp_delta_apply(system, u)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exp_delta_apply_matches_reference_on_d4(k):
+    # D4's Gram matrix is dense with negative entries; the level-3 state has
+    # modes in two slots on a two-slot ground label, so Delta_x pairs modes
+    # and ground blocks across every residue r
+    system = TwistSystem(D4, k)
+    d = system.d
+    ground = ground_state(system, "L", (1, 0, 0, 0, 0, -1, 0, 0) + (0,) * (system.L.rank - 2 * d))
+    two_slot = (apply_mode(system, -1, 0, apply_mode(system, -2, d + 1, ground))
+                + apply_mode(system, -1, d + 3, apply_mode(system, -1, 2, apply_mode(
+                    system, -1, d, ground))).scaled(system.eta_pow(1)))
+    assert reference.level(two_slot) == 3
+    for sv in _states(system, "L", 1) + [two_slot]:
+        assert exp_delta_apply(system, sv) == reference.exp_delta_apply(system, sv)
 
 
 @pytest.mark.parametrize("K,k", [(A1, 2), (A1, 3), (A2, 2), (A2, 3)],

@@ -1,13 +1,15 @@
 """`src/` keeps only what a report, the bench or the engine calls.
 
-Every public module-level function and class of the package, and every
-public method, must be read somewhere: as an `ast.Name` or `ast.Attribute`
-in `src/permtwist` outside its own definition, or in `bench/*.py`, where the
-tracer's TARGETS strings count too.  RESERVED lists the names that have no
-caller yet, each with the ROADMAP item that will call it from a report; the
-check runs both ways, so a reserved name that gains a caller leaves the
-dict.  Names are matched on the AST, so a mention in a comment or docstring
-is not a call.
+Every module-level function and class of the package, and every method,
+must be read somewhere: as an `ast.Name` or `ast.Attribute` in
+`src/permtwist` outside its own definition, or in `bench/*.py`, where the
+tracer's TARGETS strings count too.  Dunder methods are left out, as Python
+calls them itself.  RESERVED lists the public names that have no caller
+yet, each with the ROADMAP item that will call it from a report; the check
+runs both ways, so a reserved name that gains a caller leaves the dict.  A
+private helper has no such entry: one that nothing reads, as a refactor can
+leave behind, fails.  Names are matched on the AST, so a mention in a
+comment or docstring is not a call.
 """
 
 import ast
@@ -28,17 +30,24 @@ RESERVED = {
 }
 
 
-def _public_definitions(path: Path):
-    """(qualified name, first line, last line) of each public module-level
-    function and class of a module, and of each public method."""
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _private(qualified: str) -> bool:
+    return qualified.rsplit(".", 1)[-1].startswith("_")
+
+
+def _definitions(path: Path):
+    """(qualified name, first line, last line) of each module-level function
+    and class of a module, and of each method but the dunder ones."""
     for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
-            yield node.name, node.lineno, node.end_lineno
+        yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
 
@@ -61,7 +70,7 @@ def _target_names(path: Path):
 
 
 def uncalled(package: Path, bench: Path) -> set[str]:
-    """The public names of the package that nothing in it or in the bench reads."""
+    """The names of the package that nothing in it or in the bench reads."""
     seen: dict[str, list[tuple[Path, int]]] = {}
     for path in sorted(package.glob("*.py")):
         for line, name in _reads(path):
@@ -72,7 +81,7 @@ def uncalled(package: Path, bench: Path) -> set[str]:
         outside.update(_target_names(tracing))
     out = set()
     for path in sorted(package.glob("*.py")):
-        for qualified, first, last in _public_definitions(path):
+        for qualified, first, last in _definitions(path):
             name = qualified.rsplit(".", 1)[-1]
             if name in outside:
                 continue
@@ -83,8 +92,14 @@ def uncalled(package: Path, bench: Path) -> set[str]:
 
 
 def test_every_public_name_is_called_or_reserved():
-    assert uncalled(ROOT / "src" / "permtwist", ROOT / "bench") == set(RESERVED)
+    found = uncalled(ROOT / "src" / "permtwist", ROOT / "bench")
+    assert {name for name in found if not _private(name)} == set(RESERVED)
     assert all(item.startswith("ROADMAP item ") for item in RESERVED.values())
+
+
+def test_every_private_helper_is_read():
+    found = uncalled(ROOT / "src" / "permtwist", ROOT / "bench")
+    assert {name for name in found if _private(name)} == set()
 
 
 def test_the_check_sees_a_planted_unused_name(tmp_path):
@@ -107,6 +122,17 @@ def test_the_check_sees_a_planted_unused_name(tmp_path):
         "    def _private(self):\n"
         "        return 3\n"
         "\n"
+        "    def __repr__(self):\n"
+        "        return self._read()\n"
+        "\n"
+        "    def _read(self):\n"
+        "        return 'Thing'\n"
+        "\n"
+        "\n"
+        "def _helper():\n"
+        '    """_helper is only named in its own docstring."""\n'
+        "    return 4\n"
+        "\n"
         "\n"
         "def caller():\n"
         '    """Mentions planted() in a docstring."""\n'
@@ -115,6 +141,6 @@ def test_the_check_sees_a_planted_unused_name(tmp_path):
     (bench / "run.py").write_text("from permtwist import mod\nmod.caller()\n", encoding="utf-8")
     (bench / "tracing.py").write_text(
         'TARGETS = (("mod.thing", "mod", "Thing.traced", "span"),)\n', encoding="utf-8")
-    assert uncalled(package, bench) == {"planted"}
+    assert uncalled(package, bench) == {"planted", "Thing._private", "_helper"}
     (bench / "tracing.py").unlink()
-    assert uncalled(package, bench) == {"planted", "Thing.traced"}
+    assert uncalled(package, bench) == {"planted", "Thing._private", "_helper", "Thing.traced"}
