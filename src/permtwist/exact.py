@@ -289,7 +289,9 @@ class Cyc:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(Fraction(self._num[0], self._den))
+            # an int hashes as the Fraction it equals
+            num, den = self._num[0], self._den
+            return hash(num) if den == 1 else hash(Fraction(num, den))
         return hash((self.field.n, self._num, self._den))
 
     def __repr__(self):

@@ -220,13 +220,16 @@ class Sector:
 
     def grid(self, x, what: str = "mode") -> int:
         """The int t with x = t * step; an x off the sector's grid raises."""
-        x = Fraction(x)
-        t = x * self.den
-        if t.denominator != 1:
+        if isinstance(x, int):
+            return x * self.den
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        t, rem = divmod(self.den, x.denominator)
+        if rem:
             if self.twisted:
                 raise ValueError(f"{what} {x} not in (1/k)Z")
             raise ValueError(f"fractional {what} {x} in untwisted sector: {what}s are integral")
-        return t.numerator
+        return x.numerator * t
 
     def colour(self, i) -> int:
         """i, if it is a colour of the sector's mode basis; otherwise raises."""

@@ -44,10 +44,12 @@ def _regrade(system: TwistSystem, v: StateVector, sector: str, scale: Fraction) 
     out = {}
     for mono, c in v.terms.items():
         n = len(mono.grid)
-        if n not in powers:
-            powers[n] = scale ** n
-        out[FockMono(mono.grid, mono.ground, den)] = c * powers[n]
-    return StateVector(system, sector, out)
+        if n:
+            if n not in powers:
+                powers[n] = scale ** n
+            c = c * powers[n]
+        out[FockMono(mono.grid, mono.ground, den)] = c
+    return StateVector._of(system, sector, out)
 
 
 @dataclass
@@ -98,7 +100,9 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
 
     Each generator's exp(Delta_x) u is computed once for the whole basis,
     and E_f once per distinct V_K slot state of the family (the slot
-    currents share one).  A generator that compared no mode fails.
+    currents share one).  A generator fails unless some comparison has a
+    nonzero space-time image: 0 = 0 alone would pass an engine that
+    computes nothing.
     """
     modes = [Fraction(n) for n in modes]
     images = [f_apply(system, v) for v in basis]
@@ -107,18 +111,23 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
         worldsheet = worldsheet_twisted_windows(system, u, modes, images)
         spacetime = spacetime_twisted_windows(system, u, modes, basis)
         failures = []
-        count = 0
+        count = nonzero = 0
         for ws, st in zip(worldsheet, spacetime):
             for rep in _compare(system, ws, st, modes, name):
                 count += 1
                 if not rep.passed:
                     failures.append(rep.witness)
-        ok = count > 0 and not failures
+            nonzero += sum(not st[n].is_zero() for n in modes)
+        witness = f"{count} modes checked"
+        if failures:
+            witness = failures[0]
+        elif count and not nonzero:
+            witness += ", every image zero"
         out.append(Report(
             check_id=f"intertwine[{name}]",
             anchor="twisted-operator-intertwining",
-            status="pass" if ok else "fail",
-            witness=failures[0] if failures else f"{count} modes checked"))
+            status="pass" if nonzero and not failures else "fail",
+            witness=witness))
     return out
 
 

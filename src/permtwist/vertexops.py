@@ -22,12 +22,23 @@ that residue.  One window loop (`_windows`) serves the space-time,
 worldsheet and base-module families: it takes the operator as entries (P,
 prepared terms), P the tensor slots holding the same terms, and runs one
 series per entry and state.  Target t gets the phase sum over p in P of
-eta^{-pt}; a target whose sum is zero is never asked for, so omega, equal in
-every slot, gives one series read at t = 0 mod k.  The entry (0,) adds its
-series unrotated.  The twisted single-mode entry points are one-mode
-windows, and `untwisted_mode` is one one-target series.  Only the entry
-points wrap table entries as states.  The computation enumerates the
-finitely many normal-ordered contributions, so every result is exact.
+eta^{-pt}, taken once per residue of t mod k; a target whose sum is zero is
+never asked for, so omega, equal in every slot, gives one series read at
+t = 0 mod k.  The entry (0,) adds its series unrotated.  The twisted
+single-mode entry points are one-mode windows, and `untwisted_mode` is one
+one-target series.  Only the entry points wrap table entries as states.
+The computation enumerates the finitely many normal-ordered contributions,
+so every result is exact.
+
+Inside `_series`, a (u-monomial, v-monomial) pair with r derivative factors
+has 2^r masks, the choices of which factors create.  The factors that
+annihilate act first, and the table of each annihilated set is built once,
+from the set without its highest factor: 2^r - 1 factor passes, not
+r 2^(r-1).  A set whose table is empty is dropped, and with it every set
+and mask built on it.  With no ground label no creation exponential
+follows, so the last stage (the last deferred creation factor, or the last
+annihilation factor when none is deferred) applies only the modes that
+land on a target.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -165,41 +176,71 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     `_prepare`) applied to v, as a table; a target whose coefficient is zero
     has no entry.  Exponents and offsets are in grid steps.
 
-    Per (u-monomial, v-monomial) pair and per choice of which derivative
-    factors create (the mask), the annihilation side runs once and the
-    deferred creation factors fill the table up to the largest target.
-    Tables sharing a ground label of u are summed before its creation
-    exponential is applied, once, up to the largest target.
+    Per (u-monomial, v-monomial) pair each choice of which derivative
+    factors create (the mask) annihilates with the others.  The table of
+    each annihilated factor set is built once, from the table of the set
+    without its highest factor, so the factors act in index order; a set
+    whose table is empty is dropped with every set and mask built on it.
+    The deferred creation factors then fill the table up to the largest
+    target.  Tables sharing a ground label of u are summed before its
+    creation exponential is applied, once, up to the largest target.  With
+    no ground label nothing follows the last stage, the last deferred
+    creation factor or, when none is deferred, the last annihilation factor,
+    so it takes only the modes that land on a target.
     """
     den = sector.den
     targets = frozenset(targets)
     top = max(targets)
+
+    def annihilation(e, ts):
+        return [0] + _positive_levels(ts)
+
+    def landing(modes, shift):
+        # the modes m that take an entry at e to a target, e - m - shift
+        return lambda e, ts: [m for m in modes(e, ts) if e - m - shift in targets]
+
     # ground label of u -> (its vector, table before its creation exponential)
     pending: dict = {}
     for offset, beta, bvec, factors, scalar in terms:
         r = len(factors)
+        full = (1 << r) - 1
         acc = pending.setdefault(beta, (bvec, {}))[1]
         for vmono, cv in v.terms.items():
             base_exp = offset
             if bvec:
                 base_exp += sector.x_exponent(beta, vmono.ground)
-            base = {vmono: scalar * cv}
+            # bit t of a set is factor t; the empty set holds v's monomial
+            annihilated = {0: {base_exp: {vmono: scalar * cv}}}
+            for s in range(1, full + 1):
+                t = s.bit_length() - 1
+                table = annihilated.get(s ^ (1 << t))
+                if table is None:
+                    continue
+                nt, vec = factors[t]
+                modes = annihilation
+                if s == full and not bvec:
+                    modes = landing(modes, nt * den)
+                table = _factor_apply(sector, table, nt, vec, modes)
+                if table:
+                    annihilated[s] = table
             for mask in range(1 << r):
-                table = {base_exp: base}
-                for t in range(r):
-                    if not mask >> t & 1 and table:
-                        table = _factor_apply(sector, table, *factors[t],
-                                              lambda e, ts: [0] + _positive_levels(ts))
-                if bvec and table:
+                table = annihilated.get(full ^ mask)
+                if table is None:
+                    continue
+                if bvec:
                     table = _ground_shift(sector, _exp_table(sector, table, bvec, -1), beta)
                 deferred = [factors[t] for t in range(r) if mask >> t & 1]
                 for idx, (nt, vec) in enumerate(deferred):
                     # leave room for the least the later factors must add
                     room = top - sum(1 - nt2 * den for nt2, _ in deferred[idx + 1:])
                     shift = nt * den
-                    table = _factor_apply(
-                        sector, table, nt, vec,
-                        lambda e, ts: [-s for s in range(1, room - e + shift + 1)])
+
+                    def modes(e, ts, room=room, shift=shift):
+                        return [-j for j in range(1, room - e + shift + 1)]
+
+                    if idx == len(deferred) - 1 and not bvec:
+                        modes = landing(modes, shift)
+                    table = _factor_apply(sector, table, nt, vec, modes)
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)
@@ -220,17 +261,22 @@ def _windows(system: TwistSystem, name: str, slots, modes, states):
     sum_P (sum_{p in P} eta^{-pt}) (prepared terms) v over the (P, prepared
     terms) in slots, from one `_series` per entry and state that asks only
     for the targets whose phase sum is nonzero.  The phase sums are taken
-    once per window; the entry (0,) takes none.  Exponents of the terms are
+    once per window and residue mod k, as eta^k = 1; the entry (0,) takes
+    none.  Exponents of the terms are
     in grid steps of the sector `name`, 1/k in T and 1 in V_K once the
     worldsheet side raises x to the k-th power."""
     k = system.k
-    grid = [Sector.of(system, "T").grid(n) for n in modes]
+    twisted = Sector.of(system, "T")
+    grid = [twisted.grid(n) for n in modes]
     labels = {t: Fraction(t, k) for t in grid}
     sector = Sector.of(system, name)
     entries = []
     for slot_tuple, terms in slots:
-        phases = None if slot_tuple == (0,) else {
-            t: reduce(add, (system.eta_pow(-p * t) for p in slot_tuple)) for t in grid}
+        phases = None
+        if slot_tuple != (0,):
+            sums = [reduce(add, (system.eta_pow(-p * r) for p in slot_tuple))
+                    for r in range(k)]
+            phases = {t: sums[t % k] for t in grid}
         entries.append((terms, phases, [-t - k for t in grid
                                         if phases is None or not phases[t].is_zero()]))
     for v in states:

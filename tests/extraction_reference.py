@@ -14,8 +14,8 @@ from math import factorial
 
 from fock_reference import fock_mono
 from permtwist.cocycle import SECTION_PLAIN, SECTION_TWISTED
-from permtwist.coeffs import ef_apply, exp_delta_apply
-from permtwist.fock import FockMono, StateVector, apply_vector_mode
+from permtwist.coeffs import ef_apply, ef_inverse_apply, exp_delta_apply
+from permtwist.fock import FockMono, StateVector, apply_vector_mode, slot_state
 
 
 def _dcoeff(m: Fraction, nt: int) -> Fraction:
@@ -310,4 +310,16 @@ def worldsheet_twisted_mode(system, u: StateVector, n, v: StateVector) -> StateV
             piece = untwisted_mode(system, w_t, k * (n + 1) + t - 1, v)
             if not piece.is_zero():
                 result = result + piece.scaled(phase)
+    return result
+
+
+def base_module_mode(system, u: StateVector, n, v: StateVector) -> StateVector:
+    """The base-module mode u_n v, one mode at a time: the space-time mode
+    (n + 1 + t)/k - 1 of w_t in slot 0, summed over the x^{t/k} w_t of
+    E_f(x^{1/k})^{-1} u."""
+    k = system.k
+    result = StateVector(system, "T")
+    for t, w_t in ef_inverse_apply(system, u).items():
+        result = result + spacetime_twisted_mode(
+            system, slot_state(system, w_t, 0), Fraction(n + 1 + t, k) - 1, v)
     return result

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permtwist import characters, cli, isomap
+from permtwist import characters, cli, isomap, vertexops
 from permtwist.characters import FracQSeries
 from permtwist.cli import (LatticeFileError, RunConfig, cmd, emit, main,
                            parse_lattice_file)
@@ -155,6 +155,19 @@ def test_iso_reports_a_wrong_space_time_side(tmp_path, monkeypatch):
     assert reports[0].machine_line() == (
         "id=intertwine[current-slot1] anchor=twisted-operator-intertwining status=fail "
         "witness='mode -1: first difference at b0(-2)*e(0,): -1/2'")
+
+
+def test_iso_fails_on_a_series_engine_that_computes_nothing(tmp_path, monkeypatch):
+    # both sides share the series engine, so an empty engine makes every
+    # comparison read 0 = 0: no generator may pass on that alone
+    monkeypatch.setattr(vertexops, "_series", lambda sector, terms, v, targets: {})
+    reports, status = cmd("iso", a1_config(tmp_path, k=3))
+    assert status == 1
+    assert [r.check_id for r in reports] == [
+        "intertwine[current-slot1]", "intertwine[current-slot2]", "intertwine[current-slot3]",
+        "intertwine[omega]", "intertwine[lattice-ground]"]
+    assert all(r.status == "fail" for r in reports)
+    assert all(r.witness.endswith(" modes checked, every image zero") for r in reports)
 
 
 def test_thm41_reports_a_wrong_base_character(tmp_path, monkeypatch):
@@ -343,6 +356,7 @@ def test_non_even_lattice_is_a_usage_error(tmp_path, capsys, subcommand):
     ("thm41_e8_k2", "e8.lat", ["thm41", "--k", "2", "--q-order", "2"]),
     ("verify_all_a1_k3", "a1.lat", ["verify-all", "--k", "3"]),
     ("verify_all_a2_k3", "a2.lat", ["verify-all", "--k", "3"]),
+    ("verify_all_d4_k2", "d4.lat", ["verify-all", "--k", "2"]),
 ])
 def test_machine_output_matches_golden_file(capsys, golden, lattice, argv):
     # the default machine output must stay byte-identical to these files

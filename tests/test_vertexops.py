@@ -502,6 +502,49 @@ def test_multi_slot_spacetime_series_matches_per_mode_reference(sys3, monos):
     assert nonzero > 0
 
 
+# the factors ((mode, colour), ...) of one V_K monomial each, colour -1 the
+# last colour; the i-th monomial sits in tensor slot i mod k
+ONE_TARGET_FACTORS = [((-1, 0), (-1, 0), (-1, 0)), ((-2, 0), (-1, -1)), ((-3, -1),)]
+
+
+@pytest.mark.parametrize("K, k", [pytest.param(A1, 3, id="A1-3"), pytest.param(A2, 2, id="A2-2")])
+def test_one_target_calls_match_per_mode_reference(K, k):
+    # one mode per call makes every window a single target, so the last
+    # stage of each series lands on that target alone; three factors and
+    # factors of order 2 and 3, over ground labels 0 and not 0
+    system = TwistSystem(K, k)
+    d = K.rank
+    alpha = tuple(int(j == 0) for j in range(d))
+    states = weight_basis(system, "T", 1)
+    # the reference's creation fill grows fast with the ground label, so
+    # e^alpha runs on the two ground states labelled 0 and alpha
+    monos = [next(iter(v.terms)) for v in states]
+    grounds = [v for v, mono in zip(states, monos)
+               if not mono.grid and mono.ground in ((0,) * d, alpha)]
+    assert len(grounds) == 2
+    modes = default_mode_set(system, 1)
+    nonzero = {"spacetime": 0, "worldsheet": 0, "base": 0}
+    for slot, factors in enumerate(ONE_TARGET_FACTORS):
+        for ground, vs in [((0,) * d, states), (alpha, grounds)]:
+            w = StateVector.monomial(system, "K", [(n, i % d) for n, i in factors], ground)
+            u = slot_state(system, w, slot % k)
+            for v in vs:
+                fv = f_apply(system, v)
+                for n in modes:
+                    got = spacetime_twisted_mode(system, u, n, v)
+                    assert got == reference.spacetime_twisted_mode(system, u, n, v), (u, v, n)
+                    nonzero["spacetime"] += not got.is_zero()
+                    got = worldsheet_twisted_mode(system, u, n, fv)
+                    assert got == reference.worldsheet_twisted_mode(system, u, n, fv), (u, v, n)
+                    nonzero["worldsheet"] += not got.is_zero()
+                # the base module has integral modes only
+                for n in range(-2, 3):
+                    got = base_module_mode(system, w, n, v)
+                    assert got == reference.base_module_mode(system, w, n, v), (w, v, n)
+                    nonzero["base"] += not got.is_zero()
+    assert all(nonzero.values()), nonzero
+
+
 def test_spacetime_factors_split_only_where_a_slot_sum_follows():
     # one-slot operators keep whole factors; omega's factors are eigen factors
     # whose residues cancel in pairs
