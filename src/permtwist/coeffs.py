@@ -155,9 +155,10 @@ def substitute_flow(avals: list[Fraction], deg: int) -> list[Fraction]:
 # -- Delta_x -------------------------------------------------------------------
 
 
-def _delta_into(system: TwistSystem, terms: dict, scale, shift: int, acc: dict) -> None:
-    """Add scale * Delta_x applied to the V_L state `terms` into acc, an
-    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by shift.
+def _delta_into(system: TwistSystem, terms: dict, scale: tuple, shift: int, acc: dict) -> None:
+    """Add p/q * Delta_x applied to the V_L state `terms` into acc, an
+    accumulator {exponent: {FockMono: Cyc}}, with every exponent moved by
+    shift, for scale = (p, q).
 
     Delta_x = sum c_{mnr} x^{-m-n} (nu^{-r} b^a)(m) b_a(n) over dual bases of
     L, nu^{-r} moving block p to p + r, has no creation mode: it contracts a
@@ -169,7 +170,7 @@ def _delta_into(system: TwistSystem, terms: dict, scale, shift: int, acc: dict) 
     series = [c_coeffs(system, r, _max_level(terms)) for r in range(k)]
     for mono, c in terms.items():
         modes, g = mono.grid, mono.ground
-        c = c if scale == 1 else c * scale
+        c = c._scale(*scale)
         for pos, (t, x) in enumerate(modes):
             p, row = x // d, gram[x % d]
             rest = modes[:pos] + modes[pos + 1:]
@@ -194,13 +195,13 @@ def _states(system, sector, table: dict) -> dict[int, StateVector]:
 
 def _exp_series(start: dict, step_into) -> dict:
     """exp(D) applied to a table {exponent: terms}, exact by nilpotence;
-    step_into(terms, scale, e, acc) adds scale * D x^e terms into acc."""
+    step_into(terms, (1, t), e, acc) adds (1/t) * D x^e terms into acc."""
     out = {e: dict(t) for e, t in start.items()}
     current, t = start, 1
     while current:
         nxt: dict = {}
         for e, terms in current.items():
-            step_into(terms, Fraction(1, t), e, nxt)
+            step_into(terms, (1, t), e, nxt)
         current = {e: ts for e, ts in nxt.items() if ts}
         for e, ts in current.items():
             _merge_into(out.setdefault(e, {}), ts)
@@ -227,17 +228,22 @@ def _scaling_into(sector: Sector, terms: dict, power: int, shift: int, out: dict
         if w.denominator != 1:
             raise ValueError("non-integer weight in the base sector")
         w = power * w.numerator
-        _accumulate(out.setdefault(shift + (k - 1) * w, {}), mono, c * Fraction(k) ** w)
+        factor = c._scale(k ** w, 1) if w >= 0 else c._scale(1, k ** -w)
+        _accumulate(out.setdefault(shift + (k - 1) * w, {}), mono, factor)
 
 
 def _exp_virasoro_sum(sector: Sector, table: dict, avals: tuple, sign: int) -> dict:
     """exp(sign * sum_j a_j x^{-j/k} L(j)) applied to a table; L(j) lowers
     the level by j, so it acts only on terms of level at least j."""
+    weights = [(j, sign * aj.numerator, aj.denominator)
+               for j, aj in enumerate(avals, start=1) if aj]
+
     def step_into(terms, scale, t, acc):
+        p, q = scale
         lev = _max_level(terms)
-        for j, aj in enumerate(avals, start=1):
-            if aj and j <= lev:
-                _virasoro_into(sector, j, terms, aj * sign * scale, acc.setdefault(t - j, {}))
+        for j, a, b in weights:
+            if j <= lev:
+                _virasoro_into(sector, j, terms, (a * p, b * q), acc.setdefault(t - j, {}))
 
     return _exp_series(table, step_into)
 

@@ -4,8 +4,9 @@ Rationals are `fractions.Fraction`.  Root-of-unity arithmetic happens in
 Q(zeta_n): a `Cyc` stores one int numerator per power of zeta below the
 degree of the n-th cyclotomic polynomial, over one positive int
 denominator, with the gcd of the denominator and every numerator 1.  That
-form is canonical, so equality of field elements is tuple comparison.  No
-floating point anywhere.
+form is canonical, so equality of field elements is tuple comparison.  A
+rational weight held as two ints p and q meets a `Cyc` through
+`Cyc._scale`, with one gcd and no `Fraction`.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -235,6 +236,15 @@ class Cyc:
         return _canonical(field, tuple([x * s for x in a]), den)
 
     __rmul__ = __mul__
+
+    def _scale(self, p: int, q: int) -> "Cyc":
+        """self * p / q for ints p and q > 0, reduced with one gcd: the one
+        product by a rational weight that the Fock layer and the series
+        engine take per output term."""
+        if p == q:
+            return self
+        num = self._num if p == 1 else tuple([a * p for a in self._num])
+        return _canonical(self.field, num, self._den * q)
 
     def inv(self) -> "Cyc":
         """Field inverse: the first column of the inverse of the matrix of

@@ -37,6 +37,14 @@ values, and only `Sector.grid` reads one onto the grid.  In
 the sector the pairing of b_i and b_j is the Gram entry times step, so
 [b_i(s step), b_j(-s step)] is s times the Gram entry times step^2: that
 product is the pairing on the grid.
+
+Rational weights stay ints until they meet a state coefficient.  Over
+den = 1/step, the pairing on the grid is the int Gram entry over den^2,
+the zero-mode eigenvalue <b_i, g> over den, and the dual form its int
+entries over det, the determinant of the lattice; a scale arrives as an
+int pair (p, q) for p/q.  `_mode_into` and `_virasoro_into` sum the int
+weights of each output monomial and multiply its coefficient once, by
+`Cyc._scale` with one gcd; a unit weight multiplies nothing.
 """
 
 from __future__ import annotations
@@ -145,18 +153,27 @@ class StateVector:
         return StateVector._of(self.system, self.sector, out)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        self._check(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            _accumulate(out, mono, -c)
+        return StateVector._of(self.system, self.sector, out)
 
     def __neg__(self):
-        return self.scaled(-1)
+        return StateVector._of(self.system, self.sector,
+                               {m: -x for m, x in self.terms.items()})
 
     def scaled(self, c) -> "StateVector":
-        if isinstance(c, (int, Fraction)):
-            c = self.system.field.from_rat(c)
-        if c.is_zero():
+        """c times the state, for c an int, a Fraction or a Cyc.  Q(zeta) has
+        no zero divisors, so a nonzero c leaves every coefficient nonzero."""
+        if c == 0:
             return StateVector(self.system, self.sector)
-        return StateVector(self.system, self.sector,
-                           {m: x * c for m, x in self.terms.items()})
+        if isinstance(c, (int, Fraction)):
+            p, q = c.numerator, c.denominator
+            terms = {m: x._scale(p, q) for m, x in self.terms.items()}
+        else:
+            terms = {m: x * c for m, x in self.terms.items()}
+        return StateVector._of(self.system, self.sector, terms)
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -185,8 +202,8 @@ class Sector:
     """The Fock-level data of one sector; `Sector.of` keeps one per system and
     sector name."""
 
-    __slots__ = ("system", "twisted", "lattice", "den", "step", "vacuum_weight", "_unit",
-                 "pairing", "dual_form", "prepared")
+    __slots__ = ("system", "twisted", "lattice", "den", "step", "vacuum_weight", "dual_form",
+                 "prepared")
 
     def __init__(self, system: TwistSystem, name: str):
         if name not in SECTORS:
@@ -197,14 +214,11 @@ class Sector:
         self.den = system.k if self.twisted else 1
         self.step = Fraction(1, self.den)
         self.vacuum_weight = twisted_vacuum_weight(system) if self.twisted else Fraction(0)
-        # an int 1 keeps untwisted pairings and eigenvalues ints: faster to use
-        self._unit = self.step if self.twisted else 1
-        # [b_i(s step), b_j(t step)] = s * pairing[i][j] * delta_{s+t,0}
-        self.pairing = tuple(tuple(x * self._unit ** 2 for x in row)
-                             for row in self.lattice.gram)
-        # the nonzero entries f = ginv[a][b] of the symmetric inverse Gram
-        # matrix as (b, ((a, f), ...)): the dual-basis quadratic sum f b_a b_b
-        self.dual_form = tuple((b, tuple((a, f) for a, f in enumerate(row) if f))
+        # the nonzero entries f = det * ginv[a][b], ints, of the symmetric
+        # inverse Gram matrix as (b, ((a, f), ...)): the dual-basis quadratic
+        # sum (f / det) b_a b_b
+        det = self.lattice.det
+        self.dual_form = tuple((b, tuple((a, int(f * det)) for a, f in enumerate(row) if f))
                                for b, row in enumerate(self.lattice.gram_inverse()))
         # in T: (family, terms of u, or of a slot state w of u on the worldsheet
         # side) -> the prepared operator; see vertexops._prepared
@@ -237,10 +251,10 @@ class Sector:
             raise ValueError(f"colour {i} not in range({self.lattice.rank})")
         return i
 
-    def eigenvalue(self, i, ground):
-        """The eigenvalue <b_i, g> * step of the zero mode b_i(0) on the ground
-        label g."""
-        return sum(x * g for x, g in zip(self.lattice.gram[i], ground)) * self._unit
+    def eigenvalue(self, i, ground) -> int:
+        """The eigenvalue of the zero mode b_i(0) on the ground label g times
+        den: the int <b_i, g>."""
+        return sum(x * g for x, g in zip(self.lattice.gram[i], ground))
 
     def ground_weight(self, ground) -> Fraction:
         """<g, g> * step / 2 plus the vacuum weight."""
@@ -274,12 +288,19 @@ class Sector:
             split.append(tuple((i, c) for i, c in enumerate(sums) if not c.is_zero()))
         return tuple(split)
 
-    def mode_into(self, n: int, vec, terms: dict, scale, out: dict) -> None:
-        """Add scale * h(n * step) applied to `terms` into the accumulator
-        `out`, for `vec` the split `Sector.vector` of h."""
+    def mode_into(self, n: int, vec, terms: dict, scale: tuple, out: dict) -> None:
+        """Add p/q * h(n * step) applied to `terms` into the accumulator
+        `out`, for scale = (p, q) and `vec` the split `Sector.vector` of h."""
+        p, q = scale
         for i, c in vec[n % self.den]:
-            # a coefficient 1 of K or L, as on a unit vector, leaves scale as it is
-            _mode_into(self, n, i, terms, scale if not self.twisted and c == 1 else c * scale, out)
+            # a coefficient 1, as on a unit vector, leaves the scale as it is
+            if c == 1:
+                s = scale
+            elif isinstance(c, int):
+                s = (c * p, q)
+            else:
+                s = c._scale(p, q)
+            _mode_into(self, n, i, terms, s, out)
 
     def x_exponent(self, beta, ground) -> int:
         """The power of x the group element over beta brings on a ground label,
@@ -335,24 +356,31 @@ def _merge_into(out: dict, terms: dict) -> None:
 def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None:
     """Add scale * b_i(n * step) applied to `terms` into the accumulator `out`.
 
-    `n` is a mode in grid steps and `scale` a nonzero rational or Cyc.
-    `terms` holds no zero coefficient, so every contribution is nonzero and
-    only cancellation inside `out` can produce a zero, which is dropped on
-    the spot.
+    `n` is a mode in grid steps and `scale` a nonzero rational p/q as the
+    int pair (p, q), q > 0, or a nonzero Cyc.  The weight of an output term
+    is an int w over D: 1 for a creation, n times the Gram entry over den^2
+    for an annihilation, the eigenvalue over den for the zero mode.  Each
+    coefficient meets p w / (q D) in one `Cyc._scale`, or, for a Cyc scale,
+    scale * w / D, formed once per distinct weight, in one product.  `terms`
+    holds no zero coefficient, so every contribution is nonzero and only
+    cancellation inside `out` can produce a zero, which is dropped on the
+    spot.
     """
     den = sector.den
+    cyc = not isinstance(scale, tuple)
+    p, q = (1, 1) if cyc else scale
     if n < 0:
         key = (n, i)
-        unit = scale == 1
+        unit = not cyc and p == q
         for mono, c in terms.items():
             modes = mono.grid
             pos = bisect_right(modes, key)
             new = FockMono(modes[:pos] + (key,) + modes[pos:], mono.ground, den)
-            _accumulate(out, new, c if unit else c * scale)
+            _accumulate(out, new, c * scale if cyc else c if unit else c._scale(p, q))
         return
     if n > 0:
-        row = sector.pairing[i]
-        weights = {}    # colour j -> scale * n * <b_i, b_j>, None when zero
+        row, d2 = sector.lattice.gram[i], den * den
+        factors = {}    # (colour j, multiplicity) -> its factor, None when zero
         m = -n
         head = (m,)
         for mono, c in terms.items():
@@ -365,34 +393,36 @@ def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None
                 nxt = pos + 1
                 while nxt < end and modes[nxt] == modes[pos]:
                     nxt += 1
-                if j in weights:
-                    w = weights[j]
+                key = (j, nxt - pos)
+                if key in factors:
+                    f = factors[key]
                 else:
-                    pair = row[j]
-                    w = weights[j] = scale * (n * pair) if pair else None
-                if w is not None:
-                    count = nxt - pos
+                    w = n * row[j] * key[1]
+                    f = factors[key] = (None if not w else scale._scale(w, d2) if cyc
+                                        else (p * w, q * d2))
+                if f is not None:
                     new = FockMono(modes[:pos] + modes[pos + 1:], mono.ground, den)
-                    _accumulate(out, new, c * (w if count == 1 else w * count))
+                    _accumulate(out, new, c * f if cyc else c._scale(*f))
                 pos = nxt
         return
-    eigen = {}          # ground label -> scale * eigenvalue, None when zero
+    eigen = {}          # ground label -> its factor, None when zero
     for mono, c in terms.items():
         g = mono.ground
         if g in eigen:
-            w = eigen[g]
+            f = eigen[g]
         else:
             ev = sector.eigenvalue(i, g)
-            w = eigen[g] = (scale * ev) if ev != 0 else None
-        if w is not None:
-            _accumulate(out, mono, c * w)
+            f = eigen[g] = (None if not ev else scale._scale(ev, den) if cyc
+                            else (p * ev, q * den))
+        if f is not None:
+            _accumulate(out, mono, c * f if cyc else c._scale(*f))
 
 
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
     sector = Sector.of(system, sv.sector)
     out = {}
-    _mode_into(sector, sector.grid(n), sector.colour(i), sv.terms, 1, out)
+    _mode_into(sector, sector.grid(n), sector.colour(i), sv.terms, (1, 1), out)
     return StateVector._of(system, sv.sector, out)
 
 
@@ -405,7 +435,8 @@ def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
     out = {}
     for i, c in enumerate(coords):
         if c != 0:
-            _mode_into(sector, n, i, sv.terms, c, out)
+            scale = c if isinstance(c, Cyc) else (c.numerator, c.denominator)
+            _mode_into(sector, n, i, sv.terms, scale, out)
     return StateVector._of(system, sv.sector, out)
 
 
@@ -416,7 +447,7 @@ def apply_twisted_vector_mode(system, n, h_coords, sv: StateVector) -> StateVect
         raise ValueError("apply_twisted_vector_mode acts on the twisted sector")
     sector = Sector.of(system, "T")
     out = {}
-    sector.mode_into(sector.grid(n), sector.vector(h_coords), sv.terms, 1, out)
+    sector.mode_into(sector.grid(n), sector.vector(h_coords), sv.terms, (1, 1), out)
     return StateVector._of(system, "T", out)
 
 
@@ -447,7 +478,7 @@ def omega_state(system, sector) -> StateVector:
         raise ValueError("conformal vector lives in an untwisted sector")
     one = vacuum(system, sector)
     out = {}
-    _virasoro_into(Sector.of(system, sector), -2, one.terms, 1, out)
+    _virasoro_into(Sector.of(system, sector), -2, one.terms, (1, 1), out)
     return StateVector._of(system, sector, out)
 
 
@@ -492,13 +523,13 @@ def virasoro_L(system, j, sv: StateVector) -> StateVector:
         raise ValueError("virasoro_L acts on the base sector")
     sector = Sector.of(system, "K")
     out = {}
-    _virasoro_into(sector, sector.grid(j), sv.terms, 1, out)
+    _virasoro_into(sector, sector.grid(j), sv.terms, (1, 1), out)
     return StateVector._of(system, "K", out)
 
 
-def _virasoro_into(sector: Sector, j: int, terms: dict, scale, out: dict) -> None:
-    """Add scale * L(j) applied to `terms` into out; j is in grid steps and
-    scale is rational.
+def _virasoro_into(sector: Sector, j: int, terms: dict, scale: tuple, out: dict) -> None:
+    """Add p/q * L(j) applied to `terms` into out, for scale = (p, q), q > 0;
+    j is in grid steps.
 
     L(j) is half the dual-basis quadratic over the modes summing to j, in
     normal order.  On a monomial b_1 ... b_n |g> it acts through
@@ -508,55 +539,67 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, scale, out: dict) -> Non
     after it only (those before it commute past), or the zero mode.  On |g>,
     L(j) vanishes for j > 0, is u^2 <g, g> / 2 for j = 0, and for j < 0 is
     sum_a u g_a b_a(j) plus half the dual-basis quadratic over the pairs of
-    negative modes (j - n, n).  The rational weights of one monomial are
-    summed per output grid before its coefficient is multiplied."""
-    u, pairing, den = sector._unit, sector.pairing, sector.den
-    u2 = u * u
-    unit = scale == 1
-    # L(j)|0> for j < 0, the quadratic part of every L(j)|g>: {grid: weight}
+    negative modes (j - n, n).  So L(0) keeps each monomial and scales it
+    by one summed weight.  Every weight is an int over W = 2 det den^4,
+    u = 1/den; the weights of one monomial are summed per output grid before
+    its coefficient meets p w / (q W) once."""
+    p, q = scale
+    den, gram = sector.den, sector.lattice.gram
+    det = sector.lattice.det
+    d2, d4 = den * den, den ** 4
+    # W times u^2, u^4, u^3 and u: the weights of a creation, an
+    # annihilation, a zero mode and a ground current
+    w2, w4, w3, w1 = 2 * det * d2, 2 * det, 2 * det * den, 2 * det * den ** 3
+    qW = q * 2 * det * d4
+    # L(j)|0> for j < 0, the quadratic part of every L(j)|g>: {grid: weight};
+    # f / (2 det) is f den^4 over W
     pairs: dict = {}
     for n in range(j + 1, 0):
         for b, row in sector.dual_form:
             for a, f in row:
                 grid = tuple(sorted(((j - n, a), (n, b))))
-                pairs[grid] = pairs.get(grid, 0) + f / 2
+                pairs[grid] = pairs.get(grid, 0) + f * d4
     quadratic = list(pairs.items())
     for mono, c in terms.items():
         modes, g = mono.grid, mono.ground
+        if j == 0:
+            # L(0) keeps every mode: -t u^2 each, and u^2 <g, g> / 2, which
+            # is <g, g> det den^2 over W, on |g>
+            w = -sum(t for t, _ in modes) * w2 + sector.lattice.inner(g, g) * det * d2
+            if w:
+                _accumulate(out, mono, c._scale(p * w, qW))
+            continue
         end = len(modes)
-        weights: dict = {}      # output grid -> summed rational weight
+        weights: dict = {}      # output grid -> summed int weight
         for pos, (t, i) in enumerate(modes):
             s = t + j
-            w = -t * u2
             rest = modes[:pos] + modes[pos + 1:]
             if s < 0:
                 key = (s, i)
                 at = bisect_right(rest, key)
                 new = rest[:at] + (key,) + rest[at:]
-                weights[new] = weights.get(new, 0) + w
+                weights[new] = weights.get(new, 0) - t * w2
             elif s > 0:
-                row, m = pairing[i], -s
+                row, m = gram[i], -s
                 at = bisect_left(modes, (m,), pos + 1)
                 while at < end and modes[at][0] == m:
                     pair = row[modes[at][1]]
                     if pair:
                         new = rest[:at - 1] + rest[at:]
-                        weights[new] = weights.get(new, 0) + w * s * pair
+                        weights[new] = weights.get(new, 0) - t * s * pair * w4
                     at += 1
             else:
                 ev = sector.eigenvalue(i, g)
                 if ev:
-                    weights[rest] = weights.get(rest, 0) + w * ev
-        if j == 0:
-            weights[modes] = weights.get(modes, 0) + u2 * Fraction(sector.lattice.inner(g, g), 2)
-        elif j < 0:
-            current = [(((j, a),), u * x) for a, x in enumerate(g) if x]
+                    weights[rest] = weights.get(rest, 0) - t * ev * w3
+        if j < 0:
+            current = [(((j, a),), x * w1) for a, x in enumerate(g) if x]
             for extra, w in current + quadratic:
                 new = tuple(sorted(modes + extra))
                 weights[new] = weights.get(new, 0) + w
         for grid, w in weights.items():
             if w:
-                _accumulate(out, FockMono(grid, g, den), c * (w if unit else w * scale))
+                _accumulate(out, FockMono(grid, g, den), c._scale(p * w, qW))
 
 
 def twisted_L0(system, sv: StateVector) -> StateVector:
@@ -566,8 +609,9 @@ def twisted_L0(system, sv: StateVector) -> StateVector:
         raise ValueError("twisted_L0 acts on the twisted sector")
     sector = Sector.of(system, "T")
     vac = sector.vacuum_weight
-    out = {mono: c * vac for mono, c in sv.terms.items()} if vac else {}
-    _virasoro_into(sector, 0, sv.terms, system.k, out)
+    p, q = vac.numerator, vac.denominator
+    out = {mono: c._scale(p, q) for mono, c in sv.terms.items()} if p else {}
+    _virasoro_into(sector, 0, sv.terms, (system.k, 1), out)
     return StateVector._of(system, "T", out)
 
 

@@ -24,31 +24,26 @@ def f_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The normalized isomorphism from the twisted space to V_K."""
     if v.sector != "T":
         raise ValueError("f_apply takes twisted states")
-    return _regrade(system, v, "K", Fraction(1, system.k))
+    return _regrade(system, v, "K", 1, system.k)
 
 
 def f_inverse_apply(system: TwistSystem, v: StateVector) -> StateVector:
     """The two-sided inverse of f_apply."""
     if v.sector != "K":
         raise ValueError("f_inverse_apply takes base-sector states")
-    return _regrade(system, v, "T", Fraction(system.k))
+    return _regrade(system, v, "T", system.k, 1)
 
 
-def _regrade(system: TwistSystem, v: StateVector, sector: str, scale: Fraction) -> StateVector:
-    """Each monomial read in `sector` and multiplied by scale once per mode.
+def _regrade(system: TwistSystem, v: StateVector, sector: str, p: int, q: int) -> StateVector:
+    """Each monomial read in `sector` and multiplied by p/q once per mode.
 
     The twisted mode t/k and the base mode t share the grid int t, so the
     grid stays and only the step changes."""
     den = Sector.of(system, sector).den
-    powers = {}     # number of modes -> scale to that power
     out = {}
     for mono, c in v.terms.items():
         n = len(mono.grid)
-        if n:
-            if n not in powers:
-                powers[n] = scale ** n
-            c = c * powers[n]
-        out[FockMono(mono.grid, mono.ground, den)] = c
+        out[FockMono(mono.grid, mono.ground, den)] = c._scale(p ** n, q ** n)
     return StateVector._of(system, sector, out)
 
 
@@ -88,10 +83,10 @@ def intertwine_check(system: TwistSystem, u: StateVector, v: StateVector,
 
     Each side is extracted for the whole mode window at once.
     """
-    modes = [Fraction(n) for n in modes]
+    modes = list(modes)
     worldsheet = next(worldsheet_twisted_windows(system, u, modes, [f_apply(system, v)]))
     spacetime = next(spacetime_twisted_windows(system, u, modes, [v]))
-    return _compare(system, worldsheet, spacetime, modes, label)
+    return _compare(system, worldsheet, spacetime, label)
 
 
 def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
@@ -104,7 +99,7 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
     nonzero space-time image: 0 = 0 alone would pass an engine that
     computes nothing.
     """
-    modes = [Fraction(n) for n in modes]
+    modes = list(modes)
     images = [f_apply(system, v) for v in basis]
     out = []
     for name, u in generator_family(system):
@@ -113,11 +108,11 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
         failures = []
         count = nonzero = 0
         for ws, st in zip(worldsheet, spacetime):
-            for rep in _compare(system, ws, st, modes, name):
+            for rep in _compare(system, ws, st, name):
                 count += 1
                 if not rep.passed:
                     failures.append(rep.witness)
-            nonzero += sum(not st[n].is_zero() for n in modes)
+            nonzero += sum(not image.is_zero() for image in st.values())
         witness = f"{count} modes checked"
         if failures:
             witness = failures[0]
@@ -131,12 +126,12 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
     return out
 
 
-def _compare(system, worldsheet: dict, spacetime: dict, modes, label: str) -> list[Report]:
-    """One report per mode: the worldsheet image against F of the space-time one."""
+def _compare(system, worldsheet: dict, spacetime: dict, label: str) -> list[Report]:
+    """One report per mode of the two windows, which list the same modes in
+    the same order: the worldsheet image against F of the space-time one."""
     reports = []
-    for n in modes:
-        lhs = worldsheet[n]
-        rhs = f_apply(system, spacetime[n])
+    for (n, lhs), image in zip(worldsheet.items(), spacetime.values()):
+        rhs = f_apply(system, image)
         ok = lhs == rhs
         witness = ""
         if not ok:

@@ -24,9 +24,11 @@ prepared terms), P the tensor slots holding the same terms, and runs one
 series per entry and state.  Target t gets the phase sum over p in P of
 eta^{-pt}, taken once per residue of t mod k; a target whose sum is zero is
 never asked for, so omega, equal in every slot, gives one series read at
-t = 0 mod k.  The entry (0,) adds its series unrotated.  The twisted
-single-mode entry points are one-mode windows, and `untwisted_mode` is one
-one-target series.  Only the entry points wrap table entries as states.
+t = 0 mod k.  The entry (0,) adds its series unrotated.  A window is keyed
+on the grid ints t of its modes t/k; the public window functions label
+them with Fractions once per call.  The twisted single-mode entry points
+are one-mode windows, and `untwisted_mode` is one one-target series.  Only
+the entry points wrap table entries as states.
 The computation enumerates the finitely many normal-ordered contributions,
 so every result is exact.
 
@@ -61,19 +63,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
+from math import factorial, gcd, prod
 from operator import add
 
 from .cocycle import TwistSystem
-from .coeffs import (_exp_series, ef_apply, ef_inverse_apply, exp_delta_apply,
-                     rational_binomial)
+from .coeffs import _exp_series, ef_apply, ef_inverse_apply, exp_delta_apply
 from .fock import FockMono, Sector, StateVector, _accumulate, _merge_into, slot_state
 
 
 @cache
-def _dcoeff(m: int, nt: int, den: int) -> Fraction:
-    """Coefficient of the mode at m / den in the (nt-1)-fold derivative factor."""
-    sign = -1 if (nt - 1) % 2 else 1
-    return sign * rational_binomial(Fraction(m, den) + nt - 1, nt - 1)
+def _dcoeff(m: int, nt: int, den: int) -> tuple[int, int]:
+    """Coefficient of the mode at m / den in the (nt-1)-fold derivative
+    factor, (-1)^(nt-1) binom(m / den + nt - 1, nt - 1), as the reduced int
+    pair (p, q), q > 0: p = (-1)^(nt-1) prod_{s=1}^{nt-1} (m + s den) and
+    q = den^(nt-1) (nt-1)!."""
+    p = (-1) ** (nt - 1) * prod(m + s * den for s in range(1, nt))
+    q = den ** (nt - 1) * factorial(nt - 1)
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _positive_levels(terms: dict):
@@ -89,7 +96,8 @@ def _factor_apply(sector: Sector, table: dict, nt: int, vec, modes) -> dict:
     For every entry (e, terms) and every m in modes(e, terms),
     _dcoeff(m) * h(m) terms lands at exponent e - m - nt * den, through
     Sector.mode_into, for vec the `Sector.vector` of h.  A mode whose residue
-    entry of vec is empty is skipped: an eigen factor runs over one residue.
+    entry of vec is empty is skipped: an eigen factor runs over one residue,
+    and so is a mode whose coefficient is zero.
     """
     den = sector.den
     out: dict = {}
@@ -98,7 +106,7 @@ def _factor_apply(sector: Sector, table: dict, nt: int, vec, modes) -> dict:
             if not vec[m % den]:
                 continue
             c = _dcoeff(m, nt, den)
-            if c:
+            if c[0]:
                 sector.mode_into(m, vec, terms, c, out.setdefault(e - m - nt * den, {}))
     return {e: t for e, t in out.items() if t}
 
@@ -110,18 +118,18 @@ def _exp_table(sector: Sector, table: dict, beta, sign: int, top=None) -> dict:
     sign = -1 is the annihilation exponential, over the levels present in
     the table; sign = +1 the creation exponential, kept up to x^top.  Levels
     m and exponents are in grid steps.  Each level's factor is one
-    coeffs._exp_series.
+    coeffs._exp_series, whose 1/t meets the level's weight sign * den / m
+    as one int pair.
     """
     if sign < 0:
         levels = sorted({m for terms in table.values() for m in _positive_levels(terms)})
     else:
         levels = range(1, top - min(table) + 1)
     for m in levels:
-        weight = Fraction(sign * sector.den, m)     # sign over the level's value
-
-        def step_into(terms, scale, e, acc, m=m, weight=weight):
+        # sign over the level's value, m / den
+        def step_into(terms, scale, e, acc, m=m, p=sign * sector.den):
             if top is None or e + sign * m <= top:
-                sector.mode_into(-sign * m, beta, terms, scale * weight,
+                sector.mode_into(-sign * m, beta, terms, (p * scale[0], m * scale[1]),
                                  acc.setdefault(e + sign * m, {}))
         table = _exp_series(table, step_into)
     return table
@@ -255,9 +263,9 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     return {e: ts for e, ts in out.items() if ts}
 
 
-def _windows(system: TwistSystem, name: str, slots, modes, states):
-    """Yields {n: state} for every twisted mode n in modes and each v in
-    states in turn: n = t/k is read off x^{-t-k} in
+def _windows(system: TwistSystem, name: str, slots, grid, states):
+    """Yields {t: state} for every grid int t in grid (the twisted mode t/k)
+    and each v in states in turn: the mode t/k is read off x^{-t-k} in
     sum_P (sum_{p in P} eta^{-pt}) (prepared terms) v over the (P, prepared
     terms) in slots, from one `_series` per entry and state that asks only
     for the targets whose phase sum is nonzero.  The phase sums are taken
@@ -266,9 +274,6 @@ def _windows(system: TwistSystem, name: str, slots, modes, states):
     in grid steps of the sector `name`, 1/k in T and 1 in V_K once the
     worldsheet side raises x to the k-th power."""
     k = system.k
-    twisted = Sector.of(system, "T")
-    grid = [twisted.grid(n) for n in modes]
-    labels = {t: Fraction(t, k) for t in grid}
     sector = Sector.of(system, name)
     entries = []
     for slot_tuple, terms in slots:
@@ -290,7 +295,23 @@ def _windows(system: TwistSystem, name: str, slots, modes, states):
                 else:
                     for mono, c in ts.items():
                         _accumulate(acc, mono, c * phases[t])
-        yield {labels[t]: StateVector._of(system, name, acc) for t, acc in out.items()}
+        yield {t: StateVector._of(system, name, acc) for t, acc in out.items()}
+
+
+def _labelled(k: int, windows):
+    """The windows keyed on their modes t/k, not on the grid ints t; the
+    Fraction labels are built once, from the first window."""
+    labels = None
+    for window in windows:
+        if labels is None:
+            labels = [Fraction(t, k) for t in window]
+        yield dict(zip(labels, window.values()))
+
+
+def _twisted_grid(system: TwistSystem, modes) -> list[int]:
+    """The grid int t of each twisted mode t/k in modes; an off-grid mode raises."""
+    twisted = Sector.of(system, "T")
+    return [twisted.grid(n) for n in modes]
 
 
 # -- the three operator families --------------------------------------------------
@@ -353,29 +374,35 @@ def _spacetime_terms(system: TwistSystem, pieces) -> list:
 def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
-    # the coefficient of x^e is the mode -e-1
-    mode = -Fraction(Sector.of(system, "T").grid(exponent, "exponent"), system.k) - 1
-    return next(spacetime_twisted_windows(system, u, [mode], [v]))[mode]
+    # the coefficient of x^{e/k} is the mode -e/k - 1
+    t = -Sector.of(system, "T").grid(exponent, "exponent") - system.k
+    return next(_spacetime_windows(system, u, [t], [v]))[t]
+
+
+def _spacetime_windows(system: TwistSystem, u: StateVector, grid, states):
+    """spacetime_twisted_windows on the grid ints t of the modes t/k, each
+    window keyed on them."""
+    states = list(states)
+    if u.sector != "L" or any(v.sector != "T" for v in states):
+        raise ValueError("space-time operator maps V_L states into the twisted sector")
+    slots = [((0,), _prepared(system, "spacetime", frozenset(u.terms.items()),
+                              lambda: _spacetime_terms(system, [(0, u)])))] if grid else []
+    return _windows(system, "T", slots, grid, states)
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u^{nu-hat}_n v} for every n in modes and each v in
     states in turn, from one series of u on v, with exp(Delta_x) u computed
     once per system for all of them.  The arguments are checked on the call."""
-    states = list(states)
-    if u.sector != "L" or any(v.sector != "T" for v in states):
-        raise ValueError("space-time operator maps V_L states into the twisted sector")
-    modes = list(modes)
-    slots = [((0,), _prepared(system, "spacetime", frozenset(u.terms.items()),
-                              lambda: _spacetime_terms(system, [(0, u)])))] if modes else []
-    return _windows(system, "T", slots, modes, states)
+    grid = _twisted_grid(system, modes)
+    return _labelled(system.k, _spacetime_windows(system, u, grid, states))
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
                            v: StateVector) -> StateVector:
     """The mode u^{nu-hat}_n of the space-time twisted operator, applied to v."""
-    n = Fraction(n)
-    return next(spacetime_twisted_windows(system, u, [n], [v]))[n]
+    (t,) = _twisted_grid(system, [n])
+    return next(_spacetime_windows(system, u, [t], [v]))[t]
 
 
 def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> StateVector:
@@ -384,13 +411,14 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     in the first slot and raising the variable to the k-th power."""
     if u.sector != "K" or v.sector != "T":
         raise ValueError("base_module_mode maps base states onto the twisted space")
-    # u_n is the coefficient of x^{(-n-1)/k}, the twisted mode (n+1)/k - 1,
-    # in sum_t x^{t/k} Y^{st}(w_t, x), where E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
-    mode = Fraction(Sector.of(system, "K").grid(n) + 1, system.k) - 1
+    # u_n is the coefficient of x^{(-n-1)/k}, the twisted mode (n+1)/k - 1
+    # on the grid int n + 1 - k, in sum_t x^{t/k} Y^{st}(w_t, x), where
+    # E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
+    t = Sector.of(system, "K").grid(n) + 1 - system.k
     terms = _prepared(system, "base", frozenset(u.terms.items()), lambda: _spacetime_terms(
-        system, [(t, slot_state(system, w_t, 0))
-                 for t, w_t in ef_inverse_apply(system, u).items()]))
-    return next(_windows(system, "T", [((0,), terms)], [mode], [v]))[mode]
+        system, [(s, slot_state(system, w_s, 0))
+                 for s, w_s in ef_inverse_apply(system, u).items()]))
+    return next(_windows(system, "T", [((0,), terms)], [t], [v]))[t]
 
 
 def _split_slot(system, umono: FockMono):
@@ -411,19 +439,12 @@ def _split_slot(system, umono: FockMono):
     return p, FockMono(grid, umono.ground[p * d:(p + 1) * d], 1)
 
 
-def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
-    """An iterator of {n: u_n v} for the change-of-variables twisted operator,
-    every n in modes and each v in states in turn, from one series per
-    distinct slot state w of u, prepared with E_f once per w and system,
-    whichever slots hold w.  The arguments are checked on the call.
-
-    u must be a sum of one-slot states (a V_K state in one tensor factor,
-    vacua elsewhere); general tensor products are outside this entry point.
-    """
+def _worldsheet_windows(system: TwistSystem, u: StateVector, grid, states):
+    """worldsheet_twisted_windows on the grid ints t of the modes t/k, each
+    window keyed on them."""
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    modes = list(modes)
     sector = Sector.of(system, "K")
     by_slot: dict[int, dict] = {}
     for umono, cu in u.terms.items():
@@ -437,17 +458,30 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) w = sum_s x^{s/k} w_s, rotated
     # by the phases of the slots holding w
     slots = []
-    for key, (kterms, ps) in (by_state.items() if modes else ()):
+    for key, (kterms, ps) in (by_state.items() if grid else ()):
         def build():
             corrected = ef_apply(system, StateVector(system, "K", kterms))
             return _prepare(sector, [(s, w_s.terms) for s, w_s in corrected.items()])
         slots.append((tuple(ps), _prepared(system, "worldsheet", key, build)))
-    return _windows(system, "K", slots, modes, states)
+    return _windows(system, "K", slots, grid, states)
+
+
+def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
+    """An iterator of {n: u_n v} for the change-of-variables twisted operator,
+    every n in modes and each v in states in turn, from one series per
+    distinct slot state w of u, prepared with E_f once per w and system,
+    whichever slots hold w.  The arguments are checked on the call.
+
+    u must be a sum of one-slot states (a V_K state in one tensor factor,
+    vacua elsewhere); general tensor products are outside this entry point.
+    """
+    grid = _twisted_grid(system, modes)
+    return _labelled(system.k, _worldsheet_windows(system, u, grid, states))
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,
                             v: StateVector) -> StateVector:
     """The mode of the change-of-variables twisted operator, applied to v in V_K;
     u as in worldsheet_twisted_windows."""
-    n = Fraction(n)
-    return next(worldsheet_twisted_windows(system, u, [n], [v]))[n]
+    (t,) = _twisted_grid(system, [n])
+    return next(_worldsheet_windows(system, u, [t], [v]))[t]

@@ -14,6 +14,7 @@ from permtwist.fock import (Sector, StateVector, apply_mode, apply_twisted_vecto
                             twisted_vacuum_weight, vacuum, virasoro_L, weight,
                             weight_basis)
 from permtwist.lattice import Lattice
+from permtwist.vertexops import base_module_mode
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -251,6 +252,80 @@ def test_virasoro_bracket_acceptance(K):
                 if m + n == 0:
                     rhs = rhs + v.scaled(Fraction((m ** 3 - m) * d, 12))
                 assert lhs == rhs, (m, n, v)
+
+
+def _dense(system, sector, cutoff):
+    """The basis of a sector to the cutoff, one term per state, and one
+    combination of all of it with cyclotomic coefficients."""
+    basis = weight_basis(system, sector, cutoff)
+    dense = StateVector(system, sector)
+    for t, sv in enumerate(basis):
+        dense = dense + sv.scaled(system.eta_pow(t) - (t % 3))
+    return basis, dense
+
+
+def test_scaled_negation_and_difference_act_term_by_term():
+    s = TwistSystem(A2, 3)
+    basis, v = _dense(s, "K", 2)
+    w = basis[0].scaled(Fraction(5, 2)) + basis[-1]
+    assert len(v.terms) > 10 and set(w.terms) & set(v.terms)
+    field = s.field
+    for c in (0, 1, -1, Fraction(-3, 4), s.eta_pow(1) - 2):
+        got = v.scaled(c)
+        factor = c if not isinstance(c, (int, Fraction)) else field.from_rat(c)
+        want = {m: x * factor for m, x in v.terms.items()} if c != 0 else {}
+        assert got.terms == want, c
+        assert not any(x.is_zero() for x in got.terms.values())
+    assert (-v).terms == {m: -x for m, x in v.terms.items()}
+    want = {}
+    for m in set(v.terms) | set(w.terms):
+        x = v.terms.get(m, field.zero()) - w.terms.get(m, field.zero())
+        if not x.is_zero():
+            want[m] = x
+    assert (v - w).terms == want
+    # a term of w equal to the one of v cancels, and v - v is zero
+    assert (v - v.scaled(1)).is_zero() and (v - v).is_zero()
+    assert (v - basis[1].scaled(v.terms[next(iter(basis[1].terms))])).terms == {
+        m: x for m, x in v.terms.items() if m not in basis[1].terms}
+
+
+def test_fraction_work_does_not_grow_with_the_state(monkeypatch):
+    # rational weights stay ints until they meet a coefficient: only the
+    # set-up of a call touches a Fraction, so the count is the same for a
+    # one-term state and for a combination of a whole basis
+    s = TwistSystem(A2, 3)
+    omega = omega_state(s, "K")
+    operations = [lambda v, j=j: virasoro_L(s, j, v) for j in (-2, -1, 0, 1, 2)]
+    twisted = [lambda v: twisted_L0(s, v), lambda v: base_module_mode(s, omega, 1, v)]
+    inputs = {"K": _dense(s, "K", 2),
+              "T": _dense(s, "T", Fraction(3, 2) + twisted_vacuum_weight(s))}
+    calls = 0
+
+    def counting(original):
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+        return counted
+
+    for ops, sector in ((operations, "K"), (twisted, "T")):
+        basis, dense = inputs[sector]
+        one = basis[-1]
+        assert len(one.terms) == 1 and len(dense.terms) > 10
+        # the first call fills the caches of the system and of the engines
+        for op in ops:
+            op(dense)
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+                patch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+            counts = []
+            for v in (one, dense):
+                calls = 0
+                images = [op(v) for op in ops]
+                counts.append(calls)
+                assert any(not image.is_zero() for image in images)
+        assert counts[0] == counts[1], (sector, counts)
 
 
 def test_virasoro_values():

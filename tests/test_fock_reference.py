@@ -144,6 +144,14 @@ def test_twisted_L0_matches_reference(system):
         assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
 
 
+def test_twisted_L0_matches_reference_on_a2_k4():
+    # the largest common denominator of the sector's int weights here:
+    # det 3 and den^4 = 256
+    system = TwistSystem(A2, 4)
+    for sv in _states(system, "T"):
+        assert twisted_L0(system, sv) == reference.twisted_L0(system, sv)
+
+
 def test_twisted_L0_matches_reference_on_d4():
     system = TwistSystem(D4, 2)
     for sv in weight_basis(system, "T", twisted_vacuum_weight(system) + 1):
