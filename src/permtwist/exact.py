@@ -12,6 +12,7 @@ rational weight held as two ints p and q meets a `Cyc` through
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -299,9 +300,16 @@ class Cyc:
 
     def __hash__(self):
         if self.is_rational():
-            # an int hashes as the Fraction it equals
+            # a rational hashes as the Fraction it equals, by Python's
+            # numeric-hash rule on the reduced pair (num, den)
             num, den = self._num[0], self._den
-            return hash(num) if den == 1 else hash(Fraction(num, den))
+            try:
+                h = hash(abs(num) * pow(den, -1, sys.hash_info.modulus))
+            except ValueError:
+                # den divisible by the modulus has no inverse
+                h = sys.hash_info.inf
+            # hash() reads a result of -1 as -2, as the rule asks
+            return h if num >= 0 else -h
         return hash((self.field.n, self._num, self._den))
 
     def __repr__(self):

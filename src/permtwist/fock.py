@@ -220,8 +220,9 @@ class Sector:
         det = self.lattice.det
         self.dual_form = tuple((b, tuple((a, int(f * det)) for a, f in enumerate(row) if f))
                                for b, row in enumerate(self.lattice.gram_inverse()))
-        # in T: (family, terms of u, or of a slot state w of u on the worldsheet
-        # side) -> the prepared operator; see vertexops._prepared
+        # in T: (family, frozen terms of u, or of a V_K slot state w of u for
+        # E_f) -> the prepared operator, or u's window plan on the worldsheet
+        # side; see vertexops._prepared
         self.prepared: dict = {}
 
     @classmethod
@@ -311,7 +312,9 @@ class Sector:
             # L are even
             t = s.tot(beta)
             twice = 2 * s.K.inner(t, ground) + s.K.inner(t, t) - s.k * s.L.inner(beta, beta)
-            return self.grid(Fraction(twice, 2 * s.k), "exponent")
+            if twice % 2:
+                raise ValueError(f"exponent {Fraction(twice, 2 * s.k)} not in (1/k)Z")
+            return twice // 2
         return self.lattice.inner(beta, ground)
 
     def ground_action(self, beta, ground):

@@ -8,9 +8,13 @@ u-monomial's derivative factors and ground label are split by
 `Sector.vector` and its prefactor is taken once per operator, not once per
 state.  `_prepared` keeps each operator, for as long as the system lives, in
 the `prepared` dict of its twisted-sector descriptor, keyed on the family
-and the state its coefficient engine reads: u, or on the worldsheet side
-each V_K slot state w of u, so every generator and slot holding w shares one
-E_f operator.  On the space-time side
+and the state its coefficient engine reads: u, or for E_f each V_K slot
+state w of u, so every generator and slot holding w shares one E_f
+operator.  On the worldsheet side it also keeps, per u, the window plan:
+u split into its slot states, equal slot states grouped, and each group's
+phase sums with its E_f operator.  So a warm window call hashes u's terms
+once and runs one series per entry and state; nothing else it does depends
+on the state.  On the space-time side
 (`_spacetime_terms`) the u-monomials that differ only in the tensor slots of
 their factors are merged first: each factor b_i^(p) is written in the
 eta^r-eigenvectors of nu as sum_r eta^{-rp} E_{r,i}, and equal terms are
@@ -19,14 +23,17 @@ k before any mode is applied.  A monomial with no such partner, as in every
 one-slot state, keeps its factors whole.  An eigen factor is a
 `Sector.vector` with one nonempty residue entry and visits only the modes of
 that residue.  One window loop (`_windows`) serves the space-time,
-worldsheet and base-module families: it takes the operator as entries (P,
-prepared terms), P the tensor slots holding the same terms, and runs one
-series per entry and state.  Target t gets the phase sum over p in P of
-eta^{-pt}, taken once per residue of t mod k; a target whose sum is zero is
-never asked for, so omega, equal in every slot, gives one series read at
-t = 0 mod k.  The entry (0,) adds its series unrotated.  A window is keyed
-on the grid ints t of its modes t/k; the public window functions label
-them with Fractions once per call.  The twisted single-mode entry points
+worldsheet and base-module families: it takes the operator as entries
+(phase sums, prepared terms) and runs one series per entry and state.  On
+the worldsheet side the phase sums are those over the slots P holding one
+slot state, sum_{p in P} eta^{-pr} for each residue r of t mod k; target t
+takes the one of its residue, and a target whose sum is zero is never
+asked for, so omega, equal in every slot, gives one series read at t = 0
+mod k.  An entry without phase sums (None) adds its series unrotated: the
+space-time and base-module operators, and a slot state held in slot 0
+alone.  A window is keyed on the grid ints t of its modes t/k; the public
+window functions label each with the caller's own mode value, the first
+one on its grid int.  The twisted single-mode entry points
 are one-mode windows, and `untwisted_mode` is one one-target series.  Only
 the entry points wrap table entries as states.
 The computation enumerates the finitely many normal-ordered contributions,
@@ -60,7 +67,6 @@ modes and exponents at the boundary and reject any off the grid.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
 from math import factorial, gcd, prod
@@ -174,9 +180,10 @@ def _prepared(system: TwistSystem, family: str, terms: frozenset, build):
     `Sector.prepared` as long as the system lives.  Callers check first."""
     memo = Sector.of(system, "T").prepared
     key = (family, terms)
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = build()
+    return found
 
 
 def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
@@ -263,31 +270,26 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     return {e: ts for e, ts in out.items() if ts}
 
 
-def _windows(system: TwistSystem, name: str, slots, grid, states):
+def _windows(system: TwistSystem, name: str, entries, grid, states):
     """Yields {t: state} for every grid int t in grid (the twisted mode t/k)
     and each v in states in turn: the mode t/k is read off x^{-t-k} in
-    sum_P (sum_{p in P} eta^{-pt}) (prepared terms) v over the (P, prepared
-    terms) in slots, from one `_series` per entry and state that asks only
-    for the targets whose phase sum is nonzero.  The phase sums are taken
-    once per window and residue mod k, as eta^k = 1; the entry (0,) takes
-    none.  Exponents of the terms are
-    in grid steps of the sector `name`, 1/k in T and 1 in V_K once the
-    worldsheet side raises x to the k-th power."""
+    sum sums[t mod k] (prepared terms) v over the (sums, prepared terms) in
+    entries, sums None standing for 1, from one `_series` per entry and
+    state that asks only for the targets whose phase sum is nonzero.
+    Exponents of the terms are in grid steps of the sector `name`, 1/k in T
+    and 1 in V_K once the worldsheet side raises x to the k-th power."""
     k = system.k
     sector = Sector.of(system, name)
-    entries = []
-    for slot_tuple, terms in slots:
-        phases = None
-        if slot_tuple != (0,):
-            sums = [reduce(add, (system.eta_pow(-p * r) for p in slot_tuple))
-                    for r in range(k)]
-            phases = {t: sums[t % k] for t in grid}
-        entries.append((terms, phases, [-t - k for t in grid
-                                        if phases is None or not phases[t].is_zero()]))
+    runs = []
+    for sums, terms in entries:
+        phases = None if sums is None else {t: sums[t % k] for t in grid}
+        targets = [-t - k for t in grid if phases is None or not phases[t].is_zero()]
+        if targets:
+            runs.append((terms, phases, targets))
     for v in states:
         out = {t: {} for t in grid}
-        for terms, phases, targets in entries:
-            series = _series(sector, terms, v, targets) if targets else {}
+        for terms, phases, targets in runs:
+            series = _series(sector, terms, v, targets)
             for t, acc in out.items():
                 ts = series.get(-t - k, {})
                 if phases is None:
@@ -298,14 +300,14 @@ def _windows(system: TwistSystem, name: str, slots, grid, states):
         yield {t: StateVector._of(system, name, acc) for t, acc in out.items()}
 
 
-def _labelled(k: int, windows):
-    """The windows keyed on their modes t/k, not on the grid ints t; the
-    Fraction labels are built once, from the first window."""
-    labels = None
+def _labelled(grid, modes, windows):
+    """The windows keyed on the caller's modes, not on the grid ints: each
+    grid int t, in grid order, takes the first of the modes on it."""
+    labels: dict = {}
+    for t, n in zip(grid, modes):
+        labels.setdefault(t, n)
     for window in windows:
-        if labels is None:
-            labels = [Fraction(t, k) for t in window]
-        yield dict(zip(labels, window.values()))
+        yield dict(zip(labels.values(), window.values()))
 
 
 def _twisted_grid(system: TwistSystem, modes) -> list[int]:
@@ -385,17 +387,18 @@ def _spacetime_windows(system: TwistSystem, u: StateVector, grid, states):
     states = list(states)
     if u.sector != "L" or any(v.sector != "T" for v in states):
         raise ValueError("space-time operator maps V_L states into the twisted sector")
-    slots = [((0,), _prepared(system, "spacetime", frozenset(u.terms.items()),
-                              lambda: _spacetime_terms(system, [(0, u)])))] if grid else []
-    return _windows(system, "T", slots, grid, states)
+    entries = [(None, _prepared(system, "spacetime", frozenset(u.terms.items()),
+                                lambda: _spacetime_terms(system, [(0, u)])))] if grid else []
+    return _windows(system, "T", entries, grid, states)
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u^{nu-hat}_n v} for every n in modes and each v in
     states in turn, from one series of u on v, with exp(Delta_x) u computed
     once per system for all of them.  The arguments are checked on the call."""
+    modes = list(modes)
     grid = _twisted_grid(system, modes)
-    return _labelled(system.k, _spacetime_windows(system, u, grid, states))
+    return _labelled(grid, modes, _spacetime_windows(system, u, grid, states))
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
@@ -418,7 +421,7 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     terms = _prepared(system, "base", frozenset(u.terms.items()), lambda: _spacetime_terms(
         system, [(s, slot_state(system, w_s, 0))
                  for s, w_s in ef_inverse_apply(system, u).items()]))
-    return next(_windows(system, "T", [((0,), terms)], [t], [v]))[t]
+    return next(_windows(system, "T", [(None, terms)], [t], [v]))[t]
 
 
 def _split_slot(system, umono: FockMono):
@@ -439,31 +442,53 @@ def _split_slot(system, umono: FockMono):
     return p, FockMono(grid, umono.ground[p * d:(p + 1) * d], 1)
 
 
+def _slot_states(system: TwistSystem, u: StateVector) -> dict:
+    """The distinct V_K slot states w of u, as {frozen terms of w: (terms of
+    w, the slots holding w)}; a monomial in two slots raises."""
+    by_slot: dict[int, dict] = {}
+    for umono, cu in u.terms.items():
+        p, kmono = _split_slot(system, umono)
+        by_slot.setdefault(p, {})[kmono] = cu
+    by_state: dict = {}
+    for p, kterms in by_slot.items():
+        by_state.setdefault(frozenset(kterms.items()), (kterms, []))[1].append(p)
+    return by_state
+
+
+def _worldsheet_plan(system: TwistSystem, u: StateVector) -> list:
+    """The `_windows` entries of u's worldsheet operator: per distinct slot
+    state w, the phase sums sum_{p in P} eta^{-pr}, r = 0..k-1, over the
+    slots P holding w (None for slot 0 alone), and w's operator, prepared
+    once per system whichever u holds w.  u_n, n = t/k, is the coefficient
+    of x^{-t-k} in sum_s x^s Y(w_s, x), E_f(x^{1/k}) w = sum_s x^{s/k} w_s,
+    rotated by those phases."""
+    k = system.k
+    sector = Sector.of(system, "K")
+    plan = []
+    for key, (kterms, ps) in _slot_states(system, u).items():
+        def build(kterms=kterms):
+            corrected = ef_apply(system, StateVector(system, "K", kterms))
+            return _prepare(sector, [(s, w_s.terms) for s, w_s in corrected.items()])
+        sums = None if ps == [0] else [reduce(add, (system.eta_pow(-p * r) for p in ps))
+                                       for r in range(k)]
+        plan.append((sums, _prepared(system, "E_f", key, build)))
+    return plan
+
+
 def _worldsheet_windows(system: TwistSystem, u: StateVector, grid, states):
     """worldsheet_twisted_windows on the grid ints t of the modes t/k, each
     window keyed on them."""
     states = list(states)
     if u.sector != "L" or any(v.sector != "K" for v in states):
         raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    sector = Sector.of(system, "K")
-    by_slot: dict[int, dict] = {}
-    for umono, cu in u.terms.items():
-        p, kmono = _split_slot(system, umono)
-        by_slot.setdefault(p, {})[kmono] = cu
-    # frozen terms of w -> (the terms of w, the slots holding w)
-    by_state: dict = {}
-    for p, kterms in by_slot.items():
-        by_state.setdefault(frozenset(kterms.items()), (kterms, []))[1].append(p)
-    # u_n, n = t/k, is the coefficient of x^{-k(n+1)} = x^{-t-k} in
-    # sum_s x^s Y(w_s, x), where E_f(x^{1/k}) w = sum_s x^{s/k} w_s, rotated
-    # by the phases of the slots holding w
-    slots = []
-    for key, (kterms, ps) in (by_state.items() if grid else ()):
-        def build():
-            corrected = ef_apply(system, StateVector(system, "K", kterms))
-            return _prepare(sector, [(s, w_s.terms) for s, w_s in corrected.items()])
-        slots.append((tuple(ps), _prepared(system, "worldsheet", key, build)))
-    return _windows(system, "K", slots, grid, states)
+    if grid:
+        plan = _prepared(system, "worldsheet", frozenset(u.terms.items()),
+                         lambda: _worldsheet_plan(system, u))
+    else:
+        # an empty window prepares nothing, but u is still checked
+        _slot_states(system, u)
+        plan = []
+    return _windows(system, "K", plan, grid, states)
 
 
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
@@ -475,8 +500,9 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
     """
+    modes = list(modes)
     grid = _twisted_grid(system, modes)
-    return _labelled(system.k, _worldsheet_windows(system, u, grid, states))
+    return _labelled(grid, modes, _worldsheet_windows(system, u, grid, states))
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,

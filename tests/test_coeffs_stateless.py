@@ -39,7 +39,8 @@ def test_vertex_operators_keep_their_operators_in_the_sectors():
     assert not worldsheet_twisted_mode(system, omega, 0, f_apply(system, v)).is_zero()
     assert not base_module_mode(system, omega_state(system, "K"), 1, v).is_zero()
     assert set(vars(system)) - built == {"_sectors"}
-    assert len(Sector.of(system, "T").prepared) == 3
+    # one operator per family, and the worldsheet side's window plan
+    assert len(Sector.of(system, "T").prepared) == 4
 
 
 def test_c_series_is_shared_by_systems_of_one_k():

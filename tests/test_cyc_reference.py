@@ -144,3 +144,17 @@ def test_constants_are_canonical_and_match_the_reference(n):
         same(field.zeta(e), rfield.zeta(e))
     assert field.zero() == 0 and hash(field.zero()) == hash(0)
     assert field.one() == 1 and hash(field.one()) == hash(1)
+
+
+def test_rationals_hash_by_the_numeric_rule():
+    # a rational Cyc hashes on its own ints as the Fraction it equals, also
+    # where the denominator has no inverse mod 2^61 - 1 and where the rule
+    # turns -1 into -2
+    modulus = 2 ** 61 - 1
+    field = CycField(3)
+    cases = [(n, d) for d in range(1, 41) for n in range(-40, 41)]
+    cases += [(n, d * modulus) for d in (1, 3) for n in (-7, -1, 1, 2, 5)]
+    for num, den in cases + [(-(2 ** 61 + 1), 2)]:
+        r = Fraction(num, den)
+        assert hash(field.from_rat(r)) == hash(r), r
+    assert hash(field.from_rat(Fraction(-(2 ** 61 + 1), 2))) == -2

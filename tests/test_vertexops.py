@@ -344,13 +344,76 @@ def test_prepared_operators_stay_with_their_family_and_state(K, k):
     random.Random(k).shuffle(calls)
     for mode, u, n, v in calls:
         assert mode(shared, u, n, v) == mode(TwistSystem(K, k), u, n, v), (mode.__name__, u, n)
-    # one operator per generator on the space-time and base-module sides, one
-    # per distinct V_K slot state on the worldsheet side: b(-1)1, omega_K,
-    # e^alpha and 2 b(-1)1
+    # one operator per generator on the space-time and base-module sides; on
+    # the worldsheet side one window plan per generator and one E_f operator
+    # per distinct V_K slot state: b(-1)1, omega_K, e^alpha and 2 b(-1)1
     worldsheet = _distinct_slot_states(shared, generators)
     assert len(worldsheet) == 4
     assert (len(Sector.of(shared, "T").prepared)
-            == len(generators) + len(worldsheet) + len(base_generators))
+            == 2 * len(generators) + len(worldsheet) + len(base_generators))
+
+
+def test_warm_worldsheet_calls_reuse_the_window_plan(monkeypatch):
+    # the first call on omega splits it into its slot states and runs E_f
+    # once for omega_K; the second only hashes omega's terms
+    system = TwistSystem(A2, 3)
+    omega = omega_state(system, "L")
+    modes = default_mode_set(system, Fraction(2, 3))
+    states = [f_apply(system, v) for v in weight_basis(system, "T", Fraction(5, 9))]
+    calls = _count_calls(monkeypatch, "_split_slot", "ef_apply")
+    first = list(worldsheet_twisted_windows(system, omega, modes, states))
+    assert calls == {"_split_slot": len(omega.terms), "ef_apply": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert list(worldsheet_twisted_windows(system, omega, modes, states)) == first
+    assert calls == {"_split_slot": 0, "ef_apply": 0}
+
+
+def test_windows_are_labelled_with_the_callers_modes(sys3):
+    # a mode named twice gives one window entry, under its first label
+    u = slot_state(sys3, apply_mode(sys3, -1, 0, vacuum(sys3, "K")), 1)
+    v = weight_basis(sys3, "T", 1)[-1]
+    modes = [Fraction(-1, 3), 0, Fraction(-1, 3)]
+    for windows, single, w in [(spacetime_twisted_windows, spacetime_twisted_mode, v),
+                               (worldsheet_twisted_windows, worldsheet_twisted_mode,
+                                f_apply(sys3, v))]:
+        (window,) = windows(sys3, u, modes, [w])
+        assert [(type(n), n) for n in window] == [(Fraction, Fraction(-1, 3)), (int, 0)]
+        for n, image in window.items():
+            assert image == single(sys3, u, n, w)
+        assert any(not image.is_zero() for image in window.values())
+
+
+@pytest.mark.parametrize("K", [A1, A2], ids=["A1", "A2"])
+def test_warm_window_calls_construct_no_fraction(K, monkeypatch):
+    # everything a window call needs beyond the state is kept per operator
+    # or per system, so a warm call builds no Fraction at all
+    system = TwistSystem(K, 3)
+    cutoff, bound = (1, 1) if K is A1 else (Fraction(5, 9), Fraction(2, 3))
+    basis = weight_basis(system, "T", cutoff)
+    images = [f_apply(system, v) for v in basis]
+    modes = default_mode_set(system, bound)
+    generators = [u for _, u in generator_family(system)]
+
+    def run():
+        for u in generators:
+            assert list(spacetime_twisted_windows(system, u, modes, basis))
+            assert list(worldsheet_twisted_windows(system, u, modes, images))
+
+    run()
+    built = 0
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted))
+        assert Fraction(1, 2) and built == 1
+        built = 0
+        run()
+    assert built == 0
 
 
 def test_series_coefficient_rejects_off_grid_exponent(sys2):
