@@ -50,6 +50,7 @@ weights of each output monomial and multiply its coefficient once, by
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -59,7 +60,7 @@ from .exact import Cyc
 SECTORS = ("K", "L", "T")
 
 
-class FockMono:
+class FockMono(namedtuple("FockMono", "grid ground den")):
     """Immutable monomial: sorted creation modes and a ground label.
 
     `grid` holds the modes as sorted (t, colour) int pairs, the mode being
@@ -69,26 +70,13 @@ class FockMono:
     `StateVector.monomial` builds a state from mode values.
     """
 
-    __slots__ = ("grid", "ground", "den", "_hash")
-
-    def __init__(self, grid: tuple, ground: tuple, den: int):
-        self.grid = grid
-        self.ground = ground
-        self.den = den
-        self._hash = hash((grid, ground))
+    __slots__ = ()
 
     @property
     def modes(self) -> tuple:
         """The (mode, colour) pairs, each mode a Fraction."""
         den = self.den
         return tuple((Fraction(t, den), i) for t, i in self.grid)
-
-    def __eq__(self, other):
-        return (self.grid == other.grid and self.ground == other.ground
-                and self.den == other.den)
-
-    def __hash__(self):
-        return self._hash
 
     def level(self) -> Fraction:
         return Fraction(-sum(t for t, _ in self.grid), self.den)
@@ -220,9 +208,9 @@ class Sector:
         det = self.lattice.det
         self.dual_form = tuple((b, tuple((a, int(f * det)) for a, f in enumerate(row) if f))
                                for b, row in enumerate(self.lattice.gram_inverse()))
-        # in T: (family, frozen terms of u, or of a V_K slot state w of u for
-        # E_f) -> the prepared operator, or u's window plan on the worldsheet
-        # side; see vertexops._prepared
+        # in T: (family, frozen terms of u) -> the vertexops._windows entries
+        # of u's operator, and ("E_f", frozen terms of a V_K slot state w) ->
+        # w's prepared operator; see vertexops._prepared
         self.prepared: dict = {}
 
     @classmethod

@@ -6,14 +6,15 @@ requested, as a finite exponent-keyed table {e: {FockMono: Cyc}} with no
 zero coefficient.  The operator comes prepared (`_prepare`): each
 u-monomial's derivative factors and ground label are split by
 `Sector.vector` and its prefactor is taken once per operator, not once per
-state.  `_prepared` keeps each operator, for as long as the system lives, in
-the `prepared` dict of its twisted-sector descriptor, keyed on the family
-and the state its coefficient engine reads: u, or for E_f each V_K slot
-state w of u, so every generator and slot holding w shares one E_f
-operator.  On the worldsheet side it also keeps, per u, the window plan:
-u split into its slot states, equal slot states grouped, and each group's
-phase sums with its E_f operator.  So a warm window call hashes u's terms
-once and runs one series per entry and state; nothing else it does depends
+state.  `_prepared` keeps each family's `_windows` entries for u, as long as
+the system lives, in the `prepared` dict of the twisted-sector descriptor,
+keyed on the family and u: one entry (None, prepared terms) on the
+space-time and base-module sides, and on the worldsheet side u's window
+plan, u split into its slot states, equal slot states grouped, and each
+group's phase sums with its E_f operator.  The E_f operator is kept there
+too, keyed on its V_K slot state w, so every generator and slot holding w
+shares it.  So a warm window call hashes u's terms once and runs one
+series per entry and state; nothing else it does depends
 on the state.  On the space-time side
 (`_spacetime_terms`) the u-monomials that differ only in the tensor slots of
 their factors are merged first: each factor b_i^(p) is written in the
@@ -31,11 +32,12 @@ takes the one of its residue, and a target whose sum is zero is never
 asked for, so omega, equal in every slot, gives one series read at t = 0
 mod k.  An entry without phase sums (None) adds its series unrotated: the
 space-time and base-module operators, and a slot state held in slot 0
-alone.  A window is keyed on the grid ints t of its modes t/k; the public
-window functions label each with the caller's own mode value, the first
-one on its grid int.  The twisted single-mode entry points
-are one-mode windows, and `untwisted_mode` is one one-target series.  Only
-the entry points wrap table entries as states.
+alone.  The window functions read their modes once, onto the grid ints t of
+the twisted modes t/k (`_labels`), each t under the first mode given on it,
+and `_windows` keys the window, and the states it sums into, on those modes.
+The twisted single-mode entry points are one-mode windows, and
+`untwisted_mode` is one one-target series.  Only `_windows` and
+`untwisted_mode` wrap table entries as states.
 The computation enumerates the finitely many normal-ordered contributions,
 so every result is exact.
 
@@ -67,6 +69,7 @@ modes and exponents at the boundary and reject any off the grid.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
 from math import factorial, gcd, prod
@@ -175,9 +178,10 @@ def _prepare(sector: Sector, pieces) -> list:
 
 
 def _prepared(system: TwistSystem, family: str, terms: frozenset, build):
-    """The prepared operator of one family on the state of `terms` (frozen
-    items), from build() on the first call, kept in the twisted sector's
-    `Sector.prepared` as long as the system lives.  Callers check first."""
+    """What one family keeps for the state of `terms` (frozen items), its
+    `_windows` entries or, for E_f, the prepared operator, from build() on
+    the first call, kept in the twisted sector's `Sector.prepared` as long
+    as the system lives.  Callers check first."""
     memo = Sector.of(system, "T").prepared
     key = (family, terms)
     found = memo.get(key)
@@ -270,9 +274,19 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     return {e: ts for e, ts in out.items() if ts}
 
 
-def _windows(system: TwistSystem, name: str, entries, grid, states):
-    """Yields {t: state} for every grid int t in grid (the twisted mode t/k)
-    and each v in states in turn: the mode t/k is read off x^{-t-k} in
+def _labels(system: TwistSystem, modes) -> dict:
+    """{t: n} for the twisted modes n = t/k in modes, read once, each grid
+    int t under the first mode given on it; an off-grid mode raises."""
+    grid = Sector.of(system, "T").grid
+    labels: dict = {}
+    for n in modes:
+        labels.setdefault(grid(n), n)
+    return labels
+
+
+def _windows(system: TwistSystem, name: str, entries, labels: dict, states):
+    """Yields {n: state} for every (t, n) in labels and each v in states in
+    turn: the twisted mode t/k is read off x^{-t-k} in
     sum sums[t mod k] (prepared terms) v over the (sums, prepared terms) in
     entries, sums None standing for 1, from one `_series` per entry and
     state that asks only for the targets whose phase sum is nonzero.
@@ -282,38 +296,23 @@ def _windows(system: TwistSystem, name: str, entries, grid, states):
     sector = Sector.of(system, name)
     runs = []
     for sums, terms in entries:
-        phases = None if sums is None else {t: sums[t % k] for t in grid}
-        targets = [-t - k for t in grid if phases is None or not phases[t].is_zero()]
+        phases = None if sums is None else {t: sums[t % k] for t in labels}
+        targets = [-t - k for t in labels if phases is None or not phases[t].is_zero()]
         if targets:
             runs.append((terms, phases, targets))
     for v in states:
-        out = {t: {} for t in grid}
+        # each state sums straight into its own terms; _accumulate keeps no zero
+        out = {n: StateVector._of(system, name, {}) for n in labels.values()}
         for terms, phases, targets in runs:
             series = _series(sector, terms, v, targets)
-            for t, acc in out.items():
+            for t, w in zip(labels, out.values()):
                 ts = series.get(-t - k, {})
                 if phases is None:
-                    _merge_into(acc, ts)
+                    _merge_into(w.terms, ts)
                 else:
                     for mono, c in ts.items():
-                        _accumulate(acc, mono, c * phases[t])
-        yield {t: StateVector._of(system, name, acc) for t, acc in out.items()}
-
-
-def _labelled(grid, modes, windows):
-    """The windows keyed on the caller's modes, not on the grid ints: each
-    grid int t, in grid order, takes the first of the modes on it."""
-    labels: dict = {}
-    for t, n in zip(grid, modes):
-        labels.setdefault(t, n)
-    for window in windows:
-        yield dict(zip(labels.values(), window.values()))
-
-
-def _twisted_grid(system: TwistSystem, modes) -> list[int]:
-    """The grid int t of each twisted mode t/k in modes; an off-grid mode raises."""
-    twisted = Sector.of(system, "T")
-    return [twisted.grid(n) for n in modes]
+                        _accumulate(w.terms, mono, c * phases[t])
+        yield out
 
 
 # -- the three operator families --------------------------------------------------
@@ -377,35 +376,28 @@ def spacetime_series_coefficient(system: TwistSystem, u: StateVector,
                                  exponent, v: StateVector) -> StateVector:
     """Coefficient of x^exponent in the space-time twisted operator of u on v."""
     # the coefficient of x^{e/k} is the mode -e/k - 1
-    t = -Sector.of(system, "T").grid(exponent, "exponent") - system.k
-    return next(_spacetime_windows(system, u, [t], [v]))[t]
-
-
-def _spacetime_windows(system: TwistSystem, u: StateVector, grid, states):
-    """spacetime_twisted_windows on the grid ints t of the modes t/k, each
-    window keyed on them."""
-    states = list(states)
-    if u.sector != "L" or any(v.sector != "T" for v in states):
-        raise ValueError("space-time operator maps V_L states into the twisted sector")
-    entries = [(None, _prepared(system, "spacetime", frozenset(u.terms.items()),
-                                lambda: _spacetime_terms(system, [(0, u)])))] if grid else []
-    return _windows(system, "T", entries, grid, states)
+    k = system.k
+    n = Fraction(-Sector.of(system, "T").grid(exponent, "exponent") - k, k)
+    return spacetime_twisted_mode(system, u, n, v)
 
 
 def spacetime_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u^{nu-hat}_n v} for every n in modes and each v in
     states in turn, from one series of u on v, with exp(Delta_x) u computed
     once per system for all of them.  The arguments are checked on the call."""
-    modes = list(modes)
-    grid = _twisted_grid(system, modes)
-    return _labelled(grid, modes, _spacetime_windows(system, u, grid, states))
+    labels = _labels(system, modes)
+    states = list(states)
+    if u.sector != "L" or any(v.sector != "T" for v in states):
+        raise ValueError("space-time operator maps V_L states into the twisted sector")
+    entries = _prepared(system, "spacetime", frozenset(u.terms.items()),
+                        lambda: [(None, _spacetime_terms(system, [(0, u)]))]) if labels else []
+    return _windows(system, "T", entries, labels, states)
 
 
 def spacetime_twisted_mode(system: TwistSystem, u: StateVector, n,
                            v: StateVector) -> StateVector:
     """The mode u^{nu-hat}_n of the space-time twisted operator, applied to v."""
-    (t,) = _twisted_grid(system, [n])
-    return next(_spacetime_windows(system, u, [t], [v]))[t]
+    return next(spacetime_twisted_windows(system, u, [n], [v]))[n]
 
 
 def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> StateVector:
@@ -418,10 +410,10 @@ def base_module_mode(system: TwistSystem, u: StateVector, n, v: StateVector) -> 
     # on the grid int n + 1 - k, in sum_t x^{t/k} Y^{st}(w_t, x), where
     # E_f(x^{1/k})^{-1} u = sum_t x^{t/k} w_t
     t = Sector.of(system, "K").grid(n) + 1 - system.k
-    terms = _prepared(system, "base", frozenset(u.terms.items()), lambda: _spacetime_terms(
-        system, [(s, slot_state(system, w_s, 0))
-                 for s, w_s in ef_inverse_apply(system, u).items()]))
-    return next(_windows(system, "T", [(None, terms)], [t], [v]))[t]
+    entries = _prepared(system, "base", frozenset(u.terms.items()), lambda: [
+        (None, _spacetime_terms(system, [(s, slot_state(system, w_s, 0))
+                                         for s, w_s in ef_inverse_apply(system, u).items()]))])
+    return next(_windows(system, "T", entries, {t: n}, [v]))[n]
 
 
 def _split_slot(system, umono: FockMono):
@@ -475,22 +467,6 @@ def _worldsheet_plan(system: TwistSystem, u: StateVector) -> list:
     return plan
 
 
-def _worldsheet_windows(system: TwistSystem, u: StateVector, grid, states):
-    """worldsheet_twisted_windows on the grid ints t of the modes t/k, each
-    window keyed on them."""
-    states = list(states)
-    if u.sector != "L" or any(v.sector != "K" for v in states):
-        raise ValueError("worldsheet operator takes V_L states acting on V_K")
-    if grid:
-        plan = _prepared(system, "worldsheet", frozenset(u.terms.items()),
-                         lambda: _worldsheet_plan(system, u))
-    else:
-        # an empty window prepares nothing, but u is still checked
-        _slot_states(system, u)
-        plan = []
-    return _windows(system, "K", plan, grid, states)
-
-
 def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, states):
     """An iterator of {n: u_n v} for the change-of-variables twisted operator,
     every n in modes and each v in states in turn, from one series per
@@ -500,14 +476,22 @@ def worldsheet_twisted_windows(system: TwistSystem, u: StateVector, modes, state
     u must be a sum of one-slot states (a V_K state in one tensor factor,
     vacua elsewhere); general tensor products are outside this entry point.
     """
-    modes = list(modes)
-    grid = _twisted_grid(system, modes)
-    return _labelled(grid, modes, _worldsheet_windows(system, u, grid, states))
+    labels = _labels(system, modes)
+    states = list(states)
+    if u.sector != "L" or any(v.sector != "K" for v in states):
+        raise ValueError("worldsheet operator takes V_L states acting on V_K")
+    if labels:
+        plan = _prepared(system, "worldsheet", frozenset(u.terms.items()),
+                         lambda: _worldsheet_plan(system, u))
+    else:
+        # an empty window prepares nothing, but u is still checked
+        _slot_states(system, u)
+        plan = []
+    return _windows(system, "K", plan, labels, states)
 
 
 def worldsheet_twisted_mode(system: TwistSystem, u: StateVector, n,
                             v: StateVector) -> StateVector:
     """The mode of the change-of-variables twisted operator, applied to v in V_K;
     u as in worldsheet_twisted_windows."""
-    (t,) = _twisted_grid(system, [n])
-    return next(_worldsheet_windows(system, u, [t], [v]))[t]
+    return next(worldsheet_twisted_windows(system, u, [n], [v]))[n]

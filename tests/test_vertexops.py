@@ -369,18 +369,29 @@ def test_warm_worldsheet_calls_reuse_the_window_plan(monkeypatch):
 
 
 def test_windows_are_labelled_with_the_callers_modes(sys3):
-    # a mode named twice gives one window entry, under its first label
+    # a mode named twice gives one window entry, under its first label; the
+    # modes and states are read once, so one-shot iterators give the same
+    # windows as lists
     u = slot_state(sys3, apply_mode(sys3, -1, 0, vacuum(sys3, "K")), 1)
-    v = weight_basis(sys3, "T", 1)[-1]
-    modes = [Fraction(-1, 3), 0, Fraction(-1, 3)]
-    for windows, single, w in [(spacetime_twisted_windows, spacetime_twisted_mode, v),
-                               (worldsheet_twisted_windows, worldsheet_twisted_mode,
-                                f_apply(sys3, v))]:
-        (window,) = windows(sys3, u, modes, [w])
-        assert [(type(n), n) for n in window] == [(Fraction, Fraction(-1, 3)), (int, 0)]
-        for n, image in window.items():
-            assert image == single(sys3, u, n, w)
-        assert any(not image.is_zero() for image in window.values())
+    twisted = weight_basis(sys3, "T", 1)[-2:]
+    modes = [Fraction(-1, 3), 0, Fraction(-1, 3), Fraction(0)]
+    for windows, single, states in [(spacetime_twisted_windows, spacetime_twisted_mode, twisted),
+                                    (worldsheet_twisted_windows, worldsheet_twisted_mode,
+                                     [f_apply(sys3, v) for v in twisted])]:
+        listed = list(windows(sys3, u, modes, states))
+        assert list(windows(sys3, u, iter(modes), iter(states))) == listed
+        for window, w in zip(listed, states):
+            assert [(type(n), n) for n in window] == [(Fraction, Fraction(-1, 3)), (int, 0)]
+            for n, image in window.items():
+                assert image == single(sys3, u, n, w)
+        assert any(not image.is_zero() for image in listed[-1].values())
+    # the coefficient of x^x is the mode -x - 1, on int and Fraction exponents
+    v = twisted[-1]
+    coefficients = [(spacetime_series_coefficient(sys3, u, x, v),
+                     spacetime_twisted_mode(sys3, u, -x - 1, v))
+                    for x in [-1, Fraction(-2, 3), Fraction(-1, 3), 0, Fraction(1, 3)]]
+    assert all(coefficient == mode for coefficient, mode in coefficients)
+    assert any(not coefficient.is_zero() for coefficient, _ in coefficients)
 
 
 @pytest.mark.parametrize("K", [A1, A2], ids=["A1", "A2"])
