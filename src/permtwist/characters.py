@@ -6,14 +6,20 @@ up to which its coefficients are complete, so products and inverses never
 silently lose terms.  Integral coefficients stay ints (a float is refused);
 eta^e for every integer e comes from one divisor-sum recurrence, so Theta /
 eta^d needs no inverse; a theta series counts its ellipsoid's int norms.
+Only the public constructor checks coefficients; results made here come
+from `FracQSeries._of`, their producers keeping out zeros and exponents
+above the order.  Products and inverses loop over output coefficients or
+one factor's terms, never over pairs: each step is one C-level sum or slice.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .lattice import Lattice
 from .report import Report
@@ -30,11 +36,19 @@ class FracQSeries:
         lim = math.floor(self.order * denom)
         self.coeffs = {e: c for e, c in coeffs.items() if c and e <= lim}
 
+    @classmethod
+    def _of(cls, denom: int, coeffs: dict, order: Fraction) -> "FracQSeries":
+        """A series that takes ownership of coeffs, which its producer holds
+        to the invariant: no zero coefficient, no exponent above order*denom."""
+        series = object.__new__(cls)
+        series.denom, series.coeffs, series.order = denom, coeffs, order
+        return series
+
     def rescaled(self, denom: int) -> "FracQSeries":
         f, rest = divmod(denom, self.denom)
         if rest:
             raise ValueError("denominator scales incompatible")
-        return self if f == 1 else FracQSeries(
+        return self if f == 1 else FracQSeries._of(
             denom, {e * f: c for e, c in self.coeffs.items()}, self.order)
 
     def _align(self, other):
@@ -57,52 +71,66 @@ class FracQSeries:
         return [(Fraction(e, self.denom), c) for e, c in sorted(self.coeffs.items())]
 
     def __mul__(self, other):
+        """On the common stride g of both supports, each term of the sparser
+        factor adds a scaled copy of the other's dense list in one slice."""
         a, b = self._align(other)
         # a series that vanishes to its order holds terms only above it
         la = a.leading_exponent() if a.coeffs else a.order
         lb = b.leading_exponent() if b.coeffs else b.order
         order = min(a.order + lb, b.order + la)
-        lim = math.floor(order * a.denom)
-        right = sorted(b.coeffs.items())
-        out: dict = {}
-        for e1, c1 in a.coeffs.items():
-            top = lim - e1
-            for e2, c2 in right:
-                if e2 > top:
-                    break
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return FracQSeries(a.denom, out, order)
+        if not (a.coeffs and b.coeffs):
+            return FracQSeries._of(a.denom, {}, order)
+        if len(a.coeffs) > len(b.coeffs):
+            a, b = b, a
+        ea, eb = min(a.coeffs), min(b.coeffs)
+        g = math.gcd(*map(ea.__rsub__, a.coeffs), *map(eb.__rsub__, b.coeffs)) or 1
+        size = (math.floor(order * a.denom) - ea - eb) // g + 1   # slots ea + eb + g*j
+        dense = [0] * min(size, (max(b.coeffs) - eb) // g + 1)
+        for e, c in b.coeffs.items():
+            j = (e - eb) // g
+            if j < size:
+                dense[j] = c
+        out = [0] * size
+        for e, c in a.coeffs.items():
+            j = (e - ea) // g
+            out[j:j + len(dense)] = map(add, out[j:j + len(dense)], map(mul, repeat(c), dense))
+        return FracQSeries._of(a.denom, {ea + eb + g * j: c for j, c in enumerate(out) if c},
+                               order)
 
     def inverse(self) -> "FracQSeries":
         """Inverse of a series whose leading coefficient is a unit; a lead
-        of +-1 is its own inverse, so an integral series stays integral."""
+        of +-1 is its own inverse, so an integral series stays integral.
+        On the support's stride, inv_j = -sum tail_i inv_(j-i), i nonzero."""
+        if not self.coeffs:
+            raise ValueError("zero series has no inverse")
         lead_e = min(self.coeffs)
         lead_c = self.coeffs[lead_e]
         unit = lead_c if lead_c in (1, -1) else 1 / Fraction(lead_c)
         tail_order = self.order - Fraction(lead_e, self.denom)  # relative precision
         lim = math.floor(tail_order * self.denom)
-        tail = sorted((e - lead_e, c * unit) for e, c in self.coeffs.items() if e != lead_e)
-        inv = [1] + [0] * lim
-        for e in range(1, lim + 1):
-            s = 0
-            for e2, c2 in tail:
-                if e2 > e:
-                    break
-                s += c2 * inv[e - e2]
-            inv[e] = -s
-        out = {e - lead_e: c * unit for e, c in enumerate(inv)}
-        return FracQSeries(self.denom, out, tail_order - Fraction(lead_e, self.denom))
+        # a lone lead has no stride: any g above lim leaves one slot
+        g = math.gcd(*map(lead_e.__rsub__, self.coeffs)) or lim + 1
+        slots = sorted((e - lead_e) // g for e in self.coeffs)[1:]
+        tail = [self.coeffs[lead_e + g * i] * unit for i in slots]
+        inv = [1]
+        for j in range(1, lim // g + 1):
+            below = slots[:bisect_right(slots, j)]
+            inv.append(-sum(map(mul, tail, map(inv.__getitem__, map(j.__sub__, below)))))
+        out = {g * j - lead_e: c * unit for j, c in enumerate(inv) if c}
+        return FracQSeries._of(self.denom, out, tail_order - Fraction(lead_e, self.denom))
 
     def substitute_power(self, k: int) -> "FracQSeries":
         """q -> q^k: multiplies every exponent (and the valid order) by k."""
-        return FracQSeries(self.denom, {e * k: c for e, c in self.coeffs.items()},
-                           self.order * k)
+        return FracQSeries._of(self.denom, {e * k: c for e, c in self.coeffs.items()},
+                               self.order * k)
 
     def truncated(self, order) -> "FracQSeries":
         order = Fraction(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return FracQSeries(self.denom, self.coeffs, order)
+        lim = math.floor(order * self.denom)
+        return FracQSeries._of(self.denom, {e: c for e, c in self.coeffs.items() if e <= lim},
+                               order)
 
     def __eq__(self, other):
         if not isinstance(other, FracQSeries):
@@ -119,13 +147,16 @@ class FracQSeries:
 
 
 def _euler_coeffs(e: int, n: int) -> list[int]:
-    """Int coefficients c(0..n) of prod_{m>=1} (1 - q^m)^e, from q d/dq log:
-    n c(n) = -e sum_{m=1}^{n} sigma(m) c(n - m), sigma the divisor sum, and
-    the division by n is exact because the c(n) are integers."""
-    sigma = [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(n + 1)]
-    c = [1] + [0] * n
+    """Int coefficients c(0..n) of prod_{m>=1} (1 - q^m)^e, none for n < 0,
+    from q d/dq log: n c(n) = -e sum_{m=1}^{n} sigma(m) c(n - m), sigma the
+    divisor sum (sieved), and the division by n is exact because the c(n)
+    are integers."""
+    sigma = [0] * n     # sigma(m) at index m - 1
+    for d in range(1, n + 1):
+        sigma[d - 1::d] = map(add, sigma[d - 1::d], repeat(d))
+    c = [1] if n >= 0 else []
     for j in range(1, n + 1):
-        c[j] = -e * sum(sigma[m] * c[j - m] for m in range(1, j + 1)) // j
+        c.append(-e * sum(map(mul, sigma, reversed(c))) // j)
     return c
 
 
@@ -135,8 +166,8 @@ def eta_power(d: int, order, k_scale: int = 1) -> FracQSeries:
     order = Fraction(order)
     denom = 24 * k_scale
     n = math.floor((order - Fraction(d, denom)) * k_scale)
-    coeffs = {d + 24 * m: c for m, c in enumerate(_euler_coeffs(d, n))}
-    return FracQSeries(denom, coeffs, order)
+    coeffs = {d + 24 * m: c for m, c in enumerate(_euler_coeffs(d, n)) if c}
+    return FracQSeries._of(denom, coeffs, order)
 
 
 def theta_series(L: Lattice, order, shift=None) -> FracQSeries:
@@ -157,10 +188,13 @@ def theta_series(L: Lattice, order, shift=None) -> FracQSeries:
             raise ValueError("shift not in the dual lattice")
         base = math.lcm(*(x.denominator for x in shift), 2)
         denom = 2 * base * base
-    counts = {half * denom: c for half, c in L.norm_counts(max(order, 0), shift).items()}
-    if any(e.denominator != 1 for e in counts):
-        raise ValueError(f"theta exponents off the 1/{denom} grid")
-    return FracQSeries(denom, {e.numerator: c for e, c in counts.items()}, order)
+    counts = {}
+    for half, c in L.norm_counts(max(order, 0), shift).items():
+        e, off = divmod(half.numerator * denom, half.denominator)
+        if off:
+            raise ValueError(f"theta exponents off the 1/{denom} grid")
+        counts[e] = c
+    return FracQSeries(denom, counts, order)
 
 
 def twisted_lead_exponent(K: Lattice, k: int) -> Fraction:
@@ -178,8 +212,8 @@ def _over_eta(theta: FracQSeries, d: int, k: int, order: Fraction) -> FracQSerie
     factor runs one unit past it, complete even where theta vanishes.  theta
     is read straight onto a grid that holds the eta factor's 1/(24k) too."""
     f = math.lcm(theta.denom, 24) // theta.denom
-    theta = FracQSeries(theta.denom * f * k, {e * f: c for e, c in theta.coeffs.items()},
-                        theta.order / k)
+    theta = FracQSeries._of(theta.denom * f * k, {e * f: c for e, c in theta.coeffs.items()},
+                            theta.order / k)
     return (theta * eta_power(-d, order + 1 - Fraction(d, 24 * k), k)).truncated(order)
 
 
@@ -208,7 +242,7 @@ def char_cycle_type(K: Lattice, cycle_lengths, order) -> FracQSeries:
     # each factor to the order that the other factors' leads leave it
     factors = [char_twisted(K, k_i, order - sum(leads) + lead)
                for k_i, lead in zip(cycle_lengths, leads)]
-    return functools.reduce(operator.mul, factors).truncated(order)
+    return functools.reduce(mul, factors).truncated(order)
 
 
 def compare_thm41(K: Lattice, k: int, order) -> list[Report]:

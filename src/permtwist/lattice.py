@@ -7,16 +7,17 @@ without pivoting: upper-triangular rows U with U[i][i] = D_{i+1}, the leading
 minors (D_0 = 1), and G = U^T diag(1/(D_i D_{i+1})) U.  The pivots give the
 definiteness check (Sylvester's criterion) and det; short-vector enumeration
 descends on the scaled ints of that factorization, so the lists are provably
-complete, and hands each leaf its vector's scaled norm, an int that it already
-holds: a theta series counts those norms, never recomputing one.  Dual cosets
+complete; each leaf takes the last coordinate as one progression of ints,
+and with no centre only half of the symmetric ball is walked.  Dual cosets
 are G^-1 y for y in the box 0 <= y_i < H_ii, H the Hermite normal form of G.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from itertools import product, repeat
+from operator import mul, neg
 
 from .exact import _rational_inverse
 
@@ -132,8 +133,15 @@ class Lattice:
     # -- enumeration -------------------------------------------------------
 
     def _descend(self, bound, center, leaf) -> int:
-        """Call leaf(coords, N) for each alpha with <v, v> <= 2*bound, where
-        v = alpha + center and N = m <v, v> is an int; return m."""
+        """Walk every alpha with <v, v> <= 2*bound, v = alpha + center, and
+        return m, the int that makes N = m <v, v> an int.
+
+        leaf(coords, xs, zs, spent, mult) stands for the alpha with coords[1:]
+        and alpha_0 = x in the range xs, each with N = spent + w_0 z^2 for
+        the matching z in the range zs, counted mult times.  With no centre
+        only 0 and the alpha whose highest nonzero coordinate is positive are
+        walked, each alpha != 0 with mult 2, for alpha and -alpha; a centre,
+        0 included, gives mult 1."""
         bound = Fraction(bound)
         if bound < 0:
             raise LatticeError("bound must be nonnegative")
@@ -141,7 +149,7 @@ class Lattice:
         # z = q U v is an int vector (q the centre's common denominator) and
         # m <v, v> = sum_i w_i z_i^2 with m = s q^2: N is the budget spent
         if center is None:
-            q, offsets = 1, [0] * n
+            q, offsets, mult = 1, [0] * n, 2
         else:
             if len(center) != n:
                 raise LatticeError(f"center has length {len(center)}, lattice rank {n}")
@@ -149,42 +157,67 @@ class Lattice:
             q = math.lcm(*(x.denominator for x in center))
             lifted = [x.numerator * (q // x.denominator) for x in center]
             offsets = [sum(rows[i][j] * lifted[j] for j in range(i, n)) for i in range(n)]
+            mult = 1
         steps = [q * rows[i][i] for i in range(n)]
         m = self._scale * q * q
         total = math.floor(bound * 2 * m)
         coords = [0] * n
 
-        def descend(i, remaining):
-            if i < 0:
-                leaf(coords, total - remaining)
+        def descend(i, remaining, t, half):
+            # z_i = step * x + t, and w_i z_i^2 <= remaining iff |z_i| <= h;
+            # half: no centre and every coordinate above i is 0, so t = 0
+            # and x = 0 keeps the walk on the half ball
+            step, w = steps[i], weights[i]
+            h = math.isqrt(remaining // w)
+            lo, hi = 1 if half else -((h + t) // step), (h - t) // step
+            if i == 0:
+                spent = total - remaining
+                if half:
+                    leaf(coords, range(1), range(1), spent, 1)
+                leaf(coords, range(lo, hi + 1), range(step * lo + t, step * hi + t + 1, step),
+                     spent, mult)
                 return
-            # z_i = step * x + t, and w_i z_i^2 <= remaining iff |z_i| <= h
-            row, step = rows[i], steps[i]
-            t = offsets[i] + q * sum(row[j] * coords[j] for j in range(i + 1, n))
-            h = math.isqrt(remaining // weights[i])
-            for x in range(-((h + t) // step), (h - t) // step + 1):
+            # the next coordinate's t is base + slope * x
+            row = rows[i - 1]
+            base = offsets[i - 1] + q * sum(map(mul, row[i + 1:], coords[i + 1:]))
+            slope = q * row[i]
+            if half:
+                descend(i - 1, remaining, base, True)
+            for x in range(lo, hi + 1):
                 coords[i] = x
                 z = step * x + t
-                descend(i - 1, remaining - weights[i] * z * z)
+                descend(i - 1, remaining - w * z * z, base + slope * x, False)
             coords[i] = 0
 
-        descend(n - 1, total)
+        descend(n - 1, total, offsets[n - 1], center is None)
         return m
 
     def enumerate_up_to_norm(self, bound, center=None) -> list[tuple[int, ...]]:
         """All alpha with <alpha + center, alpha + center> <= 2*bound (center
         a rational vector, None for 0), in lexicographic order."""
         found: list[tuple[int, ...]] = []
-        self._descend(bound, center, lambda coords, _: found.append(tuple(coords)))
+
+        def leaf(coords, xs, _zs, _spent, mult):
+            rest = coords[1:]
+            found.extend(zip(xs, *map(repeat, rest)))
+            if mult == 2:
+                found.extend(zip(map(neg, xs), *map(repeat, map(neg, rest))))
+        self._descend(bound, center, leaf)
         return sorted(found)
 
     def norm_counts(self, bound, center=None) -> dict[Fraction, int]:
         """{<v, v>/2: count} over v = alpha + center, <v, v> <= 2*bound."""
-        counts: dict[int, int] = {}
+        tally: dict = {}    # (spent, zs): how many vectors each progression stands for
 
-        def leaf(_, norm):
-            counts[norm] = counts.get(norm, 0) + 1
+        def leaf(_coords, _xs, zs, spent, mult):
+            key = spent, zs
+            tally[key] = tally.get(key, 0) + mult
         m = self._descend(bound, center, leaf)
+        w0, counts = self._weights[0], {}
+        for (spent, zs), c in tally.items():
+            for z in zs:
+                norm = spent + w0 * z * z
+                counts[norm] = counts.get(norm, 0) + c
         return {Fraction(norm, 2 * m): c for norm, c in counts.items()}
 
     # -- dual cosets ------------------------------------------------------
@@ -199,7 +232,7 @@ class Lattice:
         """
         h, ginv = hermite_rows(self.gram), self.gram_inverse()
         reps = [tuple(sum(g * y for g, y in zip(row, ys)) for row in ginv)
-                for ys in itertools.product(*(range(row[i]) for i, row in enumerate(h)))]
+                for ys in product(*(range(row[i]) for i, row in enumerate(h)))]
         reps.sort(key=lambda t: (any(t), t))
         return reps
 

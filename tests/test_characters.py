@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permtwist.characters import (FracQSeries, char_coset, char_cycle_type,
                                   char_twisted, char_voa, compare_thm41,
@@ -258,3 +260,63 @@ def test_characters_hold_only_ints():
     for series in results:
         assert series.coeffs
         assert all(type(c) is int for c in series.coeffs.values()), series
+
+
+def test_inverse_of_a_zero_series_is_refused():
+    # empty, and emptied because its one term lies above the order
+    for series in (FracQSeries(1, {}, 3), FracQSeries(24, {30: 1}, 1)):
+        with pytest.raises(ValueError, match="^zero series has no inverse$"):
+            series.inverse()
+
+
+def test_internal_results_keep_the_constructor_invariant():
+    # no zero coefficient and no exponent above the order, at edge orders
+    beta = next(b for b in A1.dual_coset_reps() if any(b))
+    empty = FracQSeries(24, {}, 2)
+    twisted = char_twisted(A1, 2, 3)
+    results = [
+        eta_power(1, Fraction(1, 48)), eta_power(2, Fraction(1, 24)),
+        eta_power(-1, Fraction(-1, 12)), eta_power(0, Fraction(-1, 2)),
+        eta_power(1, Fraction(1, 24)), eta_power(0, 3), eta_power(-3, 4, k_scale=2),
+        char_coset(A1, beta, Fraction(1, 5)), char_coset(A2, None, Fraction(-1, 12)),
+        twisted.truncated(Fraction(-1, 24)), twisted.truncated(Fraction(-1, 48)),
+        twisted.substitute_power(3), empty.substitute_power(2), twisted.rescaled(96),
+        eta_power(4, 3).inverse(), FracQSeries(1, {0: 2, 1: 1}, 6).inverse(),
+        FracQSeries(48, {5: -1}, 2).inverse(), FracQSeries(1, {0: 1, 1: 1, 2: 1}, 6).inverse(),
+        twisted * empty, empty * twisted, empty * empty,
+        twisted * char_coset(A1, beta, Fraction(1, 5)),
+    ]
+    for series in results:
+        # the same series again, through the public constructor's checks
+        rebuilt = FracQSeries(series.denom, series.coeffs, series.order)
+        assert (series.denom, series.order, series.coeffs) == \
+            (rebuilt.denom, rebuilt.order, rebuilt.coeffs), series
+    assert not eta_power(1, Fraction(1, 48)).coeffs
+    assert eta_power(1, Fraction(1, 24)).items() == [(Fraction(1, 24), 1)]
+
+
+_EXPONENT = st.integers(-30, 60)
+_COEFF = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def _series_parts(draw):
+    """(denom, coeffs, order) for a series that may be empty, one term, or
+    vanish to its order (every term above it)."""
+    denom = draw(st.sampled_from([1, 2, 3, 8, 24, 48]))
+    coeffs = draw(st.dictionaries(_EXPONENT, _COEFF, max_size=draw(st.sampled_from([0, 1, 6]))))
+    order = draw(st.fractions(-1, 2, max_denominator=48))
+    return denom, coeffs, order
+
+
+@settings(deadline=None, max_examples=300)
+@given(_series_parts(), _series_parts())
+@example((24, {}, Fraction(1)), (48, {3: 1, 7: -2}, Fraction(1)))
+@example((24, {30: 1}, Fraction(1)), (2, {0: 1, 1: 2}, Fraction(3, 2)))
+@example((3, {2: 5}, Fraction(2)), (8, {-1: 1}, Fraction(1, 2)))
+def test_series_product_matches_reference(left, right):
+    got = FracQSeries(*left) * FracQSeries(*right)
+    want = ref.RefSeries(*left) * ref.RefSeries(*right)
+    _same_series(got, want)
+    if got.coeffs:
+        _same_series(got.inverse(), want.inverse())

@@ -39,6 +39,14 @@ def _gram(draw):
     return gram
 
 
+def _box_search(lattice, bound):
+    """Every alpha with <alpha, alpha> <= 2 * bound, from the box around 0."""
+    ginv = lattice.gram_inverse()
+    box = [isqrt(floor(2 * bound * ginv[i][i])) for i in range(lattice.rank)]
+    return [x for x in product(*(range(-b, b + 1) for b in box))
+            if lattice.inner(x, x) <= 2 * bound]
+
+
 @settings(deadline=None, max_examples=150)
 @given(_gram(), st.fractions(0, 3, max_denominator=4))
 def test_enumerate_up_to_norm_matches_box_search(gram, bound):
@@ -46,11 +54,21 @@ def test_enumerate_up_to_norm_matches_box_search(gram, bound):
         lattice = Lattice(gram)
     except LatticeError:
         assume(False)
-    ginv = lattice.gram_inverse()
-    box = [isqrt(floor(2 * bound * ginv[i][i])) for i in range(lattice.rank)]
-    brute = [x for x in product(*(range(-b, b + 1) for b in box))
-             if lattice.inner(x, x) <= 2 * bound]
-    assert lattice.enumerate_up_to_norm(bound) == sorted(brute)
+    assert lattice.enumerate_up_to_norm(bound) == sorted(_box_search(lattice, bound))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gram(), st.fractions(0, 3, max_denominator=4))
+@example([[2, 1], [1, 2]], Fraction(6))
+@example([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], Fraction(5, 2))
+def test_uncentred_norm_counts_match_box_search(gram, bound):
+    # the path a theta series takes: half the ball walked, each v != 0 twice
+    try:
+        lattice = Lattice(gram)
+    except LatticeError:
+        assume(False)
+    halves = Counter(Fraction(lattice.inner(x, x), 2) for x in _box_search(lattice, bound))
+    assert lattice.norm_counts(bound) == dict(halves)
 
 
 @settings(deadline=None, max_examples=150)
