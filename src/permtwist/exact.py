@@ -104,8 +104,9 @@ class CycField:
         return _cyc(self, (1,) + self._zero_num[1:], 1)
 
     def from_rat(self, r) -> "Cyc":
+        """The rational r, an int or a Fraction; anything else raises."""
         if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
+            raise TypeError(f"from_rat takes an int or a Fraction, not {type(r).__name__}")
         return _cyc(self, (r.numerator,) + self._zero_num[1:], r.denominator)
 
     def zeta(self, e: int = 1) -> "Cyc":

@@ -42,9 +42,12 @@ Rational weights stay ints until they meet a state coefficient.  Over
 den = 1/step, the pairing on the grid is the int Gram entry over den^2,
 the zero-mode eigenvalue <b_i, g> over den, and the dual form its int
 entries over det, the determinant of the lattice; a scale arrives as an
-int pair (p, q) for p/q.  `_mode_into` and `_virasoro_into` sum the int
-weights of each output monomial and multiply its coefficient once, by
-`Cyc._scale` with one gcd; a unit weight multiplies nothing.
+int pair (p, q) for p/q.  `Sector.mode_into` is the one mode action: it
+inserts a creation mode itself, and one routine, `_lowered`, gives the
+terms and int weights of every other mode, for it and for each raised
+mode in `_virasoro_into`.  Both multiply an output coefficient once, by
+`Cyc._scale` with one gcd (`_virasoro_into` after summing the weights of
+each output monomial); a unit weight multiplies nothing.
 """
 
 from __future__ import annotations
@@ -279,17 +282,42 @@ class Sector:
 
     def mode_into(self, n: int, vec, terms: dict, scale: tuple, out: dict) -> None:
         """Add p/q * h(n * step) applied to `terms` into the accumulator
-        `out`, for scale = (p, q) and `vec` the split `Sector.vector` of h."""
+        `out`, for scale = (p, q), q > 0, and `vec` h split by residue as
+        `Sector.vector` splits it: the one mode action of the Fock layer.
+
+        Each coefficient (1, an int, a Fraction or a Cyc) meets the scale
+        once.  A creation mode is inserted here, and every other mode's
+        terms come from `_lowered`; each output coefficient then takes one
+        `Cyc._scale`, or one product for a Cyc coefficient.  `terms` holds
+        no zero coefficient, so a zero arises only by cancellation in `out`,
+        which drops it."""
         p, q = scale
-        for i, c in vec[n % self.den]:
+        den = self.den
+        d2 = den * den
+        for i, c in vec[n % den]:
+            cyc = None
             # a coefficient 1, as on a unit vector, leaves the scale as it is
             if c == 1:
-                s = scale
+                a, b = p, q
             elif isinstance(c, int):
-                s = (c * p, q)
+                a, b = c * p, q
+            elif isinstance(c, Fraction):
+                a, b = c.numerator * p, c.denominator * q
             else:
-                s = c._scale(p, q)
-            _mode_into(self, n, i, terms, s, out)
+                cyc = c._scale(p, q)
+            if n < 0:
+                key = (n, i)
+                for mono, x in terms.items():
+                    modes = mono.grid
+                    at = bisect_right(modes, key)
+                    new = FockMono(modes[:at] + (key,) + modes[at:], mono.ground, den)
+                    _accumulate(out, new, x._scale(a, b) if cyc is None else x * cyc)
+                continue
+            for mono, x in terms.items():
+                g = mono.ground
+                for grid, h in _lowered(self, n, i, mono.grid, 0, g):
+                    _accumulate(out, FockMono(grid, g, den),
+                                x._scale(a * h, b * d2) if cyc is None else x * cyc._scale(h, d2))
 
     def x_exponent(self, beta, ground) -> int:
         """The power of x the group element over beta brings on a ground label,
@@ -344,90 +372,52 @@ def _merge_into(out: dict, terms: dict) -> None:
         _accumulate(out, mono, c)
 
 
-def _mode_into(sector: Sector, n: int, i, terms: dict, scale, out: dict) -> None:
-    """Add scale * b_i(n * step) applied to `terms` into the accumulator `out`.
+def _lowered(sector: Sector, s: int, i, modes: tuple, start: int, ground) -> list:
+    """b_i(s * step), s >= 0, on the sorted grid `modes` over `ground`: the
+    (grid, h) pairs of its terms, each of weight h / den^2.
 
-    `n` is a mode in grid steps and `scale` a nonzero rational p/q as the
-    int pair (p, q), q > 0, or a nonzero Cyc.  The weight of an output term
-    is an int w over D: 1 for a creation, n times the Gram entry over den^2
-    for an annihilation, the eigenvalue over den for the zero mode.  Each
-    coefficient meets p w / (q D) in one `Cyc._scale`, or, for a Cyc scale,
-    scale * w / D, formed once per distinct weight, in one product.  `terms`
-    holds no zero coefficient, so every contribution is nonzero and only
-    cancellation inside `out` can produce a zero, which is dropped on the
-    spot.
-    """
-    den = sector.den
-    cyc = not isinstance(scale, tuple)
-    p, q = (1, 1) if cyc else scale
-    if n < 0:
-        key = (n, i)
-        unit = not cyc and p == q
-        for mono, c in terms.items():
-            modes = mono.grid
-            pos = bisect_right(modes, key)
-            new = FockMono(modes[:pos] + (key,) + modes[pos:], mono.ground, den)
-            _accumulate(out, new, c * scale if cyc else c if unit else c._scale(p, q))
-        return
-    if n > 0:
-        row, d2 = sector.lattice.gram[i], den * den
-        factors = {}    # (colour j, multiplicity) -> its factor, None when zero
-        m = -n
-        head = (m,)
-        for mono, c in terms.items():
-            modes = mono.grid
-            end = len(modes)
-            pos = bisect_left(modes, head)
-            # the modes at -n are contiguous, one run per colour
-            while pos < end and modes[pos][0] == m:
-                j = modes[pos][1]
-                nxt = pos + 1
-                while nxt < end and modes[nxt] == modes[pos]:
-                    nxt += 1
-                key = (j, nxt - pos)
-                if key in factors:
-                    f = factors[key]
-                else:
-                    w = n * row[j] * key[1]
-                    f = factors[key] = (None if not w else scale._scale(w, d2) if cyc
-                                        else (p * w, q * d2))
-                if f is not None:
-                    new = FockMono(modes[:pos] + modes[pos + 1:], mono.ground, den)
-                    _accumulate(out, new, c * f if cyc else c._scale(*f))
-                pos = nxt
-        return
-    eigen = {}          # ground label -> its factor, None when zero
-    for mono, c in terms.items():
-        g = mono.ground
-        if g in eigen:
-            f = eigen[g]
-        else:
-            ev = sector.eigenvalue(i, g)
-            f = eigen[g] = (None if not ev else scale._scale(ev, den) if cyc
-                            else (p * ev, q * den))
-        if f is not None:
-            _accumulate(out, mono, c * f if cyc else c._scale(*f))
+    For s > 0 each run of modes at -s from index `start` on contracts, with
+    weight s times the Gram entry times the run's length; for s = 0 the grid
+    stays, with weight den * <b_i, g>.  A zero weight brings no term."""
+    if not s:
+        ev = sector.eigenvalue(i, ground)
+        return [(modes, sector.den * ev)] if ev else []
+    row, m = sector.lattice.gram[i], -s
+    end = len(modes)
+    at = bisect_left(modes, (m,), start)
+    out = []
+    # the modes at -s are contiguous, one run per colour
+    while at < end and modes[at][0] == m:
+        nxt = at + 1
+        while nxt < end and modes[nxt] == modes[at]:
+            nxt += 1
+        pair = row[modes[at][1]]
+        if pair:
+            out.append((modes[:at] + modes[at + 1:], s * pair * (nxt - at)))
+        at = nxt
+    return out
 
 
 def apply_mode(system, n, i, sv: StateVector) -> StateVector:
     """Apply the basis mode b_i(n): creation, annihilation or zero mode."""
     sector = Sector.of(system, sv.sector)
     out = {}
-    _mode_into(sector, sector.grid(n), sector.colour(i), sv.terms, (1, 1), out)
+    vec = (((sector.colour(i), 1),),) * sector.den
+    sector.mode_into(sector.grid(n), vec, sv.terms, (1, 1), out)
     return StateVector._of(system, sv.sector, out)
 
 
 def apply_vector_mode(system, n, coords, sv: StateVector) -> StateVector:
-    """Apply h(n) for h given by mode-basis coordinates (scalar entries)."""
+    """Apply h(n) for h given by its coordinates (ints, Fractions or Cycs) in
+    the sector's mode basis: in T the first-block generators b_i, so h is
+    taken as it is, not projected (`apply_twisted_vector_mode` takes ambient
+    L coordinates)."""
     sector = Sector.of(system, sv.sector)
     if len(coords) != sector.lattice.rank:
         raise ValueError(f"vector {tuple(coords)} needs {sector.lattice.rank} coordinates")
-    n = sector.grid(n)
     out = {}
-    for i, c in enumerate(coords):
-        if c != 0:
-            scale = c if isinstance(c, Cyc) else (c.numerator, c.denominator)
-            _mode_into(sector, n, i, sv.terms, scale, out)
+    vec = (tuple((i, c) for i, c in enumerate(coords) if c != 0),) * sector.den
+    sector.mode_into(sector.grid(n), vec, sv.terms, (1, 1), out)
     return StateVector._of(system, sv.sector, out)
 
 
@@ -527,20 +517,20 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, scale: tuple, out: dict)
     [L(j), b_c(t)] = -t u^2 b_c(t + j), u the step in T and 1 in K and L,
     on each mode in grid order, and then on |g>.  The mode b_c(t + j) is a
     creation mode, or an annihilation mode that contracts with the modes
-    after it only (those before it commute past), or the zero mode.  On |g>,
-    L(j) vanishes for j > 0, is u^2 <g, g> / 2 for j = 0, and for j < 0 is
-    sum_a u g_a b_a(j) plus half the dual-basis quadratic over the pairs of
-    negative modes (j - n, n).  So L(0) keeps each monomial and scales it
-    by one summed weight.  Every weight is an int over W = 2 det den^4,
-    u = 1/den; the weights of one monomial are summed per output grid before
-    its coefficient meets p w / (q W) once."""
+    after it only (those before it commute past), or the zero mode, both
+    through `_lowered`.  On |g>, L(j) vanishes for j > 0, is u^2 <g, g> / 2
+    for j = 0, and for j < 0 is sum_a u g_a b_a(j) plus half the dual-basis
+    quadratic over the pairs of negative modes (j - n, n).  So L(0) keeps
+    each monomial and scales it by one summed weight.  Every weight is an
+    int over W = 2 det den^4, u = 1/den; the weights of one monomial are
+    summed per output grid before its coefficient meets p w / (q W) once."""
     p, q = scale
-    den, gram = sector.den, sector.lattice.gram
+    den = sector.den
     det = sector.lattice.det
     d2, d4 = den * den, den ** 4
-    # W times u^2, u^4, u^3 and u: the weights of a creation, an
-    # annihilation, a zero mode and a ground current
-    w2, w4, w3, w1 = 2 * det * d2, 2 * det, 2 * det * den, 2 * det * den ** 3
+    # W times u^2 and u: the weights of a creation and a ground current; a
+    # lowered mode's h / den^2 times u^2 is h 2 det over W
+    w2, w1 = 2 * det * d2, 2 * det * den ** 3
     qW = q * 2 * det * d4
     # L(j)|0> for j < 0, the quadratic part of every L(j)|g>: {grid: weight};
     # f / (2 det) is f den^4 over W
@@ -560,7 +550,6 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, scale: tuple, out: dict)
             if w:
                 _accumulate(out, mono, c._scale(p * w, qW))
             continue
-        end = len(modes)
         weights: dict = {}      # output grid -> summed int weight
         for pos, (t, i) in enumerate(modes):
             s = t + j
@@ -570,19 +559,9 @@ def _virasoro_into(sector: Sector, j: int, terms: dict, scale: tuple, out: dict)
                 at = bisect_right(rest, key)
                 new = rest[:at] + (key,) + rest[at:]
                 weights[new] = weights.get(new, 0) - t * w2
-            elif s > 0:
-                row, m = gram[i], -s
-                at = bisect_left(modes, (m,), pos + 1)
-                while at < end and modes[at][0] == m:
-                    pair = row[modes[at][1]]
-                    if pair:
-                        new = rest[:at - 1] + rest[at:]
-                        weights[new] = weights.get(new, 0) - t * s * pair * w4
-                    at += 1
-            else:
-                ev = sector.eigenvalue(i, g)
-                if ev:
-                    weights[rest] = weights.get(rest, 0) - t * ev * w3
+                continue
+            for new, h in _lowered(sector, s, i, rest, pos, g):
+                weights[new] = weights.get(new, 0) - t * h * 2 * det
         if j < 0:
             current = [(((j, a),), x * w1) for a, x in enumerate(g) if x]
             for extra, w in current + quadratic:

@@ -125,3 +125,11 @@ def test_rational_conversion_and_powers():
     with pytest.raises(ValueError):
         z.as_rational()
     assert field.from_rat(Fraction(3, 7)).as_rational() == Fraction(3, 7)
+
+
+@pytest.mark.parametrize("r", [0.1, 2.0, "1/2", None])
+def test_from_rat_takes_only_ints_and_fractions(r):
+    # no floating point anywhere: a float is refused, not rounded to the
+    # binary fraction it stores
+    with pytest.raises(TypeError):
+        CycField(6).from_rat(r)

@@ -16,7 +16,7 @@ import pytest
 import fock_reference as reference
 from permtwist.cocycle import TwistSystem
 from permtwist.coeffs import c_coeffs, ef_apply, ef_inverse_apply, exp_delta_apply
-from permtwist.fock import (StateVector, apply_mode, apply_vector_mode, ground_state,
+from permtwist.fock import (Sector, StateVector, apply_mode, apply_vector_mode, ground_state,
                             omega_state, twisted_L0, twisted_vacuum_weight, vacuum,
                             virasoro_L, weight, weight_basis)
 from permtwist.isomap import generator_family
@@ -87,6 +87,32 @@ def test_apply_vector_mode_matches_reference(system, sector):
         for n in _modes(system, sector):
             assert (apply_vector_mode(system, n, coords, sv)
                     == reference.apply_vector_mode(system, n, coords, sv))
+
+
+@pytest.mark.parametrize("sector", ["K", "L", "T"])
+def test_sector_mode_into_matches_reference_at_a_scale(system, sector):
+    # the engine's entry point at a scale p/q != 1, on a unit, an int, a
+    # Fraction and a Cyc coefficient alone and then together, at creation,
+    # lowering and zero modes; in K and L the split comes from
+    # Sector.vector, in T it holds the first-block coordinates at every
+    # residue as apply_vector_mode reads them
+    desc = Sector.of(system, sector)
+    rank = _colours(system, sector)
+    p, q = -3, 2
+    entries = [1, -2, Fraction(1, 2), system.eta_pow(1)]
+    vectors = [(c,) + (0,) * (rank - 1) for c in entries]
+    vectors.append(tuple(entries[t % len(entries)] for t in range(rank)))
+    for coords in vectors:
+        if sector == "T":
+            vec = (tuple((i, c) for i, c in enumerate(coords) if c != 0),) * desc.den
+        else:
+            vec = desc.vector(coords)
+        for sv in _states(system, sector, 1):
+            for n in _modes(system, sector):
+                out = {}
+                desc.mode_into(desc.grid(n), vec, sv.terms, (p, q), out)
+                expect = reference.apply_vector_mode(system, n, coords, sv).scaled(Fraction(p, q))
+                assert StateVector(system, sector, out) == expect
 
 
 def test_virasoro_L_matches_reference(system):
