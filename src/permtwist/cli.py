@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import characters, coeffs, isomap
 from .cocycle import TwistSystem
 from .exact import lemma_root_sum
-from .fock import weight_basis
+from .fock import twisted_vacuum_weight, weight_basis
 from .lattice import Lattice, LatticeError
 from .report import Report
 
@@ -189,6 +189,10 @@ def run_iso(cfg: RunConfig) -> list[Report]:
         if value < 0:
             raise UsageError(f"{flag} {value} is negative")
     system = TwistSystem(cfg.lattice, cfg.k)
+    lead = twisted_vacuum_weight(system)
+    if cfg.weight_cutoff < lead:
+        raise UsageError(f"--weight-cutoff {cfg.weight_cutoff} is below the twisted "
+                         f"vacuum weight {lead}")
     basis = weight_basis(system, "T", cfg.weight_cutoff)
     modes = isomap.default_mode_set(system, cfg.mode_bound)
     return isomap.intertwine_generators(system, basis, modes)

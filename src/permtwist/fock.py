@@ -111,12 +111,15 @@ class StateVector:
     @classmethod
     def monomial(cls, system, sector, modes, ground):
         """The monomial of the (mode, colour) pairs `modes` on `ground`; an
-        off-grid mode, an unknown colour or a wrong-length ground raises."""
+        off-grid or non-creation (n >= 0) mode, an unknown colour or a
+        wrong-length ground raises."""
         desc = Sector.of(system, sector)
         ground = tuple(ground)
         if len(ground) != desc.lattice.rank:
             raise ValueError(f"ground label {ground} needs {desc.lattice.rank} entries")
         grid = tuple(sorted((desc.grid(n), desc.colour(i)) for n, i in modes))
+        if grid and grid[-1][0] >= 0:
+            raise ValueError(f"mode {Fraction(grid[-1][0], desc.den)} is not a creation mode")
         return cls._of(system, sector, {FockMono(grid, ground, desc.den): system.field.one()})
 
     @classmethod

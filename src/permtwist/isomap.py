@@ -5,7 +5,8 @@ first-block creation mode at a fractional degree becomes (1/k) times the
 integer-degree base mode, and the group-algebra label at the diagonal coset
 of a K-vector becomes the corresponding lattice label.  F is normalized by
 fixing the vacuum.  The intertwining property against the two twisted
-operator families is *checked*, never imposed.
+operator families is *checked*, never imposed, by one loop over both
+windows (`_comparisons`) that yields a witness per state and mode.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def general_mode_image(system: TwistSystem, alphas, n) -> ConjugatedMode:
 
 def intertwine_check(system: TwistSystem, u: StateVector, v: StateVector,
                      modes, label: str = "") -> list[Report]:
-    """Compare both twisted actions of u through the isomorphism, mode by mode.
-
-    Each side is extracted for the whole mode window at once.
-    """
-    modes = list(modes)
-    worldsheet = next(worldsheet_twisted_windows(system, u, modes, [f_apply(system, v)]))
-    spacetime = next(spacetime_twisted_windows(system, u, modes, [v]))
-    return _compare(system, worldsheet, spacetime, label)
+    """Compare both twisted actions of u through the isomorphism, mode by
+    mode: one report per mode.  Each side is extracted for the whole mode
+    window at once."""
+    return [Report(check_id=f"intertwine[{label}][n={n}]",
+                   anchor="twisted-operator-intertwining",
+                   status="fail" if witness else "pass",
+                   witness=witness)
+            for n, witness, _ in _comparisons(system, u, [v], [f_apply(system, v)], list(modes))]
 
 
 def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
@@ -95,55 +96,49 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
 
     Each generator's exp(Delta_x) u is computed once for the whole basis,
     and E_f once per distinct V_K slot state of the family (the slot
-    currents share one).  A generator fails unless some comparison has a
-    nonzero space-time image: 0 = 0 alone would pass an engine that
-    computes nothing.
+    currents share one).  The witness is the first failure in (basis, mode)
+    order, else the number of modes checked.  A generator fails unless some
+    comparison has a nonzero space-time image: 0 = 0 alone would pass an
+    engine that computes nothing.
     """
     modes = list(modes)
     images = [f_apply(system, v) for v in basis]
     out = []
     for name, u in generator_family(system):
-        worldsheet = worldsheet_twisted_windows(system, u, modes, images)
-        spacetime = spacetime_twisted_windows(system, u, modes, basis)
-        failures = []
+        failure = ""
         count = nonzero = 0
-        for ws, st in zip(worldsheet, spacetime):
-            for rep in _compare(system, ws, st, name):
-                count += 1
-                if not rep.passed:
-                    failures.append(rep.witness)
-            nonzero += sum(not image.is_zero() for image in st.values())
-        witness = f"{count} modes checked"
-        if failures:
-            witness = failures[0]
-        elif count and not nonzero:
+        for _, witness, zero in _comparisons(system, u, basis, images, modes):
+            count += 1
+            nonzero += not zero
+            failure = failure or witness
+        witness = failure or f"{count} modes checked"
+        if count and not nonzero and not failure:
             witness += ", every image zero"
         out.append(Report(
             check_id=f"intertwine[{name}]",
             anchor="twisted-operator-intertwining",
-            status="pass" if nonzero and not failures else "fail",
+            status="pass" if nonzero and not failure else "fail",
             witness=witness))
     return out
 
 
-def _compare(system, worldsheet: dict, spacetime: dict, label: str) -> list[Report]:
-    """One report per mode of the two windows, which list the same modes in
-    the same order: the worldsheet image against F of the space-time one."""
-    reports = []
-    for (n, lhs), image in zip(worldsheet.items(), spacetime.values()):
-        rhs = f_apply(system, image)
-        ok = lhs == rhs
-        witness = ""
-        if not ok:
-            diff = lhs - rhs
-            mono = next(iter(diff.terms))
-            witness = f"mode {n}: first difference at {mono}: {diff.terms[mono]}"
-        reports.append(Report(
-            check_id=f"intertwine[{label}][n={n}]",
-            anchor="twisted-operator-intertwining",
-            status="pass" if ok else "fail",
-            witness=witness))
-    return reports
+def _comparisons(system, u: StateVector, states, images, modes: list):
+    """Yields (n, witness, whether the space-time image is zero) for each
+    state v of states and each mode n in turn: the worldsheet image of F v,
+    from images, against F of the space-time image of v.  The witness is ""
+    when they agree, else the first monomial where they differ."""
+    worldsheet = worldsheet_twisted_windows(system, u, modes, images)
+    spacetime = spacetime_twisted_windows(system, u, modes, states)
+    for ws, st in zip(worldsheet, spacetime):
+        # both windows list the same modes in the same order
+        for (n, lhs), image in zip(ws.items(), st.values()):
+            rhs = f_apply(system, image)
+            witness = ""
+            if lhs != rhs:
+                diff = lhs - rhs
+                mono = next(iter(diff.terms))
+                witness = f"mode {n}: first difference at {mono}: {diff.terms[mono]}"
+            yield n, witness, image.is_zero()
 
 
 def default_mode_set(system: TwistSystem, bound) -> list[Fraction]:

@@ -46,10 +46,10 @@ has 2^r masks, the choices of which factors create.  The factors that
 annihilate act first, and the table of each annihilated set is built once,
 from the set without its highest factor: 2^r - 1 factor passes, not
 r 2^(r-1).  A set whose table is empty is dropped, and with it every set
-and mask built on it.  With no ground label no creation exponential
-follows, so the last stage (the last deferred creation factor, or the last
-annihilation factor when none is deferred) applies only the modes that
-land on a target.
+and mask built on it.  Each factor pass (`_factor_apply`) picks its own
+modes.  With no ground label no creation exponential follows, so the last
+stage (the last deferred creation factor, or the last annihilation factor
+when none is deferred) applies only the modes that land on a target.
 
 Normal ordering: creation modes and group elements act last; annihilation
 and zero modes and the formal x-power of the ground label act first.
@@ -99,24 +99,32 @@ def _positive_levels(terms: dict):
 # -- exponent-keyed tables {e: {FockMono: Cyc}} --------------------------------------
 
 
-def _factor_apply(sector: Sector, table: dict, nt: int, vec, modes) -> dict:
+def _factor_apply(sector: Sector, table: dict, nt: int, vec, room=None, targets=None) -> dict:
     """A derivative factor of order nt on an exponent-keyed table.
 
-    For every entry (e, terms) and every m in modes(e, terms),
-    _dcoeff(m) * h(m) terms lands at exponent e - m - nt * den, through
-    Sector.mode_into, for vec the `Sector.vector` of h.  A mode whose residue
-    entry of vec is empty is skipped: an eigen factor runs over one residue,
-    and so is a mode whose coefficient is zero.
+    For every entry (e, terms) and mode m, _dcoeff(m) * h(m) terms lands at
+    exponent e - m - nt * den, through Sector.mode_into, for vec the
+    `Sector.vector` of h.  The modes are the zero mode and the annihilation
+    modes at the levels present in the terms, or with room the creation
+    modes -1, -2, ... down to the last that lands at or below room.  Skipped
+    are a mode landing off targets when they are given, a mode whose residue
+    entry of vec is empty (an eigen factor runs over one residue) and a mode
+    whose coefficient is zero.
     """
     den = sector.den
+    shift = nt * den
     out: dict = {}
     for e, terms in table.items():
-        for m in modes(e, terms):
-            if not vec[m % den]:
+        if room is None:
+            modes = [0] + _positive_levels(terms)
+        else:
+            modes = range(-1, e - shift - room - 1, -1)
+        for m in modes:
+            if not vec[m % den] or targets is not None and e - m - shift not in targets:
                 continue
             c = _dcoeff(m, nt, den)
             if c[0]:
-                sector.mode_into(m, vec, terms, c, out.setdefault(e - m - nt * den, {}))
+                sector.mode_into(m, vec, terms, c, out.setdefault(e - m - shift, {}))
     return {e: t for e, t in out.items() if t}
 
 
@@ -205,18 +213,11 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
     creation exponential is applied, once, up to the largest target.  With
     no ground label nothing follows the last stage, the last deferred
     creation factor or, when none is deferred, the last annihilation factor,
-    so it takes only the modes that land on a target.
+    so it is handed the targets and takes only the modes that land on one.
     """
     den = sector.den
     targets = frozenset(targets)
     top = max(targets)
-
-    def annihilation(e, ts):
-        return [0] + _positive_levels(ts)
-
-    def landing(modes, shift):
-        # the modes m that take an entry at e to a target, e - m - shift
-        return lambda e, ts: [m for m in modes(e, ts) if e - m - shift in targets]
 
     # ground label of u -> (its vector, table before its creation exponential)
     pending: dict = {}
@@ -236,10 +237,8 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                 if table is None:
                     continue
                 nt, vec = factors[t]
-                modes = annihilation
-                if s == full and not bvec:
-                    modes = landing(modes, nt * den)
-                table = _factor_apply(sector, table, nt, vec, modes)
+                last = s == full and not bvec
+                table = _factor_apply(sector, table, nt, vec, targets=targets if last else None)
                 if table:
                     annihilated[s] = table
             for mask in range(1 << r):
@@ -252,14 +251,8 @@ def _series(sector: Sector, terms, v: StateVector, targets) -> dict:
                 for idx, (nt, vec) in enumerate(deferred):
                     # leave room for the least the later factors must add
                     room = top - sum(1 - nt2 * den for nt2, _ in deferred[idx + 1:])
-                    shift = nt * den
-
-                    def modes(e, ts, room=room, shift=shift):
-                        return [-j for j in range(1, room - e + shift + 1)]
-
-                    if idx == len(deferred) - 1 and not bvec:
-                        modes = landing(modes, shift)
-                    table = _factor_apply(sector, table, nt, vec, modes)
+                    last = idx == len(deferred) - 1 and not bvec
+                    table = _factor_apply(sector, table, nt, vec, room, targets if last else None)
                 for e, ts in table.items():
                     if e <= top:
                         _merge_into(acc.setdefault(e, {}), ts)

@@ -206,12 +206,15 @@ def test_chars_on_a_bound_with_empty_shells():
 
 @pytest.mark.parametrize("flag, value", [("--weight-cutoff", "0")])
 def test_iso_that_compares_nothing_fails(tmp_path, capsys, flag, value):
+    # below the twisted vacuum weight 1/16 the basis is empty: a usage error,
+    # never a check that fails (isomap's own guard is tested in test_isomap)
     path = write(tmp_path, "name = A1\nrank = 1\ngram = [[2]]\n")
     rc = main(["iso", "--lattice", path, "--k", "2", flag, value, "--format", "machine"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == 1
-    assert len(lines) == 4
-    assert all("status=fail" in line and "'0 modes checked'" in line for line in lines)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flag} {value} is below the twisted vacuum weight 1/16"]
 
 
 @pytest.mark.parametrize("subcommand", ["iso", "verify-all"])

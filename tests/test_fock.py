@@ -107,6 +107,18 @@ def test_monomial_rejects_off_grid_modes(sector, mode, message):
         StateVector.monomial(s, sector, [(Fraction(-1), 0), (mode, 0)], ground)
 
 
+@pytest.mark.parametrize("sector, mode", [
+    ("K", 0), ("K", 1), ("L", 0), ("L", 2), ("T", Fraction(0)), ("T", Fraction(1, 3)),
+], ids=["K-0", "K-1", "L-0", "L-2", "T-0", "T-1/3"])
+def test_monomial_rejects_modes_that_do_not_create(sector, mode):
+    # a Fock basis monomial holds creation modes only: b(0) and b(n > 0)
+    # act on states, they never label one
+    s = TwistSystem(A1, 3)
+    ground = (0,) * (s.L.rank if sector == "L" else s.d)
+    with pytest.raises(ValueError, match=re.escape(f"mode {mode} is not a creation mode")):
+        StateVector.monomial(s, sector, [(Fraction(-1), 0), (mode, 0)], ground)
+
+
 @pytest.mark.parametrize("sector, rank", [("K", 2), ("L", 6), ("T", 2)])
 def test_ground_label_of_the_wrong_length_is_refused(sector, rank):
     # a ground label is never padded or cut to the rank of the sector's lattice

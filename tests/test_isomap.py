@@ -7,7 +7,7 @@ import pytest
 
 import extraction_reference as reference
 import fock_reference
-from permtwist import coeffs, vertexops
+from permtwist import coeffs, isomap, vertexops
 from permtwist.cli import RunConfig, run_iso
 from permtwist.cocycle import TwistSystem
 from permtwist.fock import (Sector, StateVector, apply_mode, apply_vector_mode,
@@ -166,6 +166,44 @@ def test_intertwining_low_weight(system):
         # the whole-basis report agrees with the per-state checks
         assert rep.check_id == f"intertwine[{name}]"
         assert rep.passed and rep.witness == f"{checked} modes checked"
+
+
+def test_iso_over_an_empty_basis_fails():
+    # a comparison of nothing never passes
+    system = TwistSystem(A1, 2)
+    reports = intertwine_generators(system, [], default_mode_set(system, 1))
+    assert len(reports) == len(generator_family(system))
+    assert all(r.status == "fail" and r.witness == "0 modes checked" for r in reports)
+
+
+def test_iso_witness_is_the_first_failure_in_basis_and_mode_order(monkeypatch):
+    # one wrong monomial in the space-time image of one mode of one state,
+    # neither of them the first: every generator fails on exactly that mode
+    system = TwistSystem(A1, 2)
+    basis = weight_basis(system, "T", 1)
+    modes = default_mode_set(system, 1)
+    target, n = basis[1], modes[2]
+    extra = StateVector.monomial(system, "T", [(Fraction(-1, 2), 0)], (0,))
+    windows = vertexops.spacetime_twisted_windows
+
+    def perturbed(system, u, modes, states):
+        states = list(states)
+        for v, out in zip(states, windows(system, u, modes, states)):
+            if v == target:
+                out[n] = out[n] + extra
+            yield out
+
+    monkeypatch.setattr(isomap, "spacetime_twisted_windows", perturbed)
+    (mono, c), = f_apply(system, extra).terms.items()
+    witness = f"mode {n}: first difference at {mono}: {-c}"
+    reports = intertwine_generators(system, basis, modes)
+    assert len(reports) == len(generator_family(system))
+    assert all(r.status == "fail" and r.witness == witness for r in reports)
+    for name, u in generator_family(system):
+        failed = [r for r in intertwine_check(system, u, target, modes, label=name)
+                  if not r.passed]
+        assert [(r.check_id, r.witness) for r in failed] == [
+            (f"intertwine[{name}][n={n}]", witness)]
 
 
 def test_iso_computes_each_generator_series_once(monkeypatch):
