@@ -6,6 +6,13 @@ central extensions (commutator maps C0 and C) realized through concrete
 bimultiplicative sections, the lift of the shift to the extensions, the
 character tau on the degree-zero subgroup, and the scalar sigma.
 
+Every pairing <nu^m alpha, beta> is read by `_pairings` from one table on
+L's unit vectors (`_shift`, one nonzero m per pair); C, the identification
+scalar and sigma are sums over its list.  Both sections are exponent
+matrices on unit vectors, and the lift's transport defect is read off each
+one, as nu sends unit vectors to unit vectors.  tau keeps one eta0-exponent
+per base.
+
 Phases are stored as integer exponents of eta0 (mod its order) and turned
 into field elements only on demand.
 """
@@ -13,7 +20,6 @@ into field elements only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import Cyc, CycField
 from .lattice import Lattice, LatticeError
@@ -53,16 +59,25 @@ class TwistSystem:
             self.phase_order = k
             self.exp_minus1 = k // 2
             self.exp_eta = 1 % k
-        rank = self.L.rank
+        rank, d, order = self.L.rank, self.d, self.phase_order
         self._basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        self._eps = {
-            SECTION_PLAIN: self._build_plain_section(),
-            SECTION_TWISTED: None,  # filled below, needs the plain one
-        }
-        self._eps[SECTION_TWISTED] = self._build_twisted_section()
-        self._lift = {s: self._build_lift(s) for s in (SECTION_PLAIN, SECTION_TWISTED)}
+        # _shift[i][j] = (m, g): for b_i in block p and b_j in block q,
+        # <nu^m b_i, b_j> is the K-Gram entry g of their colours at
+        # m = p - q (mod k), and 0 at every other m
+        self._shift = [[((i // d - j // d) % k, K.gram[i % d][j % d]) for j in range(rank)]
+                       for i in range(rank)]
+        # the plain section is C0's exponent below the diagonal; the twisted one
+        # takes off the identification scalar, so the identity map realizes
+        # the set-theoretic identification of the two extensions
+        plain = [[(self.exp_minus1 * g) % order if j < i and m == 0 else 0
+                  for j, (m, g) in enumerate(row)] for i, row in enumerate(self._shift)]
+        twisted = [[(e - self.ident_scalar_exponent(bi, bj)) % order
+                    for e, bj in zip(row, self._basis)]
+                   for row, bi in zip(plain, self._basis)]
+        self._sections = {s: (eps, *self._build_lift(eps))
+                          for s, eps in ((SECTION_PLAIN, plain), (SECTION_TWISTED, twisted))}
         self._eta0_cache = [self.eta0 ** s for s in range(self.phase_order)]
-        self._tau_cache: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+        self._tau_cache: dict[tuple[int, ...], int] = {}
 
     def __repr__(self):
         return f"TwistSystem(K={self.K!r}, k={self.k})"
@@ -111,55 +126,41 @@ class TwistSystem:
         """C0(alpha, beta) = (-1)^<alpha,beta>."""
         return self.eta0_pow(self.exp_minus1 * self.L.inner(alpha, beta))
 
+    def _pairings(self, alpha, beta) -> list[int]:
+        """[<nu^m alpha, beta> for m = 0..k-1], in one pass over both supports."""
+        rank = self.L.rank
+        if len(alpha) != rank or len(beta) != rank:
+            raise LatticeError("rank mismatch in shift pairing")
+        out = [0] * self.k
+        support = [(j, bj) for j, bj in enumerate(beta) if bj]
+        for row, ai in zip(self._shift, alpha):
+            if ai:
+                for j, bj in support:
+                    m, g = row[j]
+                    out[m] += ai * bj * g
+        return out
+
     def commutator_C(self, alpha, beta) -> Cyc:
         """C(alpha, beta), the product of (-eta^j)^<nu^j alpha, beta>."""
-        return self.eta0_pow(self._c_exponent(alpha, beta))
-
-    def _c_exponent(self, alpha, beta) -> int:
-        e = 0
-        for j in range(self.k):
-            ip = self.L.inner(self.nu(alpha, j), beta)
-            e += (self.exp_minus1 + self.exp_eta * j) * ip
-        return e % self.phase_order
+        return self.eta0_pow(sum((self.exp_minus1 + self.exp_eta * m) * ip
+                                 for m, ip in enumerate(self._pairings(alpha, beta))))
 
     def ident_scalar_exponent(self, alpha, beta) -> int:
-        """eta0-exponent of the scalar relating the two group laws."""
+        """eta0-exponent of the scalar relating the two group laws: the
+        product of (-eta^j)^<nu^-j alpha, beta> over 0 < j < k/2."""
+        k = self.k
         e = 0
-        j = 1
-        while 2 * j < self.k:
-            ip = self.L.inner(self.nu(alpha, -j), beta)
-            e += (self.exp_minus1 + self.exp_eta * j) * ip
-            j += 1
+        for m, ip in enumerate(self._pairings(alpha, beta)):
+            j = -m % k
+            if 0 < 2 * j < k:
+                e += (self.exp_minus1 + self.exp_eta * j) * ip
         return e % self.phase_order
 
     # -- sections ------------------------------------------------------------
 
-    def _build_plain_section(self):
-        # eps(b_i, b_j) = 0 for i <= j, commutator exponent for i > j;
-        # bimultiplicative extension is matrix evaluation.
-        rank = self.L.rank
-        mat = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            for j in range(i):
-                mat[i][j] = (self.exp_minus1 * self.L.gram[i][j]) % self.phase_order
-        return mat
-
-    def _build_twisted_section(self):
-        # Chosen so the identity map realizes the set-theoretic identification:
-        # eps_twisted = eps_plain - (exponent of the identification scalar).
-        rank = self.L.rank
-        plain = self._eps[SECTION_PLAIN]
-        mat = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            bi = self._basis[i]
-            for j in range(rank):
-                e = self.ident_scalar_exponent(bi, self._basis[j])
-                mat[i][j] = (plain[i][j] - e) % self.phase_order
-        return mat
-
     def eps_exponent(self, section: str, alpha, beta) -> int:
         """The section 2-cocycle as an eta0-exponent, bimultiplicative."""
-        mat = self._eps[section]
+        mat = self._sections[section][0]
         e = 0
         for i, ai in enumerate(alpha):
             if ai == 0:
@@ -195,18 +196,15 @@ class TwistSystem:
 
     # -- the lift of the shift -------------------------------------------------
 
-    def _build_lift(self, section: str):
+    def _build_lift(self, eps):
         # nu-hat(base, s) = (nu base, s + phi(base) + rho(base)) where the
         # quadratic phi repairs the homomorphism defect of section transport
         # and the homomorphism rho makes the diagonal pointwise fixed.
-        rank, order = self.L.rank, self.phase_order
-        dmat = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            ni = self.nu(self._basis[i])
-            for j in range(rank):
-                nj = self.nu(self._basis[j])
-                dmat[i][j] = (self.eps_exponent(section, ni, nj)
-                              - self.eps_exponent(section, self._basis[i], self._basis[j])) % order
+        # nu b_i = b_down(i), so the defect is read off the matrix eps
+        k, d, rank, order = self.k, self.d, self.L.rank, self.phase_order
+        down = [((i // d - 1) % k) * d + i % d for i in range(rank)]
+        dmat = [[(eps[down[i]][down[j]] - eps[i][j]) % order for j in range(rank)]
+                for i in range(rank)]
 
         def phi(coords):
             e = 0
@@ -223,11 +221,11 @@ class TwistSystem:
         for j in range(self.d):
             delta = self.diag_embed(self._basis[j][:self.d])
             rho[j] = (-phi(delta)) % order  # on b_j of the first block; 0 elsewhere
-        return dmat, phi, rho
+        return phi, rho
 
     def nu_hat(self, a: CentralElem, power: int = 1) -> CentralElem:
         """The lift of the shift; fixes eta0 and every diagonal-based element."""
-        _, phi, rho = self._lift[a.section]
+        _, phi, rho = self._sections[a.section]
         out = a
         for _ in range(power % self.k):
             corr = phi(out.base) + sum(r * x for r, x in zip(rho, out.base))
@@ -240,17 +238,16 @@ class TwistSystem:
     def sigma(self, alpha) -> Cyc:
         """The normalization scalar attached to alpha in L."""
         k = self.k
+        pairings = self._pairings(alpha, alpha)
         out = self.field.one()
-        j = 1
-        while 2 * j < k:
-            ip = self.L.inner(self.nu(alpha, j), alpha)
-            out = out * (self.field.one() - self.eta_pow(-j)) ** ip
-            j += 1
+        for j in range(1, (k + 1) // 2):
+            out = out * (self.field.one() - self.eta_pow(-j)) ** pairings[j]
         if k % 2 == 0:
-            ip = self.L.inner(self.nu(alpha, k // 2), alpha)
+            ip = pairings[k // 2]
             if ip % 2:
                 raise AssertionError("odd pairing against the half turn")
-            out = out * self.field.from_rat(Fraction(2) ** (ip // 2))
+            n = ip // 2
+            out = out * 2 ** n if n >= 0 else out / 2 ** -n
         return out
 
     def solve_one_minus_nu(self, beta) -> tuple[int, ...]:
@@ -277,12 +274,11 @@ class TwistSystem:
             w = self.ext_mul(e_g, self.ext_inv(self.nu_hat(e_g)))
             if w.base != a.base:
                 raise AssertionError("commutator base mismatch in tau")
+            # tau(w) = eta^(-<t,t>/2) for t = tot(gamma), and eta = eta0^exp_eta;
+            # <t,t> is even as K is
             t = self.tot(gamma)
-            norm_t = self.K.inner(t, t)
-            self._tau_cache[key] = (w.phase, Fraction(norm_t, 2))
-        ref_phase, half_norm = self._tau_cache[key]
-        value = self.eta_pow(-int(half_norm)) * self.eta0_pow(a.phase - ref_phase)
-        return value
+            self._tau_cache[key] = w.phase + self.exp_eta * (self.K.inner(t, t) // 2)
+        return self.eta0_pow(a.phase - self._tau_cache[key])
 
     # -- the induced module on the group-algebra part ------------------------------
 

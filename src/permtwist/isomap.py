@@ -101,7 +101,7 @@ def intertwine_generators(system: TwistSystem, basis, modes) -> list[Report]:
     comparison has a nonzero space-time image: 0 = 0 alone would pass an
     engine that computes nothing.
     """
-    modes = list(modes)
+    basis, modes = list(basis), list(modes)
     images = [f_apply(system, v) for v in basis]
     out = []
     for name, u in generator_family(system):

@@ -1,12 +1,13 @@
 """Commutator maps, sections, the lifted shift, tau and sigma."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from permtwist.cocycle import (CentralElem, SECTION_PLAIN, SECTION_TWISTED,
                                TwistSystem)
-from permtwist.lattice import Lattice, hermite_rows
+from permtwist.lattice import Lattice, LatticeError, hermite_rows
 
 A1 = Lattice([[2]], "A1")
 A2 = Lattice([[2, 1], [1, 2]], "A2")
@@ -192,3 +193,48 @@ def test_sigma_examples():
     for _ in range(10):
         a = rand_vec(s3, rng)
         assert s3.sigma(s3.nu(a)) == s3.sigma(a)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: f"{s.K.name}k{s.k}")
+def test_exponents_match_their_definitions(system):
+    # oracle: C, the identification scalar and sigma as products over j,
+    # each pairing taken through nu and the Gram matrix of L
+    rng = random.Random(31)
+    k, one = system.k, system.field.one()
+
+    def ip(a, b, j):
+        return system.L.inner(system.nu(a, j), b)
+
+    for _ in range(20):
+        a, b = rand_vec(system, rng), rand_vec(system, rng)
+        c = one
+        for j in range(k):
+            c = c * (-system.eta_pow(j)) ** ip(a, b, j)
+        assert system.commutator_C(a, b) == c
+        ident = one
+        for j in range(1, (k + 1) // 2):
+            ident = ident * (-system.eta_pow(j)) ** ip(a, b, -j)
+        assert system.eta0_pow(system.ident_scalar_exponent(a, b)) == ident
+        sigma = one
+        for j in range(1, (k + 1) // 2):
+            sigma = sigma * (one - system.eta_pow(-j)) ** ip(a, a, j)
+        if k % 2 == 0:
+            sigma = sigma * system.field.from_rat(Fraction(2) ** (ip(a, a, k // 2) // 2))
+        assert system.sigma(a) == sigma
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pairing_maps_reject_vectors_of_the_wrong_length(k):
+    system = TwistSystem(A1, k)
+    good = (1,) + (0,) * (k - 1)
+    for bad in ((1,) * (k - 1), (1,) * (k + 1)):
+        with pytest.raises(LatticeError):
+            system.commutator_C(bad, good)
+        with pytest.raises(LatticeError):
+            system.commutator_C(good, bad)
+        with pytest.raises(LatticeError):
+            system.ident_scalar_exponent(bad, good)
+        with pytest.raises(LatticeError):
+            system.ident_scalar_exponent(good, bad)
+        with pytest.raises(LatticeError):
+            system.sigma(bad)

@@ -168,6 +168,14 @@ def test_intertwining_low_weight(system):
         assert rep.passed and rep.witness == f"{checked} modes checked"
 
 
+def test_iso_reads_a_one_shot_basis_like_a_list():
+    system = TwistSystem(A1, 2)
+    basis = weight_basis(system, "T", 1)
+    modes = default_mode_set(system, 1)
+    assert (intertwine_generators(system, iter(basis), modes)
+            == intertwine_generators(system, basis, modes))
+
+
 def test_iso_over_an_empty_basis_fails():
     # a comparison of nothing never passes
     system = TwistSystem(A1, 2)
